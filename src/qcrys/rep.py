@@ -137,9 +137,6 @@ class LinOp:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import factorint
-
 __all__ = [
     "Laurent",
     "SymBracket",
@@ -556,45 +554,125 @@ def half_bracket_product(h2: int, q) -> Fraction:
 
 # -- radicals ----------------------------------------------------------------
 
+# Radicands are square-class representatives, so no integer is ever
+# factored: squares of the primes below _TRIAL_BOUND are stripped, and a
+# cofactor free of those primes is folded only when it is itself a perfect
+# square.  A representative below _TRIAL_BOUND**2 is squarefree, because the
+# square of any prime it could still hold twice is larger.
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, math.isqrt(p) + 1))
+)
+_SQUAREFREE_BELOW = _TRIAL_BOUND**2
+
+
+def _exact_isqrt(n: int) -> int | None:
+    """The square root of a perfect square n >= 0, else None."""
+    root = math.isqrt(n)
+    return root if root * root == n else None
+
+
+def _class_merge(k: int, m: int) -> tuple[int, int, int] | None:
+    """(g, a, b) with k = a*a*g and m = b*b*g when the distinct
+    representatives k and m share a square class, else None."""
+    if (k < 0) != (m < 0) or max(abs(k), abs(m)) < _SQUAREFREE_BELOW:
+        return None
+    if _exact_isqrt(k * m) is None:
+        return None
+    # k = a'^2 f and m = b'^2 f give gcd(k, m) = gcd(a', b')^2 f.
+    g = math.gcd(k, m) * (-1 if k < 0 else 1)
+    return g, math.isqrt(k // g), math.isqrt(m // g)
+
+
+def _accumulate(acc: dict[int, Fraction], m: int, c: Fraction) -> None:
+    """Add c*sqrt(m) to a term map that holds one key per square class.
+    Coefficients may cancel to zero; callers drop those keys."""
+    if m in acc:
+        acc[m] += c
+        return
+    for k in acc:
+        merged = _class_merge(k, m)
+        if merged is not None:
+            break
+    else:
+        acc[m] = c
+        return
+    g, a, b = merged
+    acc[g] = acc.pop(k) * a + c * b
+
+
+def _mul_term(m1: int, c1: Fraction, m2: int, c2: Fraction) -> tuple[int, Fraction]:
+    """c1*sqrt(m1) * c2*sqrt(m2) as a single term (m, c) with m a
+    representative."""
+    g = math.gcd(m1, m2)
+    core = (m1 // g) * (m2 // g)
+    num = c1.numerator * c2.numerator * g
+    if m1 < 0 and m2 < 0:
+        num = -num  # i * i = -1 on the fixed branch
+    # With g = 1 the core is a square only if both radicands are +-1.
+    if g > 1 and abs(core) >= _SQUAREFREE_BELOW:
+        root = _exact_isqrt(abs(core))
+        if root is not None:
+            core, num = (1 if core > 0 else -1), num * root
+    # One normalisation is several times cheaper than chained Fraction products.
+    return core, Fraction(num, c1.denominator * c2.denominator)
+
 
 class Radical:
     """Exact number of the form  sum_m c_m * sqrt(m)  with rational c_m and
-    squarefree integer radicands m (m may be negative, m never 0).
+    nonzero integer radicands m (m may be negative).
 
     The branch for negative radicands is fixed once and for all:
     sqrt(m) = i*sqrt(|m|), so sqrt(m)*sqrt(m) == m for every radicand and
     products of matched radical pairs come out as exact rationals with the
     correct sign.  No complex floating arithmetic ever happens.
 
-    Radicands supplied to the constructor must already be squarefree; use
-    :func:`sqrt_rat` to build square roots of arbitrary rationals.
+    Radicands are square-class representatives, found without factoring:
+    no prime below the trial bound (1000) divides a radicand twice, no
+    radicand is a perfect square other than 1 and -1, and no two radicands
+    of one number share a square class (their product is never a perfect
+    square).  Square roots of distinct square classes are linearly
+    independent over Q (Besicovitch 1940), so a number is zero exactly when
+    it has no terms.  The constructor reduces any nonzero integer radicands
+    to this form; :func:`sqrt_rat` builds square roots of rationals.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[int, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 m = int(m)
                 if m == 0:
                     raise ValueError("radicand 0 is not allowed")
                 c = _frac(c)
-                if c:
-                    clean[m] = c
-        self.terms = clean
+                if m != 1:
+                    ((m, square),) = _sqrt_frac(Fraction(m)).terms.items()
+                    c = c * square
+                _accumulate(acc, m, c)
+        self.terms = {m: c for m, c in acc.items() if c}
+
+    @classmethod
+    def _make(cls, terms: dict[int, Fraction]) -> "Radical":
+        """Wrap a term map that already satisfies the invariant and has no
+        zero coefficients."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
 
     @classmethod
     def from_rational(cls, r) -> "Radical":
-        return cls({1: _frac(r)})
+        r = _frac(r)
+        return cls._make({1: r} if r else {})
 
     @classmethod
     def zero(cls) -> "Radical":
-        return cls()
+        return cls._make({})
 
     @classmethod
     def one(cls) -> "Radical":
-        return cls({1: Fraction(1)})
+        return cls._make({1: Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -625,13 +703,13 @@ class Radical:
             return NotImplemented
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Radical(acc)
+            _accumulate(acc, m, c)
+        return Radical._make({m: c for m, c in acc.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical({m: -c for m, c in self.terms.items()})
+        return Radical._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -644,24 +722,21 @@ class Radical:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            if not s:
-                return Radical()
-            return Radical({m: c * s for m, c in self.terms.items()})
+            if not other:
+                return Radical._make({})
+            return Radical._make({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Radical):
             return NotImplemented
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((m1, c1),) = self.terms.items()
+            ((m2, c2),) = other.terms.items()
+            m, c = _mul_term(m1, c1, m2, c2)
+            return Radical._make({m: c})
         acc: dict[int, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                # Both radicands are squarefree, so gcd extraction already
-                # yields a squarefree core: m1*m2 = sign * g^2 * core.
-                g = math.gcd(abs(m1), abs(m2))
-                core = (m1 // g) * (m2 // g)
-                c = c1 * c2 * g
-                if m1 < 0 and m2 < 0:
-                    c = -c  # i * i = -1 on the fixed branch
-                acc[core] = acc.get(core, Fraction(0)) + c
-        return Radical(acc)
+                _accumulate(acc, *_mul_term(m1, c1, m2, c2))
+        return Radical._make({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -675,16 +750,13 @@ class Radical:
         if len(self.terms) != 1:
             raise ArithmeticError("inverse implemented for single-term radicals only")
         ((m, c),) = self.terms.items()
-        return Radical({m: Fraction(1) / (c * m)})
+        return Radical._make({m: Fraction(1) / (c * m)})
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return (self - other).is_zero()
 
     def render(self) -> str:
         """Deterministic text form, e.g. ``1/2*sqrt(-2) + 3``."""
@@ -706,21 +778,35 @@ class Radical:
 @lru_cache(maxsize=None)
 def _sqrt_frac(r: Fraction) -> Radical:
     if r == 0:
-        return Radical()
-    # sqrt(p/s) = sqrt(p*s)/s; split p*s into square and squarefree parts.
+        return Radical._make({})
+    # sqrt(p/s) = sqrt(p*s)/s; split p*s into a square and a representative.
     n = r.numerator * r.denominator
-    sign = -1 if n < 0 else 1
+    key = -1 if n < 0 else 1
+    n = abs(n)
     square = 1
-    free = 1
-    for p, e in factorint(abs(n)).items():
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break  # what is left of n is 1 or a prime
+        if n % p:
+            continue
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
         square *= p ** (e // 2)
         if e % 2:
-            free *= p
-    return Radical({sign * free: Fraction(square, r.denominator)})
+            key *= p
+    root = _exact_isqrt(n)
+    if root is None:
+        key *= n
+    else:
+        square *= root
+    return Radical._make({key: Fraction(square, r.denominator)})
 
 
 def sqrt_rat(r) -> Radical:
-    """Square root of a rational as a single-term radical c*sqrt(m) with m
-    squarefree, on the fixed branch sqrt(r) = i*sqrt(|r|) for r < 0, so
-    that sqrt_rat(r)**2 == r exactly."""
+    """Square root of a rational as a single-term radical c*sqrt(m) with m a
+    square-class representative (squarefree whenever m has no repeated
+    prime factor above the trial bound), on the fixed branch
+    sqrt(r) = i*sqrt(|r|) for r < 0, so that sqrt_rat(r)**2 == r exactly."""
     return _sqrt_frac(_frac(r))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcrys
 from qcrys.cli import main
 
 
@@ -178,6 +183,14 @@ class TestVerifyCommand:
     def test_missing_flags_exit_2(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_sl2_lambda_80_at_q_3_5(self, capsys):
+        # The radicands here are q-integers with dozens of digits; this row
+        # never finished while radicands were made squarefree by factoring.
+        args = ["verify", "--type", "A", "--n", "2", "--lambda", "80", "--q", "3/5"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "TOTAL: pass=324 fail=0 boundary=0" in out.splitlines()
+
     def test_deterministic_output_file(self, tmp_path):
         args = [
             "verify", "--type", "C", "--n", "1", "--lambda", "1",
@@ -229,3 +242,17 @@ class TestBosonCommand:
         with pytest.raises(SystemExit) as exc:
             main(["boson", "--realization", "vdj", "--q", "-1"])
         assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_sympy():
+    env = dict(os.environ, PYTHONPATH=str(Path(qcrys.__file__).parents[1]))
+    probe = "import sys, qcrys.cli; print('sympy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

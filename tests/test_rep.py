@@ -77,6 +77,16 @@ class TestLinOpAlgebra:
         hat = op_hat(m, 1, 1)
         assert commutator(op_h(m, 1), hat) == hat * 2
 
+    def test_equality_across_square_class_representatives(self):
+        # 1009 lies above the trial-division bound, so both entries keep
+        # different radicands of one square class.
+        a = LinOp(2, {(0, 1): sqrt_rat(1009**2 * 1013)})
+        b = LinOp(2, {(0, 1): sqrt_rat(1013) * 1009})
+        assert a == b
+        assert a != b * 2
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_entry_bounds_checked(self):
         with pytest.raises(ValueError):
             LinOp(2, {(0, 5): Radical.one()})

@@ -31,6 +31,13 @@ def lp(terms):
 
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+large_rationals = st.fractions(
+    min_value=-(10**15), max_value=10**15, max_denominator=10**15
+)
+# Integers with and without prime factors above the trial-division bound.
+large_multipliers = st.integers(1, 10**12) | st.lists(
+    st.sampled_from((1009, 1013, 1019, 999983)), min_size=1, max_size=3
+).map(math.prod)
 
 
 class TestLaurent:
@@ -277,6 +284,27 @@ class TestSqrtRat:
         b = sqrt_rat(s)
         assert a * b * a * b == Radical.from_rational(r * s)
 
+    # 1009, 1013 and 1019 lie above the trial-division bound, so their
+    # squares stay inside the radicand until arithmetic folds them.
+    def test_large_prime_square_in_radicand(self):
+        assert (sqrt_rat(1009**2 * 1013) - 1009 * sqrt_rat(1013)).is_zero()
+        assert sqrt_rat(1009**2 * 1013) == Radical({1013: F(1009)})
+
+    def test_square_cofactor_folds(self):
+        assert sqrt_rat(3 * 1009**2 * 1013**2).terms == {3: F(1009 * 1013)}
+        assert sqrt_rat(F(-(1019**2), 4)).terms == {-1: F(1019, 2)}
+
+    @given(r=large_rationals)
+    @settings(deadline=None)
+    def test_square_recovers_large_argument(self, r):
+        s = sqrt_rat(r)
+        assert s * s == r
+
+    @given(a=large_multipliers, b=st.integers(-(10**12), 10**12))
+    @settings(deadline=None)
+    def test_square_factor_comes_out(self, a, b):
+        assert (sqrt_rat(a * a * b) - a * sqrt_rat(b)).is_zero()
+
 
 def _mk_radical(pairs):
     total = Radical()
@@ -321,6 +349,26 @@ class TestRadical:
     def test_json_map_sorted(self):
         v = sqrt_rat(5) + sqrt_rat(-2) * F(2, 7)
         assert v.json_map() == {"-2": "2/7", "5": "1"}
+
+    def test_square_class_product_is_rational(self):
+        v = sqrt_rat(1009**2 * 1013 * 1019) * sqrt_rat(1013 * 1019)
+        assert v.is_rational()
+        assert v.as_fraction() == 1009 * 1013 * 1019
+
+    def test_imaginary_branch_sign_kept(self):
+        assert sqrt_rat(-2) + sqrt_rat(-8) == 3 * sqrt_rat(-2)
+        v = sqrt_rat(-(1009**2) * 1013) + sqrt_rat(-1013)
+        assert v.json_map() == {"-1013": "1010"}
+        assert sqrt_rat(1009**2 * 1013) != 1009 * sqrt_rat(-1013)
+
+    def test_constructor_reduces_radicands(self):
+        assert Radical({8: F(1)}).terms == {2: F(2)}
+        assert Radical({2: F(1), 8: F(-2), -9: F(1)}).terms == {-1: F(3), 2: F(-3)}
+        assert Radical({1009**2 * 1013: F(1)}) == Radical({1013: F(1009)})
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Radical.one())
 
     def test_disallows_radicand_zero(self):
         with pytest.raises(ValueError):
