@@ -237,9 +237,6 @@ def check_so3_towers(gens, q, space: FockSpace, realization: str = "so3") -> Rel
     """
     q = ensure_positive_q(q)
     lp, lm, l0 = gens[:3]
-    bracket_2l0 = _diagonal(
-        space, lambda s: Radical.from_rational(qint_at(2 * (s[0] - s[2]), q))
-    )
     report = RelationReport(
         relation_id=f"so3-towers[{realization}]",
         carrier=space.describe(),
@@ -248,7 +245,7 @@ def check_so3_towers(gens, q, space: FockSpace, realization: str = "so3") -> Rel
 
     def scale(vec, factor):
         factor = Radical.from_rational(factor)
-        return {t: v * factor for t, v in vec.items() if v * factor}
+        return {t: p for t, v in vec.items() if (p := v * factor)}
 
     for top in range(space.cutoff + 1):
         vec = {space.index[(top, 0, 0)]: Radical.one()}

@@ -69,6 +69,16 @@ class LinOp:
                 clean[(src, tgt)] = val
         self.entries = clean
 
+    @classmethod
+    def _make(cls, dim: int, entries: dict[tuple[int, int], Radical]) -> "LinOp":
+        """Wrap the result of LinOp arithmetic, whose entries are already
+        Radicals keyed by in-range indices: skip coercion and the bounds
+        check, but still drop zero entries."""
+        obj = object.__new__(cls)
+        obj.dim = dim
+        obj.entries = {k: v for k, v in entries.items() if v}
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -95,10 +105,10 @@ class LinOp:
         for key, val in other.entries.items():
             cur = acc.get(key)
             acc[key] = val if cur is None else cur + val
-        return LinOp(self.dim, acc)
+        return LinOp._make(self.dim, acc)
 
     def __neg__(self):
-        return LinOp(self.dim, {k: -v for k, v in self.entries.items()})
+        return LinOp._make(self.dim, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LinOp):
@@ -107,7 +117,7 @@ class LinOp:
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, Radical)):
-            return LinOp(self.dim, {k: v * scalar for k, v in self.entries.items()})
+            return LinOp._make(self.dim, {k: v * scalar for k, v in self.entries.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -127,7 +137,7 @@ class LinOp:
                 cur = acc.get(key)
                 prod = w * v
                 acc[key] = prod if cur is None else cur + prod
-        return LinOp(self.dim, acc)
+        return LinOp._make(self.dim, acc)
 
     def transpose(self) -> "LinOp":
         return LinOp(self.dim, {(t, s): v for (s, t), v in self.entries.items()})

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from .crystal import (
     CAP_MARGIN,
     DEFAULT_MARGIN,
     MOVE_CAPPED,
+    MOVE_DEAD,
     MOVE_OK,
     TYPE_A,
     TYPE_C,
@@ -94,24 +94,27 @@ def expected_cartan(spec: CrystalSpec) -> list[list[int]]:
     return m
 
 
-def cartan_matrix(model: CrystalModel) -> list[list[int]]:
+def cartan_matrix(model: CrystalModel, moves: list | None = None) -> list[list[int]]:
     """Cartan integers measured from the crystal weight shifts: entry
     (i, j) is the shift of the H_i eigenvalue under the node-j raising
     move.  Every state admitting the move must report the same shift, and
     the result must agree with the reference matrix; disagreement is an
-    engine error, not a relation failure."""
+    engine error, not a relation failure.  ``moves`` is the model's
+    ladder-move table (built here when absent)."""
     spec = model.spec
     nodes = spec.nodes
+    if moves is None:
+        moves = _move_table(model)
     expected = expected_cartan(spec)
     measured: list[list[int]] = [[0] * nodes for _ in range(nodes)]
     for j in range(1, nodes + 1):
         shifts = set()
-        for s in model.states:
-            t, status = apply_move(spec, s, j, 1)
+        for k, row in enumerate(moves):
+            t, status = row[(j, 1)]
             if status != MOVE_OK:
                 continue
-            hs = weight_h(model, s)
-            ht = weight_h(model, t)
+            hs = weight_h(model, model.states[k])
+            ht = weight_h(model, model.states[t])
             shifts.add(tuple(ht[i] - hs[i] for i in range(nodes)))
         if not shifts:
             # No state admits the move (trivial representations); fall
@@ -148,6 +151,72 @@ def symmetrizers(spec: CrystalSpec, cartan: list[list[int]]) -> list[int]:
     return d
 
 
+# -- per-model data shared by the families ------------------------------------
+
+
+def _move_table(model: CrystalModel) -> list[dict[tuple[int, int], tuple]]:
+    """Every ladder move of the model, evaluated once: entry k maps
+    (node, sign) to (target ordinal or None, move status) for state k.
+    A move that succeeds always lands inside the model, so word walks
+    never leave the table."""
+    spec, index = model.spec, model.index
+    steps = [(node, sign) for node in range(1, spec.nodes + 1) for sign in (1, -1)]
+    table = []
+    for s in model.states:
+        row = {}
+        for node, sign in steps:
+            t, status = apply_move(spec, s, node, sign)
+            row[(node, sign)] = (index[t] if status == MOVE_OK else None, status)
+        table.append(row)
+    return table
+
+
+@dataclass(frozen=True)
+class _ModelData:
+    """The q-independent inputs of the relation families on one model:
+    the ladder-move table, the Cartan eigenvalues of each state (by
+    ordinal), the measured Cartan matrix and the symmetrizers."""
+
+    moves: list
+    h: list
+    cartan: list
+    d: list
+
+
+def _model_data(model: CrystalModel) -> _ModelData:
+    moves = _move_table(model)
+    cartan = cartan_matrix(model, moves)
+    return _ModelData(
+        moves,
+        [weight_h(model, s) for s in model.states],
+        cartan,
+        symmetrizers(model.spec, cartan),
+    )
+
+
+def _gen_set(model: CrystalModel, q, deformed: bool = True) -> dict:
+    """Chevalley generators keyed (node, sign): q-deformed, or classical
+    (then q is unused)."""
+    gens = {}
+    for node in range(1, model.spec.nodes + 1):
+        for sign in (1, -1):
+            if deformed:
+                gens[(node, sign)] = op_e_deformed(model, node, sign, q)
+            else:
+                gens[(node, sign)] = op_e_classical(model, node, sign)
+    return gens
+
+
+def _prepare(model: CrystalModel, q, data, gens, deformed: bool = True):
+    """Validate q and build whichever shared inputs the caller left out."""
+    q = ensure_positive_q(q)
+    if data is None:
+        data = _model_data(model)
+    if gens is None:
+        gens = _gen_set(model, q, deformed)
+    return q, data, gens
+
+
 # -- generic per-state assembly ------------------------------------------------
 
 
@@ -162,28 +231,22 @@ class _Component:
     words: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
-def _word_capped(spec: CrystalSpec, state, word) -> bool:
-    cur = state
-    for node, sign in word:
-        nxt, status = apply_move(spec, cur, node, sign)
-        if status == MOVE_CAPPED:
-            return True
+def _word_capped(moves: list, k: int, word) -> bool:
+    for move in word:
+        k, status = moves[k][move]
         if status != MOVE_OK:
-            return False
-        cur = nxt
+            return status == MOVE_CAPPED
     return False
 
 
-def _word_trace(spec: CrystalSpec, state, word) -> str:
-    bits = [str(tuple(state))]
-    cur = state
-    for node, sign in word:
-        nxt, status = apply_move(spec, cur, node, sign)
+def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
+    bits = [str(model.states[k])]
+    for move in word:
+        k, status = moves[k][move]
         if status != MOVE_OK:
-            bits.append("0" if status == "dead" else "cap")
+            bits.append("0" if status == MOVE_DEAD else "cap")
             break
-        bits.append(str(nxt))
-        cur = nxt
+        bits.append(str(model.states[k]))
     return "->".join(bits)
 
 
@@ -193,6 +256,7 @@ def _assemble(
     q: Fraction,
     components: list[_Component],
     margin: int,
+    moves: list,
 ) -> RelationReport:
     spec = model.spec
     report = RelationReport(relation_id=relation_id, carrier=spec.describe(), q=q)
@@ -213,12 +277,12 @@ def _assemble(
                 all_zero = False
             # Word paths only matter inside the margin: outside it a flag
             # could not excuse the state anyway.
-            flagged = in_margin and any(_word_capped(spec, s, w) for w in comp.words)
+            flagged = in_margin and any(_word_capped(moves, k, w) for w in comp.words)
             if flagged:
                 any_boundary = True
             elif col:
                 any_fail = True
-                traces = "; ".join(_word_trace(spec, s, w) for w in comp.words)
+                traces = "; ".join(_word_trace(model, moves, k, w) for w in comp.words)
                 for t, val in sorted(col.items()):
                     report.failures.append(
                         {
@@ -234,95 +298,107 @@ def _assemble(
 
 
 # -- relation families ---------------------------------------------------------
+#
+# Each family takes the shared inputs as optional keyword arguments: the
+# model data (``data``) and the generators at q (``gens``, classical ones
+# for the classical Serre family).  run_suite builds them once and passes
+# them in; a standalone call builds what it is not given.
 
 
-def _gen_set(model: CrystalModel, q: Fraction, deformed: bool = True):
-    gens = {}
-    for node in range(1, model.spec.nodes + 1):
-        for sign in (1, -1):
-            if deformed:
-                gens[(node, sign)] = op_e_deformed(model, node, sign, q)
-            else:
-                gens[(node, sign)] = op_e_classical(model, node, sign)
-    return gens
+def _cartan_residual(h: list, i: int, op: LinOp, shift) -> LinOp:
+    """[H_i, X] - shift * X with H_i diagonal, entry by entry: the entry
+    (s, t) is (H_i(t) - H_i(s) - shift) X(s, t), a rational multiple of
+    X(s, t) read from the weights ``h`` (per state ordinal), so no
+    radical products arise.  Equal to commutator(op_h(model, i), X) -
+    X * shift as an exact operator."""
+    entries = {}
+    for (s, t), v in op.entries.items():
+        c = h[t][i - 1] - h[s][i - 1] - shift
+        if c:
+            entries[(s, t)] = v * c
+    return LinOp(op.dim, entries)
 
 
-def check_cartan(model: CrystalModel, q, margin: int = DEFAULT_MARGIN) -> RelationReport:
+def check_cartan(
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, gens=None
+) -> RelationReport:
     """[h_i, h_j] = 0 and [h_i, e_j^+-] = +-a e_j^+- with the Cartan
     integers recomputed from the crystal weight shifts."""
-    q = ensure_positive_q(q)
-    a = cartan_matrix(model)
+    q, data, e = _prepare(model, q, data, gens)
+    a = data.cartan
     nodes = model.spec.nodes
-    h = {i: op_h(model, i) for i in range(1, nodes + 1)}
-    e = _gen_set(model, q)
     components = []
     for i in range(1, nodes + 1):
         for j in range(i + 1, nodes + 1):
             components.append(
-                _Component(f"[h{i},h{j}]", commutator(h[i], h[j]))
+                _Component(f"[h{i},h{j}]", _cartan_residual(data.h, i, op_h(model, j), 0))
             )
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
-                residual = commutator(h[i], e[(j, sign)]) - e[(j, sign)] * (
-                    sign * a[i - 1][j - 1]
-                )
+                shift = sign * a[i - 1][j - 1]
                 components.append(
                     _Component(
-                        f"[h{i},e{tag}{j}]-({sign * a[i - 1][j - 1]})e{tag}{j}",
-                        residual,
+                        f"[h{i},e{tag}{j}]-({shift})e{tag}{j}",
+                        _cartan_residual(data.h, i, e[(j, sign)], shift),
                         (((j, sign),),),
                     )
                 )
-    return _assemble("cartan", model, q, components, margin)
+    return _assemble("cartan", model, q, components, margin, data.moves)
 
 
-def _bracket_h_diag(model: CrystalModel, i: int, d: int, q: Fraction) -> LinOp:
-    """Diagonal of [H_i] in base q^d.  With k = d * H_i an integer the
-    value is [k]_q / [d]_q, which is exact and regular at q = 1."""
+def _bracket_h_diag(h: list, i: int, d: int, q: Fraction) -> LinOp:
+    """Diagonal of [H_i] in base q^d, from the weights ``h`` (per state
+    ordinal).  With k = d * H_i an integer the value is [k]_q / [d]_q,
+    which is exact and regular at q = 1."""
     values = []
     denom = qint_at(d, q)
-    for s in model.states:
-        hd = weight_h(model, s)[i - 1] * d
+    for hs in h:
+        hd = hs[i - 1] * d
         if hd.denominator != 1:
             raise VerificationError("scaled Cartan eigenvalue is not integral")
         values.append(Radical.from_rational(qint_at(int(hd), q) / denom))
     return LinOp.diagonal(values)
 
 
-def check_ladder(model: CrystalModel, q, margin: int = DEFAULT_MARGIN) -> RelationReport:
+def check_ladder(
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, gens=None
+) -> RelationReport:
     """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i) (so the long type C
     node uses base q^2, where the half-integer H_n still gives an exact
     rational bracket)."""
-    q = ensure_positive_q(q)
-    a = cartan_matrix(model)
-    d = symmetrizers(model.spec, a)
+    q, data, e = _prepare(model, q, data, gens)
+    d = data.d
     nodes = model.spec.nodes
-    e = _gen_set(model, q)
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             residual = commutator(e[(i, 1)], e[(j, -1)])
             if i == j:
-                residual = residual - _bracket_h_diag(model, i, d[i - 1], q)
+                residual = residual - _bracket_h_diag(data.h, i, d[i - 1], q)
             label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             components.append(_Component(label, residual, words))
-    return _assemble("ladder", model, q, components, margin)
+    return _assemble("ladder", model, q, components, margin, data.moves)
 
 
 def check_serre(
-    model: CrystalModel, q, deformed: bool = True, margin: int = DEFAULT_MARGIN
+    model: CrystalModel,
+    q,
+    deformed: bool = True,
+    margin: int = DEFAULT_MARGIN,
+    *,
+    data=None,
+    gens=None,
 ) -> RelationReport:
     """Serre relations for every ordered node pair, built from the
     measured Cartan matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
     with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
-    ordinary binomial (classical)."""
-    q = ensure_positive_q(q)
-    a = cartan_matrix(model)
-    d = symmetrizers(model.spec, a)
+    ordinary binomial (classical).  ``gens`` are the generators of the
+    chosen kind."""
+    q, data, gens = _prepare(model, q, data, gens, deformed)
+    a, d = data.cartan, data.d
     nodes = model.spec.nodes
-    gens = _gen_set(model, q, deformed=deformed)
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
@@ -356,21 +432,32 @@ def check_serre(
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"
                 components.append(_Component(label, residual, tuple(words)))
     rid = "serre-deformed" if deformed else "serre-classical"
-    return _assemble(rid, model, q, components, margin)
+    return _assemble(rid, model, q, components, margin, data.moves)
 
 
-def check_map(model: CrystalModel, q, margin: int = DEFAULT_MARGIN) -> RelationReport:
+def check_map(
+    model: CrystalModel,
+    q,
+    margin: int = DEFAULT_MARGIN,
+    *,
+    data=None,
+    gens=None,
+    classical=None,
+) -> RelationReport:
     """Entrywise dressing-map identities: classical * factor = deformed on
     every node, the partial-inverse roundtrip back to the classical
     generators, and for rank-one type A additionally the weight-diagonal
-    dressing route and its agreement with the node factor."""
-    q = ensure_positive_q(q)
+    dressing route and its agreement with the node factor.  ``gens`` are
+    the deformed generators at q, ``classical`` the classical ones."""
+    q, data, gens = _prepare(model, q, data, gens)
+    if classical is None:
+        classical = _gen_set(model, q, deformed=False)
     components = []
     for node in range(1, model.spec.nodes + 1):
         f = deform_factor(model, node, q)
         fi = deform_factor_inv(model, node, q)
-        ep, em = op_e_classical(model, node, 1), op_e_classical(model, node, -1)
-        dp, dm = op_e_deformed(model, node, 1, q), op_e_deformed(model, node, -1, q)
+        ep, em = classical[(node, 1)], classical[(node, -1)]
+        dp, dm = gens[(node, 1)], gens[(node, -1)]
         up = (((node, 1),),)
         down = (((node, -1),),)
         components.extend(
@@ -384,14 +471,14 @@ def check_map(model: CrystalModel, q, margin: int = DEFAULT_MARGIN) -> RelationR
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
         d2 = cz_factor(model, q, CZ_WEIGHT)
         d1 = cz_factor(model, q, CZ_NODE)
-        jp = op_e_classical(model, 1, 1)
-        dp = op_e_deformed(model, 1, 1, q)
+        jp = classical[(1, 1)]
+        dp = gens[(1, 1)]
         hat = op_hat(model, 1, 1)
         components.append(_Component("cz_weight*j+-e+1", d2 @ jp - dp, (((1, 1),),)))
         components.append(
             _Component("cz_weight(image)-cz_node(source)", d2 @ hat - hat @ d1, (((1, 1),),))
         )
-    return _assemble("map", model, q, components, margin)
+    return _assemble("map", model, q, components, margin, data.moves)
 
 
 # -- suite ---------------------------------------------------------------------
@@ -515,41 +602,51 @@ class SuiteResult:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
+# Which generator sets each family reads.
+_DEFORMED_FAMILIES = ("cartan", "ladder", "serre", "map")
+_CLASSICAL_FAMILIES = ("serre-classical", "map")
+
 _FAMILY_RUNNERS = {
-    "cartan": lambda model, q, margin: check_cartan(model, q, margin),
-    "ladder": lambda model, q, margin: check_ladder(model, q, margin),
-    "serre": lambda model, q, margin: check_serre(model, q, True, margin),
-    "serre-classical": lambda model, q, margin: check_serre(model, q, False, margin),
-    "map": lambda model, q, margin: check_map(model, q, margin),
+    "cartan": lambda model, q, margin, data, gens, classical: check_cartan(
+        model, q, margin, data=data, gens=gens
+    ),
+    "ladder": lambda model, q, margin, data, gens, classical: check_ladder(
+        model, q, margin, data=data, gens=gens
+    ),
+    "serre": lambda model, q, margin, data, gens, classical: check_serre(
+        model, q, True, margin, data=data, gens=gens
+    ),
+    "serre-classical": lambda model, q, margin, data, gens, classical: check_serre(
+        model, q, False, margin, data=data, gens=classical
+    ),
+    "map": lambda model, q, margin, data, gens, classical: check_map(
+        model, q, margin, data=data, gens=gens, classical=classical
+    ),
 }
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("QCRYS_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"QCRYS_THREADS must be an integer, got {raw!r}") from None
-    return max(1, val)
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
     """Run every configured relation family at every configured q,
     deterministically: report order is (q, family) in the configured
-    order, and the JSON rendering is byte-stable across runs.  The
-    QCRYS_THREADS environment variable optionally bounds a thread pool
-    over the (q, family) tasks; results are ordered regardless."""
+    order, and the JSON rendering is byte-stable across runs.
+
+    Shared inputs are built once: the model's ladder-move table, Cartan
+    data and (when a family reads them) classical generators for the
+    whole run, and the deformed generators once per q, handed to every
+    family at that q and released before the next q builds its own."""
     model = build_model(config.spec())
-    tasks = [(q, fam) for q in config.q_list for fam in config.families]
-    workers = _thread_budget()
-
-    def run_one(task):
-        q, fam = task
-        return _FAMILY_RUNNERS[fam](model, q, config.margin)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(t) for t in tasks]
+    families = config.families
+    data = _model_data(model)
+    classical = None
+    if any(fam in _CLASSICAL_FAMILIES for fam in families):
+        classical = _gen_set(model, None, deformed=False)
+    needs_deformed = any(fam in _DEFORMED_FAMILIES for fam in families)
+    reports = []
+    for q in config.q_list:
+        gens = _gen_set(model, q) if needs_deformed else None
+        for fam in families:
+            reports.append(
+                _FAMILY_RUNNERS[fam](model, q, config.margin, data, gens, classical)
+            )
+        gens = None
     return SuiteResult(config=config, reports=reports)

@@ -90,6 +90,23 @@ class TestLinOpAlgebra:
     def test_entry_bounds_checked(self):
         with pytest.raises(ValueError):
             LinOp(2, {(0, 5): Radical.one()})
+        with pytest.raises(ValueError):
+            LinOp(2, {(0, 5): 1})
+
+    def test_arithmetic_results_store_no_zero_entries(self):
+        # Source 0 reaches target 0 directly and through target 1; the two
+        # paths cancel exactly in the product.
+        a = LinOp(2, {(0, 0): 1, (1, 0): -1})
+        b = LinOp(2, {(0, 0): 1, (0, 1): 1})
+        assert (a @ b).entries == {}
+        assert (b + (-b)).entries == {}
+        assert (b * 0).entries == {}
+        m = model_c(2, 2, 8)
+        x, y = op_e_deformed(m, 1, 1, F(3, 5)), op_e_deformed(m, 1, -1, F(3, 5))
+        h = op_h(m, 1)
+        for op in (x @ y - y @ x, commutator(h, x) - x * 2, x @ y + y @ x, h @ h - h):
+            assert all(op.entries.values())
+        assert (commutator(h, x) - x * 2).is_zero()
 
     def test_column(self):
         m = model_a(2, 2)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qcrys.crystal import CrystalSpec, build_model
+from qcrys.crystal import CrystalSpec, build_model, weight_h
 from qcrys.rep import commutator, op_e_deformed, op_h
 from qcrys.report import BOUNDARY, FAIL, PASS
 from qcrys.verify import (
     ConfigError,
     SuiteConfig,
+    _cartan_residual,
     cartan_matrix,
     check_cartan,
     check_ladder,
@@ -223,12 +224,70 @@ class TestSuite:
         assert "->" in rec["word"]
         assert rec["residual"]
 
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("QCRYS_THREADS", "2")
-        cfg = SuiteConfig("A", 2, 2, q_list=(F(2), F(1, 2)))
-        seq = run_suite(cfg).to_json()
-        monkeypatch.setenv("QCRYS_THREADS", "1")
-        assert run_suite(cfg).to_json() == seq
+
+# Shared-input differential checks: the suite's shared generators, model
+# data and entrywise Cartan residuals against the standalone operator route.
+DIFF_CONFIGS = [
+    SuiteConfig("A", 3, 3),
+    SuiteConfig("C", 2, 2, cap=12),
+    SuiteConfig("C", 3, 2, cap=18, margin=0),
+]
+DIFF_Q = (F(1), F(3, 5), F(2))
+
+
+@pytest.mark.parametrize("cfg", DIFF_CONFIGS, ids=lambda c: f"{c.algebra_type}{c.n}-{c.lam}")
+class TestSharedInputs:
+    def test_entrywise_cartan_residual_matches_operator_route(self, cfg):
+        model = build_model(cfg.spec())
+        h = [weight_h(model, s) for s in model.states]
+        a = cartan_matrix(model)
+        nodes = cfg.spec().nodes
+        hs = {i: op_h(model, i) for i in range(1, nodes + 1)}
+        for i in range(1, nodes + 1):
+            for j in range(1, nodes + 1):
+                assert _cartan_residual(h, i, hs[j], 0) == commutator(hs[i], hs[j])
+        for q in DIFF_Q:
+            for j in range(1, nodes + 1):
+                for sign in (1, -1):
+                    e = op_e_deformed(model, j, sign, q)
+                    # a ladder product: a second operator shape, whose
+                    # entries carry two-step weight shifts
+                    mixed = e @ op_e_deformed(model, nodes + 1 - j, -sign, q)
+                    for i in range(1, nodes + 1):
+                        shift = sign * a[i - 1][j - 1]
+                        comm = commutator(hs[i], e)
+                        for c in (shift, shift + 1):
+                            assert _cartan_residual(h, i, e, c) == comm - e * c
+                        assert not _cartan_residual(h, i, e, shift + 1).is_zero()
+                        assert _cartan_residual(h, i, mixed, shift) == (
+                            commutator(hs[i], mixed) - mixed * shift
+                        )
+
+    def test_suite_reports_match_standalone_checks(self, cfg):
+        families = ("cartan", "ladder", "serre", "serre-classical", "map")
+        cfg = SuiteConfig(
+            cfg.algebra_type, cfg.n, cfg.lam, cfg.cap, cfg.margin, DIFF_Q, families
+        )
+        suite = run_suite(cfg)
+        if cfg.margin == 0:
+            # the comparison must cover FAIL records and their word traces
+            assert suite.exit_code == 1
+        model = build_model(cfg.spec())
+        standalone = []
+        for q in DIFF_Q:
+            standalone += [
+                check_cartan(model, q, cfg.margin),
+                check_ladder(model, q, cfg.margin),
+                check_serre(model, q, True, cfg.margin),
+                check_serre(model, q, False, cfg.margin),
+                check_map(model, q, cfg.margin),
+            ]
+        assert len(suite.reports) == len(standalone)
+        for got, want in zip(suite.reports, standalone):
+            assert json.dumps(got.to_json_dict(), sort_keys=True) == json.dumps(
+                want.to_json_dict(), sort_keys=True
+            )
+            assert got.per_state == want.per_state
 
 
 class TestLoadConfig:
