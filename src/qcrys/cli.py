@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
         if args.q is not None:
             data["q"] = args.q
         if args.families is not None:
-            data["families"] = args.families.split(",")
+            data["families"] = args.families
         config = load_config(data)
     if args.cz and "map" not in config.families:
         config = load_config(

@@ -222,14 +222,19 @@ def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
 def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     """Ladder matrix with a diagonal dressing evaluated on the raising
     operand / lowering image, i.e. on the state where both square-root
-    factor arguments are read off."""
+    factor arguments are read off.  ``value(a, b)`` is called once per
+    distinct factor-argument pair, and every entry with that pair holds
+    the same object."""
     entries = {}
+    shared = {}
     for k, s in enumerate(model.states):
         t = e_hat(model, node, sign, s)
         if t is None:
             continue
-        anchor = s if sign > 0 else t
-        val = value(anchor)
+        args = _factor_args(model, node, s if sign > 0 else t)
+        val = shared.get(args)
+        if val is None:
+            val = shared[args] = value(*args)
         if val:
             entries[(k, model.index[t])] = val
     return LinOp(model.dim, entries)
@@ -239,11 +244,11 @@ def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:
     """Undeformed Chevalley generator: the crystal ladder operator dressed
     with sqrt((N_i+1) N_{i+1}), or (1/2) sqrt((N_n+1)(-N_n-2)) on the type C
     long node.  The long-node radicand is negative, so those entries are
-    imaginary and carried exactly by the radical branch rule."""
+    imaginary and carried exactly by the radical branch rule.  Entries are
+    shared per factor-argument pair (see _dressed_ladder)."""
     long_node = _is_long_node(model, node)
 
-    def value(state):
-        a, b = _factor_args(model, node, state)
+    def value(a, b):
         v = sqrt_rat(a) * sqrt_rat(b)
         return v * Fraction(1, 2) if long_node else v
 
@@ -254,13 +259,13 @@ def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
     """q-deformed Chevalley generator: each arithmetic factor x of the
     classical dressing becomes the bracket [x]_q, and the long-node
     prefactor 1/2 becomes 1/(q + q^(-1)).  At q = 1 this coincides with
-    op_e_classical entry for entry."""
+    op_e_classical entry for entry.  Entries are shared per
+    factor-argument pair (see _dressed_ladder)."""
     q = ensure_positive_q(q)
     long_node = _is_long_node(model, node)
     pref = 1 / (q + 1 / q) if long_node else None
 
-    def value(state):
-        a, b = _factor_args(model, node, state)
+    def value(a, b):
         v = sqrt_rat(qint_at(a, q)) * sqrt_rat(qint_at(b, q))
         return v * pref if long_node else v
 
@@ -282,19 +287,25 @@ def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     On states where the classical radicand vanishes (exactly the states the
     ladder operator annihilates) the factor is set to 1, which keeps it
     invertible on its support without changing either side of the map.
+    Each value is computed once per distinct factor-argument pair, and
+    every state with that pair holds the same object.
     """
     q = ensure_positive_q(q)
     long_node = _is_long_node(model, node)
+
+    def value(a, b):
+        if a * b == 0:
+            return Radical.one()
+        v = _ratio_sqrt(a, b, q)
+        return v * (2 / (q + 1 / q)) if long_node else v
+
+    shared = {}
     values = []
     for s in model.states:
-        a, b = _factor_args(model, node, s)
-        if a * b == 0:
-            values.append(Radical.one())
-            continue
-        v = _ratio_sqrt(a, b, q)
-        if long_node:
-            v = v * (2 / (q + 1 / q))
-        values.append(v)
+        args = _factor_args(model, node, s)
+        if args not in shared:
+            shared[args] = value(*args)
+        values.append(shared[args])
     return LinOp.diagonal(values)
 
 

@@ -1,8 +1,17 @@
-"""The relation-verification engine: builds the Cartan, ladder, Serre, and
-dressing-map relations as exact operator words on a crystal model,
-evaluates residuals per state, and classifies each state PASS / FAIL /
-BOUNDARY, where BOUNDARY marks verdicts that would only reflect the
-finite cap truncating the type C state space."""
+"""The relation-verification engine: writes the Cartan, ladder, Serre, and
+dressing-map relations as weighted sums of exact operator words on a
+crystal model, evaluates each relation state by state, and classifies
+each state PASS / FAIL / BOUNDARY, where BOUNDARY marks verdicts that
+would only reflect the finite cap truncating the type C state space.
+
+Every operator in a word is monomial (a ladder generator or a diagonal),
+so a word applied to a basis state is a single walk through per-operator
+step tables, one exact product per step.  All words of one relation
+component shift the labels by the same vector, so its residual at a state
+is one exact number at one target state.  The walk that computes it also
+reports whether a word stopped at the type C cap, which decides BOUNDARY.
+Sparse operator products (LinOp) are not used here; the tests rebuild
+every relation with them as the reference."""
 
 from __future__ import annotations
 
@@ -28,16 +37,12 @@ from .crystal import (
     weight_h,
 )
 from .rep import (
-    CZ_NODE,
     CZ_WEIGHT,
     LinOp,
-    commutator,
     cz_factor,
     deform_factor,
-    deform_factor_inv,
     op_e_classical,
     op_e_deformed,
-    op_h,
     op_hat,
 )
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
@@ -207,36 +212,116 @@ def _gen_set(model: CrystalModel, q, deformed: bool = True) -> dict:
     return gens
 
 
-def _prepare(model: CrystalModel, q, data, gens, deformed: bool = True):
-    """Validate q and build whichever shared inputs the caller left out."""
-    q = ensure_positive_q(q)
-    if data is None:
-        data = _model_data(model)
-    if gens is None:
-        gens = _gen_set(model, q, deformed)
-    return q, data, gens
+# -- step tables and the word walker -------------------------------------------
+#
+# Every operator a relation word uses is monomial: each state has at most
+# one target.  A step table lists, per source ordinal k, the pair
+# (target ordinal, entry) of one operator.  Where a ladder move is dead or
+# capped the pair is (move status, None), so a walk knows why it stopped.
 
 
-# -- generic per-state assembly ------------------------------------------------
+def _ladder_table(op: LinOp, moves: list, move) -> list:
+    """Step table of a ladder generator whose support is the move ``move``
+    of the move table: generator entries never vanish on a live move."""
+    table = []
+    for k, row in enumerate(moves):
+        t, status = row[move]
+        table.append((t, op.entries[(k, t)]) if status == MOVE_OK else (status, None))
+    return table
+
+
+def _step_tables(gens: dict, moves: list) -> dict:
+    """Step tables of a generator set, keyed (node, sign) like the set."""
+    return {move: _ladder_table(op, moves, move) for move, op in gens.items()}
+
+
+def _diagonal_table(op: LinOp) -> list:
+    """Step table of an invertible diagonal operator."""
+    return [(k, op.entries[(k, k)]) for k in range(op.dim)]
+
+
+def _memo_mul():
+    """Product of a Radical with a Radical or a rational, memoized by
+    operand identity.  Generator entries are shared per factor-argument
+    pair, and a memoized product is the same object on every hit, so walks
+    through equal entries hit the memo.  Each memo entry keeps both
+    operands alive, so no id it is keyed by can be reused while the memo
+    lives.  _assemble keeps one memo per relation component, which bounds
+    the memory it holds."""
+    memo = {}
+
+    def mul(a: Radical, b) -> Radical:
+        key = (id(a), id(b))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (a, b, a * b)
+        return hit[2]
+
+    return mul
+
+
+def _walk(word, k: int, mul):
+    """Run one word (step tables in application order) from state k.
+    Returns (target ordinal, product of the entries met, later steps on
+    the left), or (status, None) with the status of the move that
+    stopped it (MOVE_DEAD or MOVE_CAPPED)."""
+    val = None
+    for table in word:
+        k, step = table[k]
+        if step is None:
+            return k, None
+        val = step if val is None else mul(step, val)
+    return k, val
 
 
 @dataclass
 class _Component:
-    """One identity inside a relation family: an exact residual operator
-    plus the ladder words (in application order) whose paths decide
-    whether a state's verdict is a truncation artifact."""
+    """One identity inside a relation family, as a weighted sum of words.
+
+    ``terms`` pairs a coefficient with a word of step tables (application
+    order); a coefficient is a rational, or a list of rationals indexed by
+    source ordinal.  ``minus_diag`` holds per-state values subtracted at
+    the source.  ``words`` are the ladder moves of the words (application
+    order), which name the component's paths in FAIL traces.  Every word
+    of a component shifts the labels by one vector, so the residual at a
+    state has at most one target."""
 
     label: str
-    residual: LinOp
+    terms: tuple = ()
     words: tuple[tuple[tuple[int, int], ...], ...] = ()
+    minus_diag: list | None = None
 
 
-def _word_capped(moves: list, k: int, word) -> bool:
-    for move in word:
-        k, status = moves[k][move]
-        if status != MOVE_OK:
-            return status == MOVE_CAPPED
-    return False
+def _residual(comp: _Component, k: int, mul):
+    """Exact residual of one component at state k, from one walk per
+    word: (target ordinal, nonzero residual or None, capped), where
+    ``capped`` says some word stopped at the cap."""
+    target = acc = None
+    capped = False
+    for coeff, word in comp.terms:
+        t, val = _walk(word, k, mul)
+        if val is None:
+            capped = capped or t == MOVE_CAPPED
+            continue
+        if target is None:
+            target = t
+        elif t != target:
+            raise VerificationError(f"{comp.label}: words reach two targets")
+        if isinstance(coeff, list):
+            coeff = coeff[k]
+        if coeff == -1:
+            acc = -val if acc is None else acc - val
+        elif coeff:
+            if coeff != 1:
+                val = mul(val, coeff)
+            acc = val if acc is None else acc + val
+    if comp.minus_diag is not None:
+        if target not in (None, k):
+            raise VerificationError(f"{comp.label}: diagonal term off the word target")
+        target = k
+        d = comp.minus_diag[k]
+        acc = -d if acc is None else acc - d
+    return target, (acc if acc else None), capped
 
 
 def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
@@ -260,38 +345,32 @@ def _assemble(
 ) -> RelationReport:
     spec = model.spec
     report = RelationReport(relation_id=relation_id, carrier=spec.describe(), q=q)
-    columns: list[dict[int, dict[int, Radical]]] = []
+    residuals = []
     for comp in components:
-        by_src: dict[int, dict[int, Radical]] = {}
-        for (src, tgt), val in comp.residual.entries.items():
-            by_src.setdefault(src, {})[tgt] = val
-        columns.append(by_src)
+        mul = _memo_mul()
+        residuals.append([_residual(comp, k, mul) for k in range(model.dim)])
     for k, s in enumerate(model.states):
         in_margin = boundary_class(model, s, margin) == CAP_MARGIN
         any_boundary = False
         any_fail = False
         all_zero = True
-        for ci, comp in enumerate(components):
-            col = columns[ci].get(k, {})
-            if col:
+        for comp, column in zip(components, residuals):
+            t, val, capped = column[k]
+            if val is not None:
                 all_zero = False
-            # Word paths only matter inside the margin: outside it a flag
-            # could not excuse the state anyway.
-            flagged = in_margin and any(_word_capped(moves, k, w) for w in comp.words)
-            if flagged:
+            # A capped word excuses the state only inside the margin.
+            if in_margin and capped:
                 any_boundary = True
-            elif col:
+            elif val is not None:
                 any_fail = True
                 traces = "; ".join(_word_trace(model, moves, k, w) for w in comp.words)
-                for t, val in sorted(col.items()):
-                    report.failures.append(
-                        {
-                            "state": list(s),
-                            "word": f"{comp.label} [{traces}]"
-                            f" -> {list(model.states[t])}",
-                            "residual": val.json_map(),
-                        }
-                    )
+                report.failures.append(
+                    {
+                        "state": list(s),
+                        "word": f"{comp.label} [{traces}] -> {list(model.states[t])}",
+                        "residual": val.json_map(),
+                    }
+                )
         klass = FAIL if any_fail else (BOUNDARY if any_boundary else PASS)
         report.per_state.append(StateResult(s, all_zero, klass))
     return report
@@ -299,58 +378,67 @@ def _assemble(
 
 # -- relation families ---------------------------------------------------------
 #
-# Each family takes the shared inputs as optional keyword arguments: the
-# model data (``data``) and the generators at q (``gens``, classical ones
-# for the classical Serre family).  run_suite builds them once and passes
-# them in; a standalone call builds what it is not given.
+# Each family builds its components from the shared inputs, which the
+# public check_* functions take as optional keyword arguments: the model
+# data (``data``) and the step tables of the generators at q (``steps``,
+# of the classical generators for the classical Serre family).  run_suite
+# builds them once and passes them in; a standalone call builds what it
+# is not given.
 
 
-def _cartan_residual(h: list, i: int, op: LinOp, shift) -> LinOp:
-    """[H_i, X] - shift * X with H_i diagonal, entry by entry: the entry
-    (s, t) is (H_i(t) - H_i(s) - shift) X(s, t), a rational multiple of
-    X(s, t) read from the weights ``h`` (per state ordinal), so no
-    radical products arise.  Equal to commutator(op_h(model, i), X) -
-    X * shift as an exact operator."""
-    entries = {}
-    for (s, t), v in op.entries.items():
-        c = h[t][i - 1] - h[s][i - 1] - shift
-        if c:
-            entries[(s, t)] = v * c
-    return LinOp(op.dim, entries)
+def _prepare(model: CrystalModel, q, data, steps, deformed: bool = True):
+    """Validate q and build whichever shared inputs the caller left out."""
+    q = ensure_positive_q(q)
+    if data is None:
+        data = _model_data(model)
+    if steps is None:
+        steps = _step_tables(_gen_set(model, q, deformed), data.moves)
+    return q, data, steps
 
 
-def check_cartan(
-    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, gens=None
-) -> RelationReport:
-    """[h_i, h_j] = 0 and [h_i, e_j^+-] = +-a e_j^+- with the Cartan
-    integers recomputed from the crystal weight shifts."""
-    q, data, e = _prepare(model, q, data, gens)
-    a = data.cartan
+def _cartan_components(model: CrystalModel, data: _ModelData, steps: dict) -> list:
+    a, h = data.cartan, data.h
     nodes = model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
         for j in range(i + 1, nodes + 1):
-            components.append(
-                _Component(f"[h{i},h{j}]", _cartan_residual(data.h, i, op_h(model, j), 0))
-            )
+            components.append(_Component(f"[h{i},h{j}]"))
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * a[i - 1][j - 1]
+                table = steps[(j, sign)]
+                coeffs = [
+                    h[t][i - 1] - h[k][i - 1] - shift if e is not None else 0
+                    for k, (t, e) in enumerate(table)
+                ]
                 components.append(
                     _Component(
                         f"[h{i},e{tag}{j}]-({shift})e{tag}{j}",
-                        _cartan_residual(data.h, i, e[(j, sign)], shift),
+                        ((coeffs, (table,)),),
                         (((j, sign),),),
                     )
                 )
+    return components
+
+
+def check_cartan(
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, steps=None
+) -> RelationReport:
+    """[h_i, h_j] = 0 and [h_i, e_j^+-] = +-a e_j^+- with the Cartan
+    integers recomputed from the crystal weight shifts.  With H_i diagonal
+    the residual entry (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), a
+    rational multiple of the generator entry read from the weights, so
+    [h_i, h_j] vanishes identically and is recorded without words."""
+    q, data, steps = _prepare(model, q, data, steps)
+    components = _cartan_components(model, data, steps)
     return _assemble("cartan", model, q, components, margin, data.moves)
 
 
-def _bracket_h_diag(h: list, i: int, d: int, q: Fraction) -> LinOp:
-    """Diagonal of [H_i] in base q^d, from the weights ``h`` (per state
-    ordinal).  With k = d * H_i an integer the value is [k]_q / [d]_q,
-    which is exact and regular at q = 1."""
+def _bracket_h_diag(h: list, i: int, d: int, q: Fraction) -> list:
+    """Values of [H_i] in base q^d per state ordinal, from the weights
+    ``h``.  With k = d * H_i an integer the value is [k]_q / [d]_q, which
+    is exact and regular at q = 1."""
     values = []
     denom = qint_at(d, q)
     for hs in h:
@@ -358,45 +446,39 @@ def _bracket_h_diag(h: list, i: int, d: int, q: Fraction) -> LinOp:
         if hd.denominator != 1:
             raise VerificationError("scaled Cartan eigenvalue is not integral")
         values.append(Radical.from_rational(qint_at(int(hd), q) / denom))
-    return LinOp.diagonal(values)
+    return values
 
 
-def check_ladder(
-    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, gens=None
-) -> RelationReport:
-    """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i) (so the long type C
-    node uses base q^2, where the half-integer H_n still gives an exact
-    rational bracket)."""
-    q, data, e = _prepare(model, q, data, gens)
-    d = data.d
+def _ladder_components(model: CrystalModel, q, data: _ModelData, steps: dict) -> list:
     nodes = model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
-            residual = commutator(e[(i, 1)], e[(j, -1)])
-            if i == j:
-                residual = residual - _bracket_h_diag(data.h, i, d[i - 1], q)
-            label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
-            components.append(_Component(label, residual, words))
+            terms = tuple(
+                (coeff, tuple(steps[move] for move in word))
+                for coeff, word in zip((1, -1), words)
+            )
+            label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
+            diag = _bracket_h_diag(data.h, i, data.d[i - 1], q) if i == j else None
+            components.append(_Component(label, terms, words, diag))
+    return components
+
+
+def check_ladder(
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, steps=None
+) -> RelationReport:
+    """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i) (so the long type C
+    node uses base q^2, where the half-integer H_n still gives an exact
+    rational bracket)."""
+    q, data, steps = _prepare(model, q, data, steps)
+    components = _ladder_components(model, q, data, steps)
     return _assemble("ladder", model, q, components, margin, data.moves)
 
 
-def check_serre(
-    model: CrystalModel,
-    q,
-    deformed: bool = True,
-    margin: int = DEFAULT_MARGIN,
-    *,
-    data=None,
-    gens=None,
-) -> RelationReport:
-    """Serre relations for every ordered node pair, built from the
-    measured Cartan matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
-    with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
-    ordinary binomial (classical).  ``gens`` are the generators of the
-    chosen kind."""
-    q, data, gens = _prepare(model, q, data, gens, deformed)
+def _serre_components(
+    model: CrystalModel, q, deformed: bool, data: _ModelData, steps: dict
+) -> list:
     a, d = data.cartan, data.d
     nodes = model.spec.nodes
     components = []
@@ -408,31 +490,81 @@ def check_serre(
             if m < 1:
                 raise VerificationError("off-diagonal Cartan entry must be <= 0")
             qi = q ** d[i - 1]
+            coeffs = [
+                qbinom(m, v).eval((qi,)) if deformed else Fraction(math.comb(m, v))
+                for v in range(m + 1)
+            ]
             for sign, tag in ((1, "+"), (-1, "-")):
-                x = gens[(i, sign)]
-                y = gens[(j, sign)]
-                powers = [LinOp.identity(model.dim)]
-                for _ in range(m):
-                    powers.append(powers[-1] @ x)
-                residual = LinOp.zero(model.dim)
-                words = []
-                for v in range(m + 1):
-                    coeff = (
-                        qbinom(m, v).eval((qi,))
-                        if deformed
-                        else Fraction(math.comb(m, v))
-                    )
-                    if v % 2:
-                        coeff = -coeff
-                    residual = residual + (powers[m - v] @ y @ powers[v]) * coeff
-                    words.append(
-                        tuple([(i, sign)] * v + [(j, sign)] + [(i, sign)] * (m - v))
-                    )
+                x, y = (i, sign), (j, sign)
+                words = tuple((x,) * v + (y,) + (x,) * (m - v) for v in range(m + 1))
+                terms = tuple(
+                    (-coeffs[v] if v % 2 else coeffs[v], tuple(steps[mv] for mv in word))
+                    for v, word in enumerate(words)
+                )
                 base = f"q^{d[i - 1]}" if deformed else "1"
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"
-                components.append(_Component(label, residual, tuple(words)))
+                components.append(_Component(label, terms, words))
+    return components
+
+
+def check_serre(
+    model: CrystalModel,
+    q,
+    deformed: bool = True,
+    margin: int = DEFAULT_MARGIN,
+    *,
+    data=None,
+    steps=None,
+) -> RelationReport:
+    """Serre relations for every ordered node pair, built from the
+    measured Cartan matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
+    with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
+    ordinary binomial (classical).  Each term is one word, walked per
+    state.  ``steps`` are the step tables of the generators of the chosen
+    kind."""
+    q, data, steps = _prepare(model, q, data, steps, deformed)
+    components = _serre_components(model, q, deformed, data, steps)
     rid = "serre-deformed" if deformed else "serre-classical"
     return _assemble(rid, model, q, components, margin, data.moves)
+
+
+def _map_components(
+    model: CrystalModel, q, data: _ModelData, steps: dict, classical: dict
+) -> list:
+    components = []
+    factors = {}
+    for node in range(1, model.spec.nodes + 1):
+        fac = factors[node] = _diagonal_table(deform_factor(model, node, q))
+        # One inverse per distinct (shared) entry keeps the inverses shared.
+        distinct = {id(v): v for _, v in fac}
+        inverse = {i: v.inverse() for i, v in distinct.items()}
+        inv = [(k, inverse[id(v)]) for k, v in fac]
+        ep, em = classical[(node, 1)], classical[(node, -1)]
+        dp, dm = steps[(node, 1)], steps[(node, -1)]
+        up = (((node, 1),),)
+        down = (((node, -1),),)
+        components.extend(
+            [
+                _Component(f"E+{node}*F-e+{node}", ((1, (fac, ep)), (-1, (dp,))), up),
+                _Component(f"F*E-{node}-e-{node}", ((1, (em, fac)), (-1, (dm,))), down),
+                _Component(f"e+{node}*Finv-E+{node}", ((1, (inv, dp)), (-1, (ep,))), up),
+                _Component(f"Finv*e-{node}-E-{node}", ((1, (dm, inv)), (-1, (em,))), down),
+            ]
+        )
+    if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
+        # The node variant of the rank-one functional is the node-1 factor.
+        d2 = _diagonal_table(cz_factor(model, q, CZ_WEIGHT))
+        d1 = factors[1]
+        hat = _ladder_table(op_hat(model, 1, 1), data.moves, (1, 1))
+        jp, dp = classical[(1, 1)], steps[(1, 1)]
+        up = (((1, 1),),)
+        components.append(_Component("cz_weight*j+-e+1", ((1, (jp, d2)), (-1, (dp,))), up))
+        components.append(
+            _Component(
+                "cz_weight(image)-cz_node(source)", ((1, (hat, d2)), (-1, (d1, hat))), up
+            )
+        )
+    return components
 
 
 def check_map(
@@ -441,43 +573,20 @@ def check_map(
     margin: int = DEFAULT_MARGIN,
     *,
     data=None,
-    gens=None,
+    steps=None,
     classical=None,
 ) -> RelationReport:
     """Entrywise dressing-map identities: classical * factor = deformed on
     every node, the partial-inverse roundtrip back to the classical
     generators, and for rank-one type A additionally the weight-diagonal
-    dressing route and its agreement with the node factor.  ``gens`` are
-    the deformed generators at q, ``classical`` the classical ones."""
-    q, data, gens = _prepare(model, q, data, gens)
+    dressing route and its agreement with the node factor.  Each node's
+    deforming factor is built once per q and its partial inverse taken
+    entry by entry.  ``steps`` are the step tables of the deformed
+    generators at q, ``classical`` those of the classical ones."""
+    q, data, steps = _prepare(model, q, data, steps)
     if classical is None:
-        classical = _gen_set(model, q, deformed=False)
-    components = []
-    for node in range(1, model.spec.nodes + 1):
-        f = deform_factor(model, node, q)
-        fi = deform_factor_inv(model, node, q)
-        ep, em = classical[(node, 1)], classical[(node, -1)]
-        dp, dm = gens[(node, 1)], gens[(node, -1)]
-        up = (((node, 1),),)
-        down = (((node, -1),),)
-        components.extend(
-            [
-                _Component(f"E+{node}*F-e+{node}", ep @ f - dp, up),
-                _Component(f"F*E-{node}-e-{node}", f @ em - dm, down),
-                _Component(f"e+{node}*Finv-E+{node}", dp @ fi - ep, up),
-                _Component(f"Finv*e-{node}-E-{node}", fi @ dm - em, down),
-            ]
-        )
-    if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
-        d2 = cz_factor(model, q, CZ_WEIGHT)
-        d1 = cz_factor(model, q, CZ_NODE)
-        jp = classical[(1, 1)]
-        dp = gens[(1, 1)]
-        hat = op_hat(model, 1, 1)
-        components.append(_Component("cz_weight*j+-e+1", d2 @ jp - dp, (((1, 1),),)))
-        components.append(
-            _Component("cz_weight(image)-cz_node(source)", d2 @ hat - hat @ d1, (((1, 1),),))
-        )
+        classical = _step_tables(_gen_set(model, q, deformed=False), data.moves)
+    components = _map_components(model, q, data, steps, classical)
     return _assemble("map", model, q, components, margin, data.moves)
 
 
@@ -519,6 +628,33 @@ def _parse_q(text) -> Fraction:
     return q
 
 
+_REQUIRED = object()
+
+
+def _config_int(data: dict, key: str, default=_REQUIRED):
+    """The integer under ``key``, or ``default`` when the key is absent (a
+    null counts as absent where the default is None).  Only a real int is
+    accepted: 3.7, "3" and true are refused rather than truncated."""
+    if key not in data or (data[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key: {key!r}")
+        return default
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_list(data: dict, key: str, default) -> list:
+    """The list under ``key``, given as a JSON list or a comma string."""
+    value = data.get(key, default)
+    if isinstance(value, str):
+        return value.split(",")
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {key!r} must be a list or a comma string")
+    return list(value)
+
+
 def load_config(data) -> SuiteConfig:
     """Build a SuiteConfig from a mapping or a JSON file path; malformed
     input raises ConfigError with location diagnostics where available."""
@@ -538,29 +674,21 @@ def load_config(data) -> SuiteConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        algebra_type = str(data["type"])
-        n = int(data["n"])
-        lam = int(data["lambda"])
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-    cap = data.get("cap")
+    if "type" not in data:
+        raise ConfigError("missing config key: 'type'")
+    algebra_type = str(data["type"])
+    n = _config_int(data, "n")
+    lam = _config_int(data, "lambda")
+    cap = _config_int(data, "cap", None)
     if cap is None and algebra_type == TYPE_C:
         cap = lam + 10
-    if cap is not None:
-        cap = int(cap)
-    margin = int(data.get("margin", DEFAULT_MARGIN))
+    margin = _config_int(data, "margin", DEFAULT_MARGIN)
     if margin < 0:
         raise ConfigError("margin must be non-negative")
-    q_raw = data.get("q", [str(v) for v in DEFAULT_Q_LIST])
-    if isinstance(q_raw, str):
-        q_raw = q_raw.split(",")
-    q_list = tuple(_parse_q(v) for v in q_raw)
+    q_list = tuple(_parse_q(v) for v in _config_list(data, "q", DEFAULT_Q_LIST))
     if not q_list:
         raise ConfigError("at least one q value is required")
-    families = tuple(data.get("families", DEFAULT_FAMILIES))
+    families = tuple(_config_list(data, "families", DEFAULT_FAMILIES))
     for fam in families:
         if fam not in KNOWN_FAMILIES:
             raise ConfigError(
@@ -607,20 +735,20 @@ _DEFORMED_FAMILIES = ("cartan", "ladder", "serre", "map")
 _CLASSICAL_FAMILIES = ("serre-classical", "map")
 
 _FAMILY_RUNNERS = {
-    "cartan": lambda model, q, margin, data, gens, classical: check_cartan(
-        model, q, margin, data=data, gens=gens
+    "cartan": lambda model, q, margin, data, steps, classical: check_cartan(
+        model, q, margin, data=data, steps=steps
     ),
-    "ladder": lambda model, q, margin, data, gens, classical: check_ladder(
-        model, q, margin, data=data, gens=gens
+    "ladder": lambda model, q, margin, data, steps, classical: check_ladder(
+        model, q, margin, data=data, steps=steps
     ),
-    "serre": lambda model, q, margin, data, gens, classical: check_serre(
-        model, q, True, margin, data=data, gens=gens
+    "serre": lambda model, q, margin, data, steps, classical: check_serre(
+        model, q, True, margin, data=data, steps=steps
     ),
-    "serre-classical": lambda model, q, margin, data, gens, classical: check_serre(
-        model, q, False, margin, data=data, gens=classical
+    "serre-classical": lambda model, q, margin, data, steps, classical: check_serre(
+        model, q, False, margin, data=data, steps=classical
     ),
-    "map": lambda model, q, margin, data, gens, classical: check_map(
-        model, q, margin, data=data, gens=gens, classical=classical
+    "map": lambda model, q, margin, data, steps, classical: check_map(
+        model, q, margin, data=data, steps=steps, classical=classical
     ),
 }
 
@@ -631,22 +759,23 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     order, and the JSON rendering is byte-stable across runs.
 
     Shared inputs are built once: the model's ladder-move table, Cartan
-    data and (when a family reads them) classical generators for the
-    whole run, and the deformed generators once per q, handed to every
-    family at that q and released before the next q builds its own."""
+    data and (when a family reads them) the step tables of the classical
+    generators for the whole run, and the step tables of the deformed
+    generators once per q, handed to every family at that q and released
+    before the next q builds its own."""
     model = build_model(config.spec())
     families = config.families
     data = _model_data(model)
     classical = None
     if any(fam in _CLASSICAL_FAMILIES for fam in families):
-        classical = _gen_set(model, None, deformed=False)
+        classical = _step_tables(_gen_set(model, None, deformed=False), data.moves)
     needs_deformed = any(fam in _DEFORMED_FAMILIES for fam in families)
     reports = []
     for q in config.q_list:
-        gens = _gen_set(model, q) if needs_deformed else None
+        steps = _step_tables(_gen_set(model, q), data.moves) if needs_deformed else None
         for fam in families:
             reports.append(
-                _FAMILY_RUNNERS[fam](model, q, config.margin, data, gens, classical)
+                _FAMILY_RUNNERS[fam](model, q, config.margin, data, steps, classical)
             )
-        gens = None
+        steps = None
     return SuiteResult(config=config, reports=reports)

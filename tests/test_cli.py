@@ -180,6 +180,12 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_non_integer_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "float.json"
+        cfg.write_text(json.dumps({"type": "A", "n": 3.7, "lambda": 2}), encoding="utf-8")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_missing_flags_exit_2(self, capsys):
         assert main(["verify"]) == 2
 

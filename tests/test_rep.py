@@ -7,6 +7,7 @@ from qcrys.rep import (
     CZ_NODE,
     CZ_WEIGHT,
     LinOp,
+    _factor_args,
     casimir,
     casimir_generator_route,
     commutator,
@@ -301,6 +302,32 @@ class TestDeformFactor:
                 assert fi @ op_e_deformed(model, node, -1, q) == op_e_classical(
                     model, node, -1
                 )
+
+
+class TestSharedEntries:
+    # Entries are computed once per distinct square-root argument pair and
+    # that one object is reused, so equal paths meet identical objects.
+    @pytest.mark.parametrize("model", [model_a(4, 3), model_c(3, 3, 13)], ids=repr)
+    def test_one_object_per_factor_argument_pair(self, model):
+        states = model.states
+        for node in range(1, model.spec.nodes + 1):
+            ops = [
+                (1, op_e_classical(model, node, 1)),
+                (-1, op_e_classical(model, node, -1)),
+                (1, op_e_deformed(model, node, 1, F(3, 5))),
+                (-1, op_e_deformed(model, node, -1, F(2))),
+            ]
+            for sign, op in ops:
+                ids = {}
+                for (k, t), v in op.entries.items():
+                    args = _factor_args(model, node, states[k] if sign > 0 else states[t])
+                    ids.setdefault(args, set()).add(id(v))
+                assert all(len(group) == 1 for group in ids.values())
+            f = deform_factor(model, node, F(3, 5))
+            ids = {}
+            for k, s in enumerate(states):
+                ids.setdefault(_factor_args(model, node, s), set()).add(id(f.entries[(k, k)]))
+            assert all(len(group) == 1 for group in ids.values())
 
 
 class TestCzFactor:

@@ -1,0 +1,78 @@
+"""Golden digests of suite reports.
+
+Each configuration pins the sha256 of ``run_suite(cfg).to_json()`` and of
+the per-state records (state, residual_zero, klass) of every report, so
+any change to the relation engine must keep both the report bytes and the
+per-state verdicts exactly as they were.  The margin-0 type C rows carry
+FAIL records, which pins the word traces and residual maps too."""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from qcrys.verify import KNOWN_FAMILIES, SuiteConfig, run_suite
+
+GOLDEN = [
+    (
+        "C3-3-13-q3/5",
+        SuiteConfig("C", 3, 3, cap=13, q_list=(F(3, 5),)),
+        "0280bb36a9d7ac4d3e4b4a20485e226fda26dad5d07298f7c979b3670186a905",
+        "519ca7361414a008babcf0a73389330323050569b2dd7d82b6e79662974f6964",
+    ),
+    (
+        "C3-3-13-q3/5-margin0",
+        SuiteConfig("C", 3, 3, cap=13, margin=0, q_list=(F(3, 5),)),
+        "bc44c3874d1f713bbb05f8a44c90f42c2f566c7edddbf636f11934f86a371688",
+        "1507269f1f93d865045dccec29f04c68de4d68226b489603766209cb83ba6fb4",
+    ),
+    (
+        "C2-2-12-margin0",
+        SuiteConfig("C", 2, 2, cap=12, margin=0),
+        "843f57fdf2a5094ac3c17d8fb1e57a2d98bb4372d1a78bbb76f6a90a5c7a8077",
+        "d0475d992750d237c568a20253f883046f7c21582b653006e525dd3381064da8",
+    ),
+    (
+        "C1-0-8-q2-margin0",
+        SuiteConfig("C", 1, 0, cap=8, margin=0, q_list=(F(2),)),
+        "6d7e386e8b69bdcbacd141586d4b3bffd05d108f5fe0729690e53e53204d8c95",
+        "b82161ed5c0348aa52b01f046c778b8681340cf054ff1d5dd1ab157621a7691f",
+    ),
+    (
+        "A4-5-all-families",
+        SuiteConfig("A", 4, 5, families=KNOWN_FAMILIES),
+        "4b97ce323cec520d29e3f704dcd27280189c7dc874fdbaa21b748a4e3e313cf4",
+        "2e8a056bdf6c41124ce429510466049e9c254c1e65524fb2e7114803ab187407",
+    ),
+    (
+        "A2-40-q3/5",
+        SuiteConfig("A", 2, 40, q_list=(F(3, 5),)),
+        "31128033264e02ad03d1bacd364328ed5139f40c88463bf107859a21feb2af9b",
+        "b7d7fd25f3e522230ea1e01bd248e080e3a6f535444ec881d25e89f53e080589",
+    ),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _per_state_text(result) -> str:
+    return json.dumps(
+        [
+            [[list(r.state), r.residual_zero, r.klass] for r in report.per_state]
+            for report in result.reports
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, report_sha, per_state_sha",
+    [g[1:] for g in GOLDEN],
+    ids=[g[0] for g in GOLDEN],
+)
+def test_report_digest(cfg, report_sha, per_state_sha):
+    result = run_suite(cfg)
+    assert _sha(result.to_json()) == report_sha
+    assert _sha(_per_state_text(result)) == per_state_sha

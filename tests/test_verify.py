@@ -1,15 +1,38 @@
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qcrys.crystal import CrystalSpec, build_model, weight_h
-from qcrys.rep import commutator, op_e_deformed, op_h
+from qcrys.crystal import MOVE_CAPPED, MOVE_OK, CrystalSpec, build_model, weight_h
+from qcrys.rep import (
+    CZ_NODE,
+    CZ_WEIGHT,
+    LinOp,
+    commutator,
+    cz_factor,
+    deform_factor,
+    deform_factor_inv,
+    op_e_classical,
+    op_e_deformed,
+    op_h,
+    op_hat,
+)
 from qcrys.report import BOUNDARY, FAIL, PASS
+from qcrys.scalar import Radical, qbinom, qint_at
 from qcrys.verify import (
     ConfigError,
     SuiteConfig,
-    _cartan_residual,
+    _cartan_components,
+    _gen_set,
+    _ladder_components,
+    _map_components,
+    _memo_mul,
+    _model_data,
+    _residual,
+    _serre_components,
+    _step_tables,
     cartan_matrix,
     check_cartan,
     check_ladder,
@@ -225,8 +248,8 @@ class TestSuite:
         assert rec["residual"]
 
 
-# Shared-input differential checks: the suite's shared generators, model
-# data and entrywise Cartan residuals against the standalone operator route.
+# Shared-input differential checks: the suite's shared model data and
+# step tables against standalone calls that build their own.
 DIFF_CONFIGS = [
     SuiteConfig("A", 3, 3),
     SuiteConfig("C", 2, 2, cap=12),
@@ -235,34 +258,12 @@ DIFF_CONFIGS = [
 DIFF_Q = (F(1), F(3, 5), F(2))
 
 
-@pytest.mark.parametrize("cfg", DIFF_CONFIGS, ids=lambda c: f"{c.algebra_type}{c.n}-{c.lam}")
-class TestSharedInputs:
-    def test_entrywise_cartan_residual_matches_operator_route(self, cfg):
-        model = build_model(cfg.spec())
-        h = [weight_h(model, s) for s in model.states]
-        a = cartan_matrix(model)
-        nodes = cfg.spec().nodes
-        hs = {i: op_h(model, i) for i in range(1, nodes + 1)}
-        for i in range(1, nodes + 1):
-            for j in range(1, nodes + 1):
-                assert _cartan_residual(h, i, hs[j], 0) == commutator(hs[i], hs[j])
-        for q in DIFF_Q:
-            for j in range(1, nodes + 1):
-                for sign in (1, -1):
-                    e = op_e_deformed(model, j, sign, q)
-                    # a ladder product: a second operator shape, whose
-                    # entries carry two-step weight shifts
-                    mixed = e @ op_e_deformed(model, nodes + 1 - j, -sign, q)
-                    for i in range(1, nodes + 1):
-                        shift = sign * a[i - 1][j - 1]
-                        comm = commutator(hs[i], e)
-                        for c in (shift, shift + 1):
-                            assert _cartan_residual(h, i, e, c) == comm - e * c
-                        assert not _cartan_residual(h, i, e, shift + 1).is_zero()
-                        assert _cartan_residual(h, i, mixed, shift) == (
-                            commutator(hs[i], mixed) - mixed * shift
-                        )
+def _cfg_id(cfg):
+    return f"{cfg.algebra_type}{cfg.n}-{cfg.lam}"
 
+
+@pytest.mark.parametrize("cfg", DIFF_CONFIGS, ids=_cfg_id)
+class TestSharedInputs:
     def test_suite_reports_match_standalone_checks(self, cfg):
         families = ("cartan", "ladder", "serre", "serre-classical", "map")
         cfg = SuiteConfig(
@@ -288,6 +289,179 @@ class TestSharedInputs:
                 want.to_json_dict(), sort_keys=True
             )
             assert got.per_state == want.per_state
+
+
+# Engine differential checks: every residual the word walker returns for a
+# (component, state) pair must equal the column of the same relation built
+# as an exact operator from the generator matrices with LinOp arithmetic.
+ORACLE_CONFIGS = [
+    SuiteConfig("A", 3, 3),
+    SuiteConfig("A", 2, 3),  # rank one: carries the cz components of map
+    SuiteConfig("C", 2, 2, cap=12, margin=0),
+]
+
+
+def _oracle_cartan(model, q, data):
+    nodes = model.spec.nodes
+    hs = {i: op_h(model, i) for i in range(1, nodes + 1)}
+    ops = {}
+    for i in range(1, nodes + 1):
+        for j in range(i + 1, nodes + 1):
+            ops[f"[h{i},h{j}]"] = commutator(hs[i], hs[j])
+    for i in range(1, nodes + 1):
+        for j in range(1, nodes + 1):
+            for sign, tag in ((1, "+"), (-1, "-")):
+                shift = sign * data.cartan[i - 1][j - 1]
+                e = op_e_deformed(model, j, sign, q)
+                ops[f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"] = commutator(hs[i], e) - e * shift
+    return ops
+
+
+def _oracle_ladder(model, q, data):
+    nodes = model.spec.nodes
+    ops = {}
+    for i in range(1, nodes + 1):
+        for j in range(1, nodes + 1):
+            comm = commutator(op_e_deformed(model, i, 1, q), op_e_deformed(model, j, -1, q))
+            if i != j:
+                ops[f"[e+{i},e-{j}]"] = comm
+                continue
+            d = data.d[i - 1]
+            bracket = LinOp.diagonal(
+                Radical.from_rational(
+                    qint_at(int(weight_h(model, s)[i - 1] * d), q) / qint_at(d, q)
+                )
+                for s in model.states
+            )
+            ops[f"[e+{i},e-{j}]-[H{i}]_qi"] = comm - bracket
+    return ops
+
+
+def _oracle_serre(model, q, data, deformed):
+    nodes = model.spec.nodes
+    ops = {}
+    for i in range(1, nodes + 1):
+        for j in range(1, nodes + 1):
+            if i == j:
+                continue
+            m = 1 - data.cartan[i - 1][j - 1]
+            qi = q ** data.d[i - 1]
+            for sign, tag in ((1, "+"), (-1, "-")):
+                if deformed:
+                    x = op_e_deformed(model, i, sign, q)
+                    y = op_e_deformed(model, j, sign, q)
+                else:
+                    x = op_e_classical(model, i, sign)
+                    y = op_e_classical(model, j, sign)
+                powers = [LinOp.identity(model.dim)]
+                for _ in range(m):
+                    powers.append(powers[-1] @ x)
+                total = LinOp.zero(model.dim)
+                for v in range(m + 1):
+                    coeff = qbinom(m, v).eval((qi,)) if deformed else math.comb(m, v)
+                    total = total + (powers[m - v] @ y @ powers[v]) * ((-1) ** v * coeff)
+                base = f"q^{data.d[i - 1]}" if deformed else "1"
+                ops[f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"] = total
+    return ops
+
+
+def _oracle_map(model, q):
+    ops = {}
+    for node in range(1, model.spec.nodes + 1):
+        f = deform_factor(model, node, q)
+        fi = deform_factor_inv(model, node, q)
+        ep, em = op_e_classical(model, node, 1), op_e_classical(model, node, -1)
+        dp, dm = op_e_deformed(model, node, 1, q), op_e_deformed(model, node, -1, q)
+        ops[f"E+{node}*F-e+{node}"] = ep @ f - dp
+        ops[f"F*E-{node}-e-{node}"] = f @ em - dm
+        ops[f"e+{node}*Finv-E+{node}"] = dp @ fi - ep
+        ops[f"Finv*e-{node}-E-{node}"] = fi @ dm - em
+    if model.spec.algebra_type == "A" and model.spec.n == 2:
+        d2 = cz_factor(model, q, CZ_WEIGHT)
+        d1 = cz_factor(model, q, CZ_NODE)
+        hat = op_hat(model, 1, 1)
+        ops["cz_weight*j+-e+1"] = d2 @ op_e_classical(model, 1, 1) - op_e_deformed(
+            model, 1, 1, q
+        )
+        ops["cz_weight(image)-cz_node(source)"] = d2 @ hat - hat @ d1
+    return ops
+
+
+def _word_capped(moves, k, word):
+    for move in word:
+        k, status = moves[k][move]
+        if status != MOVE_OK:
+            return status == MOVE_CAPPED
+    return False
+
+
+def _assert_matches_oracle(model, data, components, oracle):
+    """Compare every (component, state) residual with the operator column,
+    and the walker's capped flag with a walk of the component's words."""
+    assert [c.label for c in components] == list(oracle)
+    mul = _memo_mul()
+    nonzero = 0
+    for comp in components:
+        columns = {}
+        for (s, t), v in oracle[comp.label].entries.items():
+            columns.setdefault(s, {})[t] = v
+        for k in range(model.dim):
+            col = columns.get(k, {})
+            assert len(col) <= 1, f"{comp.label}: several targets from state {k}"
+            target, val, capped = _residual(comp, k, mul)
+            if col:
+                nonzero += 1
+                assert val is not None and col == {target: val}, (comp.label, k)
+            else:
+                assert val is None, (comp.label, k)
+            assert capped == any(_word_capped(data.moves, k, w) for w in comp.words)
+    return nonzero
+
+
+@pytest.mark.parametrize("q", DIFF_Q, ids=str)
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+class TestEngineAgainstOperators:
+    def _inputs(self, cfg, q):
+        model = build_model(cfg.spec())
+        data = _model_data(model)
+        steps = _step_tables(_gen_set(model, q), data.moves)
+        return model, data, steps
+
+    def test_cartan(self, cfg, q):
+        model, data, steps = self._inputs(cfg, q)
+        components = _cartan_components(model, data, steps)
+        _assert_matches_oracle(model, data, components, _oracle_cartan(model, q, data))
+
+    def test_cartan_wrong_shift_is_nonzero(self, cfg, q):
+        # Shifting every Cartan integer makes each [h_i, e_j] residual
+        # -(+-1) e_j: nonzero wherever the generator is.
+        model, data, steps = self._inputs(cfg, q)
+        wrong = replace(data, cartan=[[a + 1 for a in row] for row in data.cartan])
+        components = _cartan_components(model, wrong, steps)
+        oracle = _oracle_cartan(model, q, wrong)
+        live = sum(e is not None for table in steps.values() for _, e in table)
+        nonzero = _assert_matches_oracle(model, data, components, oracle)
+        assert nonzero == live * model.spec.nodes
+
+    def test_ladder(self, cfg, q):
+        model, data, steps = self._inputs(cfg, q)
+        components = _ladder_components(model, q, data, steps)
+        _assert_matches_oracle(model, data, components, _oracle_ladder(model, q, data))
+
+    @pytest.mark.parametrize("deformed", [True, False], ids=["deformed", "classical"])
+    def test_serre(self, cfg, q, deformed):
+        model, data, steps = self._inputs(cfg, q)
+        if not deformed:
+            steps = _step_tables(_gen_set(model, q, deformed=False), data.moves)
+        components = _serre_components(model, q, deformed, data, steps)
+        oracle = _oracle_serre(model, q, data, deformed)
+        _assert_matches_oracle(model, data, components, oracle)
+
+    def test_map(self, cfg, q):
+        model, data, steps = self._inputs(cfg, q)
+        classical = _step_tables(_gen_set(model, q, deformed=False), data.moves)
+        components = _map_components(model, q, data, steps, classical)
+        _assert_matches_oracle(model, data, components, _oracle_map(model, q))
 
 
 class TestLoadConfig:
@@ -325,6 +499,42 @@ class TestLoadConfig:
     def test_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             load_config({"type": "A", "n": 2, "lambda": 1, "zzz": 1})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": 3.7},
+            {"n": True},
+            {"n": "3"},
+            {"lambda": 2.9},
+            {"lambda": None},
+            {"margin": 1.5},
+            {"margin": None},
+            {"cap": 13.0},
+            {"cap": False},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_values_refused(self, overrides):
+        # int() used to truncate these silently (n = 3.7 ran with n = 3).
+        data = {"type": "C", "n": 3, "lambda": 3, **overrides}
+        with pytest.raises(ConfigError, match="must be an integer"):
+            load_config(data)
+
+    def test_null_cap_takes_default(self):
+        cfg = load_config({"type": "C", "n": 2, "lambda": 3, "cap": None})
+        assert cfg.cap == 13
+        assert load_config({"type": "A", "n": 2, "lambda": 3, "cap": None}).cap is None
+
+    def test_families_comma_string(self):
+        cfg = load_config({"type": "A", "n": 3, "lambda": 2, "families": "cartan,ladder"})
+        assert cfg.families == ("cartan", "ladder")
+        with pytest.raises(ConfigError, match="unknown relation family"):
+            load_config({"type": "A", "n": 3, "lambda": 2, "families": "cartan,weird"})
+
+    def test_families_must_be_list_or_string(self):
+        with pytest.raises(ConfigError, match="families"):
+            load_config({"type": "A", "n": 3, "lambda": 2, "families": 5})
 
     def test_json_file_with_line_diagnostics(self, tmp_path):
         path = tmp_path / "cfg.json"
