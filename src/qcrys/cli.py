@@ -285,6 +285,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Writing the output is the only file access left to the handlers
+        # (load_config turns its own read errors into ConfigError).
+        target = args.output if args.output is not None else "standard output"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

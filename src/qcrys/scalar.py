@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: Laurent polynomials, symbolic q-brackets and
 their identities, q-combinatorics, and radicals (sums of c*sqrt(m)).
 
-Everything in this module is exact rational arithmetic over ``Fraction``;
-no floating point appears anywhere in the package.
+Everything in this module is exact rational arithmetic, over ``Fraction``
+or, inside radicals, over integer numerator/denominator pairs; no floating
+point appears anywhere in the package.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _pair(x) -> tuple[int, int]:
+    """An exact rational as its (numerator, denominator) pair."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_pair(x))
 
 
 def ensure_positive_q(q) -> Fraction:
@@ -584,29 +588,47 @@ def _class_merge(k: int, m: int) -> tuple[int, int, int] | None:
     return g, math.isqrt(k // g), math.isqrt(m // g)
 
 
-def _accumulate(acc: dict[int, Fraction], m: int, c: Fraction) -> None:
-    """Add c*sqrt(m) to a term map that holds one key per square class.
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator (d != 0)."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
+def _sum(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1/d1 + n2/d2 in lowest terms (positive denominators; zero is (0, 1))."""
+    if d1 == d2:
+        n, d = n1 + n2, d1
+    else:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _accumulate(acc: dict[int, tuple[int, int]], m: int, n: int, d: int) -> None:
+    """Add (n/d)*sqrt(m) to a term map that holds one key per square class.
     Coefficients may cancel to zero; callers drop those keys."""
-    if m in acc:
-        acc[m] += c
+    cur = acc.get(m)
+    if cur is not None:
+        acc[m] = _sum(cur[0], cur[1], n, d)
         return
     for k in acc:
         merged = _class_merge(k, m)
         if merged is not None:
             break
     else:
-        acc[m] = c
+        acc[m] = (n, d)
         return
     g, a, b = merged
-    acc[g] = acc.pop(k) * a + c * b
+    n1, d1 = acc.pop(k)
+    acc[g] = _sum(n1 * a, d1, n * b, d)
 
 
-def _mul_term(m1: int, c1: Fraction, m2: int, c2: Fraction) -> tuple[int, Fraction]:
-    """c1*sqrt(m1) * c2*sqrt(m2) as a single term (m, c) with m a
-    representative."""
+def _mul_term(m1: int, n1: int, d1: int, m2: int, n2: int, d2: int) -> tuple[int, int, int]:
+    """(n1/d1)*sqrt(m1) * (n2/d2)*sqrt(m2) as a single term (m, n, d) with
+    m a representative and n/d in lowest terms."""
     g = math.gcd(m1, m2)
     core = (m1 // g) * (m2 // g)
-    num = c1.numerator * c2.numerator * g
+    num = n1 * n2 * g
     if m1 < 0 and m2 < 0:
         num = -num  # i * i = -1 on the fixed branch
     # With g = 1 the core is a square only if both radicands are +-1.
@@ -614,8 +636,9 @@ def _mul_term(m1: int, c1: Fraction, m2: int, c2: Fraction) -> tuple[int, Fracti
         root = _exact_isqrt(abs(core))
         if root is not None:
             core, num = (1 if core > 0 else -1), num * root
-    # One normalisation is several times cheaper than chained Fraction products.
-    return core, Fraction(num, c1.denominator * c2.denominator)
+    den = d1 * d2
+    g = math.gcd(num, den)
+    return core, num // g, den // g
 
 
 class Radical:
@@ -635,152 +658,157 @@ class Radical:
     independent over Q (Besicovitch 1940), so a number is zero exactly when
     it has no terms.  The constructor reduces any nonzero integer radicands
     to this form; :func:`sqrt_rat` builds square roots of rationals.
+
+    Each term is an integer pair m -> (numerator, denominator) in lowest
+    terms with a positive denominator, normalised by one ``math.gcd`` per
+    result term.  ``Fraction`` appears only at the edges: rational inputs,
+    :meth:`as_fraction` and the read-only :attr:`terms` view; :meth:`render`
+    and :meth:`json_map` write coefficients as ``str(Fraction)`` does.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        acc: dict[int, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                m = int(m)
-                if m == 0:
-                    raise ValueError("radicand 0 is not allowed")
-                c = _frac(c)
-                if m != 1:
-                    ((m, square),) = _sqrt_frac(Fraction(m)).terms.items()
-                    c = c * square
-                _accumulate(acc, m, c)
-        self.terms = {m: c for m, c in acc.items() if c}
-
-    @classmethod
-    def _make(cls, terms: dict[int, Fraction]) -> "Radical":
-        """Wrap a term map that already satisfies the invariant and has no
-        zero coefficients."""
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
+        acc: dict[int, tuple[int, int]] = {}
+        for m, c in (terms or {}).items():
+            if not int(m):
+                raise ValueError("radicand 0 is not allowed")
+            ((m, (square, _)),) = _sqrt_frac(int(m), 1)._terms.items()
+            n, d = _pair(c)
+            _accumulate(acc, m, *_lowest(n * square, d))
+        self._terms = {m: nd for m, nd in acc.items() if nd[0]}
 
     @classmethod
     def from_rational(cls, r) -> "Radical":
-        r = _frac(r)
-        return cls._make({1: r} if r else {})
+        n, d = _pair(r)
+        return _wrap({1: (n, d)} if n else {})
 
     @classmethod
     def zero(cls) -> "Radical":
-        return cls._make({})
+        return _wrap({})
 
     @classmethod
     def one(cls) -> "Radical":
-        return cls._make({1: Fraction(1)})
+        return _wrap({1: (1, 1)})
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """A copy of the terms as radicand -> Fraction."""
+        return {m: Fraction(n, d) for m, (n, d) in self._terms.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_rational(self) -> bool:
-        return all(m == 1 for m in self.terms)
+        return all(m == 1 for m in self._terms)
 
     def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
         if not self.is_rational():
             raise ArithmeticError("radical value is not rational")
-        return self.terms[1]
+        return Fraction(*self._terms.get(1, (0, 1)))
 
-    def _coerce(self, other) -> "Radical | None":
-        if isinstance(other, Radical):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Radical.from_rational(other)
-        return None
+    def _plus(self, other, sign: int):
+        """self + sign*other for sign = +-1 and other a Radical or a rational."""
+        if not isinstance(other, Radical):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Radical.from_rational(other)
+        t1, t2 = self._terms, other._terms
+        if len(t1) == 1 and len(t2) == 1:
+            ((m1, (n1, d1)),) = t1.items()
+            ((m2, (n2, d2)),) = t2.items()
+            if m1 == m2:
+                n, d = _sum(n1, d1, sign * n2, d2)
+                return _wrap({m1: (n, d)} if n else {})
+        acc = dict(t1)
+        for m, (n, d) in t2.items():
+            _accumulate(acc, m, sign * n, d)
+        return _wrap({m: nd for m, nd in acc.items() if nd[0]})
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(acc, m, c)
-        return Radical._make({m: c for m, c in acc.items() if c})
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical._make({m: -c for m, c in self.terms.items()})
+        return _wrap({m: (-n, d) for m, (n, d) in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Radical._make({})
-            return Radical._make({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Radical):
-            return NotImplemented
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            ((m1, c1),) = self.terms.items()
-            ((m2, c2),) = other.terms.items()
-            m, c = _mul_term(m1, c1, m2, c2)
-            return Radical._make({m: c})
-        acc: dict[int, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate(acc, *_mul_term(m1, c1, m2, c2))
-        return Radical._make({m: c for m, c in acc.items() if c})
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Radical.from_rational(other)
+        t1, t2 = self._terms, other._terms
+        if len(t1) == 1 and len(t2) == 1:
+            ((m1, (n1, d1)),) = t1.items()
+            ((m2, (n2, d2)),) = t2.items()
+            m, n, d = _mul_term(m1, n1, d1, m2, n2, d2)
+            return _wrap({m: (n, d)})
+        acc: dict[int, tuple[int, int]] = {}
+        for m1, (n1, d1) in t1.items():
+            for m2, (n2, d2) in t2.items():
+                _accumulate(acc, *_mul_term(m1, n1, d1, m2, n2, d2))
+        return _wrap({m: nd for m, nd in acc.items() if nd[0]})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _frac(other))
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division of a radical by zero")
+        return self * _wrap({1: _lowest(other.denominator, other.numerator)})
 
     def inverse(self) -> "Radical":
         """Reciprocal of a single-term radical: 1/(c*sqrt(m)) = sqrt(m)/(c*m)."""
-        if len(self.terms) != 1:
+        if len(self._terms) != 1:
             raise ArithmeticError("inverse implemented for single-term radicals only")
-        ((m, c),) = self.terms.items()
-        return Radical._make({m: Fraction(1) / (c * m)})
+        ((m, (n, d)),) = self._terms.items()
+        return _wrap({m: _lowest(d, n * m)})
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
+        diff = self._plus(other, -1)
+        return diff if diff is NotImplemented else not diff._terms
 
     def render(self) -> str:
         """Deterministic text form, e.g. ``1/2*sqrt(-2) + 3``."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            parts.append(str(c) if m == 1 else f"{c}*sqrt({m})")
-        return " + ".join(parts)
+        parts = [c if m == "1" else f"{c}*sqrt({m})" for m, c in self.json_map().items()]
+        return " + ".join(parts) or "0"
 
     def json_map(self) -> dict[str, str]:
-        return {str(m): str(self.terms[m]) for m in sorted(self.terms)}
+        """Radicand -> coefficient text (as str(Fraction) writes it), sorted."""
+        return {
+            str(m): str(n) if d == 1 else f"{n}/{d}" for m, (n, d) in sorted(self._terms.items())
+        }
 
     def __repr__(self):
         return f"Radical({self.render()})"
 
 
+def _wrap(terms: dict[int, tuple[int, int]]) -> Radical:
+    """A Radical over a term map that already satisfies the invariant and
+    has no zero coefficients, built without the reducing constructor."""
+    obj = object.__new__(Radical)
+    obj._terms = terms
+    return obj
+
+
 @lru_cache(maxsize=None)
-def _sqrt_frac(r: Fraction) -> Radical:
-    if r == 0:
-        return Radical._make({})
+def _sqrt_frac(num: int, den: int) -> Radical:
+    """sqrt(num/den) for num/den in lowest terms with den > 0."""
+    if num == 0:
+        return _wrap({})
     # sqrt(p/s) = sqrt(p*s)/s; split p*s into a square and a representative.
-    n = r.numerator * r.denominator
+    n = num * den
     key = -1 if n < 0 else 1
     n = abs(n)
     square = 1
@@ -801,7 +829,7 @@ def _sqrt_frac(r: Fraction) -> Radical:
         key *= n
     else:
         square *= root
-    return Radical._make({key: Fraction(square, r.denominator)})
+    return _wrap({key: _lowest(square, den)})
 
 
 def sqrt_rat(r) -> Radical:
@@ -809,4 +837,4 @@ def sqrt_rat(r) -> Radical:
     square-class representative (squarefree whenever m has no repeated
     prime factor above the trial bound), on the fixed branch
     sqrt(r) = i*sqrt(|r|) for r < 0, so that sqrt_rat(r)**2 == r exactly."""
-    return _sqrt_frac(_frac(r))
+    return _sqrt_frac(*_pair(r))

@@ -180,12 +180,39 @@ def _move_table(model: CrystalModel) -> list[dict[tuple[int, int], tuple]]:
 class _ModelData:
     """The q-independent inputs of the relation families on one model:
     the ladder-move table, the Cartan eigenvalues of each state (by
-    ordinal), the measured Cartan matrix and the symmetrizers."""
+    ordinal), the measured Cartan matrix and the symmetrizers.  Derived
+    from them on construction: the integer Cartan coefficients keyed
+    (i, j, sign), per source ordinal H_i(target) - H_i(source) - sign*a_ij
+    on a live node-j move and 0 elsewhere."""
 
     moves: list
     h: list
     cartan: list
     d: list
+    cartan_coeffs: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        moves, a = self.moves, self.cartan
+        nodes = len(a)
+        # Eigenvalues are integers or half-integers: work with them doubled.
+        h2 = [[2 * x for x in hs] for hs in self.h]
+        if any(x.denominator != 1 for hs in h2 for x in hs):
+            raise VerificationError("Cartan eigenvalue is not a half-integer")
+        h2 = [[int(x) for x in hs] for hs in h2]
+        coeffs = {}
+        for i in range(nodes):
+            for j in range(1, nodes + 1):
+                for sign in (1, -1):
+                    shift2 = 2 * sign * a[i][j - 1]
+                    column = []
+                    for k, row in enumerate(moves):
+                        t, status = row[(j, sign)]
+                        c2 = h2[t][i] - h2[k][i] - shift2 if status == MOVE_OK else 0
+                        if c2 % 2:
+                            raise VerificationError("non-integer Cartan coefficient")
+                        column.append(c2 // 2)
+                    coeffs[(i + 1, j, sign)] = column
+        object.__setattr__(self, "cartan_coeffs", coeffs)
 
 
 def _model_data(model: CrystalModel) -> _ModelData:
@@ -241,16 +268,15 @@ def _diagonal_table(op: LinOp) -> list:
 
 
 def _memo_mul():
-    """Product of a Radical with a Radical or a rational, memoized by
-    operand identity.  Generator entries are shared per factor-argument
-    pair, and a memoized product is the same object on every hit, so walks
-    through equal entries hit the memo.  Each memo entry keeps both
-    operands alive, so no id it is keyed by can be reused while the memo
-    lives.  _assemble keeps one memo per relation component, which bounds
-    the memory it holds."""
+    """Product of two Radicals, memoized by operand identity.  Generator
+    entries are shared per factor-argument pair, and a memoized product is
+    the same object on every hit, so walks through equal entries hit the
+    memo.  Each memo entry keeps both operands alive, so no id it is keyed
+    by can be reused while the memo lives.  _assemble keeps one memo per
+    relation component, which bounds the memory it holds."""
     memo = {}
 
-    def mul(a: Radical, b) -> Radical:
+    def mul(a: Radical, b: Radical) -> Radical:
         key = (id(a), id(b))
         hit = memo.get(key)
         if hit is None:
@@ -279,10 +305,12 @@ class _Component:
     """One identity inside a relation family, as a weighted sum of words.
 
     ``terms`` pairs a coefficient with a word of step tables (application
-    order); a coefficient is a rational, or a list of rationals indexed by
-    source ordinal.  ``minus_diag`` holds per-state values subtracted at
-    the source.  ``words`` are the ladder moves of the words (application
-    order), which name the component's paths in FAIL traces.  Every word
+    order); a coefficient is the integer 1 or -1 (add or subtract the
+    walk), a Radical (multiply, then add), or a list of integers indexed
+    by source ordinal (the Cartan coefficients, all 0 on a correct model).
+    ``minus_diag`` holds per-state Radicals subtracted at the source.
+    ``words`` are the ladder moves of the words (application order), which
+    name the component's paths in FAIL traces.  Every word
     of a component shifts the labels by one vector, so the residual at a
     state has at most one target."""
 
@@ -307,14 +335,16 @@ def _residual(comp: _Component, k: int, mul):
             target = t
         elif t != target:
             raise VerificationError(f"{comp.label}: words reach two targets")
-        if isinstance(coeff, list):
-            coeff = coeff[k]
-        if coeff == -1:
+        if isinstance(coeff, Radical):
+            val = mul(val, coeff)
+        elif isinstance(coeff, list):
+            if not coeff[k]:
+                continue
+            val = val * coeff[k]
+        elif coeff == -1:
             acc = -val if acc is None else acc - val
-        elif coeff:
-            if coeff != 1:
-                val = mul(val, coeff)
-            acc = val if acc is None else acc + val
+            continue
+        acc = val if acc is None else acc + val
     if comp.minus_diag is not None:
         if target not in (None, k):
             raise VerificationError(f"{comp.label}: diagonal term off the word target")
@@ -397,7 +427,7 @@ def _prepare(model: CrystalModel, q, data, steps, deformed: bool = True):
 
 
 def _cartan_components(model: CrystalModel, data: _ModelData, steps: dict) -> list:
-    a, h = data.cartan, data.h
+    a = data.cartan
     nodes = model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
@@ -407,15 +437,11 @@ def _cartan_components(model: CrystalModel, data: _ModelData, steps: dict) -> li
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * a[i - 1][j - 1]
-                table = steps[(j, sign)]
-                coeffs = [
-                    h[t][i - 1] - h[k][i - 1] - shift if e is not None else 0
-                    for k, (t, e) in enumerate(table)
-                ]
+                coeffs = data.cartan_coeffs[(i, j, sign)]
                 components.append(
                     _Component(
                         f"[h{i},e{tag}{j}]-({shift})e{tag}{j}",
-                        ((coeffs, (table,)),),
+                        ((coeffs, (steps[(j, sign)],)),),
                         (((j, sign),),),
                     )
                 )
@@ -427,9 +453,10 @@ def check_cartan(
 ) -> RelationReport:
     """[h_i, h_j] = 0 and [h_i, e_j^+-] = +-a e_j^+- with the Cartan
     integers recomputed from the crystal weight shifts.  With H_i diagonal
-    the residual entry (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), a
-    rational multiple of the generator entry read from the weights, so
-    [h_i, h_j] vanishes identically and is recorded without words."""
+    the residual entry (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), an
+    integer multiple of the generator entry read from the weights (the
+    integers are built once per model), so [h_i, h_j] vanishes identically
+    and is recorded without words."""
     q, data, steps = _prepare(model, q, data, steps)
     components = _cartan_components(model, data, steps)
     return _assemble("cartan", model, q, components, margin, data.moves)
@@ -438,14 +465,19 @@ def check_cartan(
 def _bracket_h_diag(h: list, i: int, d: int, q: Fraction) -> list:
     """Values of [H_i] in base q^d per state ordinal, from the weights
     ``h``.  With k = d * H_i an integer the value is [k]_q / [d]_q, which
-    is exact and regular at q = 1."""
+    is exact and regular at q = 1.  States with equal k share one value."""
     values = []
+    shared = {}
     denom = qint_at(d, q)
     for hs in h:
         hd = hs[i - 1] * d
         if hd.denominator != 1:
             raise VerificationError("scaled Cartan eigenvalue is not integral")
-        values.append(Radical.from_rational(qint_at(int(hd), q) / denom))
+        k = int(hd)
+        val = shared.get(k)
+        if val is None:
+            val = shared[k] = Radical.from_rational(qint_at(k, q) / denom)
+        values.append(val)
     return values
 
 
@@ -490,16 +522,16 @@ def _serre_components(
             if m < 1:
                 raise VerificationError("off-diagonal Cartan entry must be <= 0")
             qi = q ** d[i - 1]
-            coeffs = [
-                qbinom(m, v).eval((qi,)) if deformed else Fraction(math.comb(m, v))
-                for v in range(m + 1)
-            ]
+            coeffs = []
+            for v in range(m + 1):
+                c = qbinom(m, v).eval((qi,)) if deformed else math.comb(m, v)
+                c = -c if v % 2 else c
+                coeffs.append(int(c) if c in (1, -1) else Radical.from_rational(c))
             for sign, tag in ((1, "+"), (-1, "-")):
                 x, y = (i, sign), (j, sign)
                 words = tuple((x,) * v + (y,) + (x,) * (m - v) for v in range(m + 1))
                 terms = tuple(
-                    (-coeffs[v] if v % 2 else coeffs[v], tuple(steps[mv] for mv in word))
-                    for v, word in enumerate(words)
+                    (coeffs[v], tuple(steps[mv] for mv in word)) for v, word in enumerate(words)
                 )
                 base = f"q^{d[i - 1]}" if deformed else "1"
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"

@@ -82,6 +82,15 @@ class TestCrystalCommand:
     def test_invalid_spec_exit_2(self, capsys):
         assert main(["crystal", "--type", "C", "--n", "1", "--lambda", "5", "--cap", "3"]) == 2
 
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        args = ["crystal", "--type", "A", "--n", "2", "--lambda", "1"]
+        assert main(args + ["--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+        assert not target.parent.exists()
+
 
 class TestRepCommand:
     def test_classical_pair(self, capsys):
@@ -196,6 +205,17 @@ class TestVerifyCommand:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "TOTAL: pass=324 fail=0 boundary=0" in out.splitlines()
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        # Exit 1 means a relation failed, so a write error must not use it.
+        target = tmp_path / "missing" / "x.json"
+        args = ["verify", "--type", "A", "--n", "2", "--lambda", "2", "--q", "2"]
+        assert main(args + ["--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "TOTAL: pass=" in captured.out
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not target.parent.exists()
 
     def test_deterministic_output_file(self, tmp_path):
         args = [

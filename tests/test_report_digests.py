@@ -1,10 +1,15 @@
-"""Golden digests of suite reports.
+"""Golden digests of suite reports, boson reports and generator exports.
 
-Each configuration pins the sha256 of ``run_suite(cfg).to_json()`` and of
-the per-state records (state, residual_zero, klass) of every report, so
-any change to the relation engine must keep both the report bytes and the
-per-state verdicts exactly as they were.  The margin-0 type C rows carry
-FAIL records, which pins the word traces and residual maps too."""
+Each suite configuration pins the sha256 of ``run_suite(cfg).to_json()``
+and of the per-state records (state, residual_zero, klass) of every
+report, so any change to the relation engine must keep both the report
+bytes and the per-state verdicts exactly as they were.  The margin-0 type
+C rows carry FAIL records, which pins the word traces and residual maps
+too.  The CLI rows pin the bytes of the files written by ``--output``:
+boson reports (the paper realization with its criterion-7 failures and
+their residual maps) and ``rep`` exports of the type C long node, whose
+entries carry negative radicands, so the way radicals are written to
+files is pinned as well."""
 
 import hashlib
 import json
@@ -12,6 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qcrys.cli import main
 from qcrys.verify import KNOWN_FAMILIES, SuiteConfig, run_suite
 
 GOLDEN = [
@@ -76,3 +82,44 @@ def test_report_digest(cfg, report_sha, per_state_sha):
     result = run_suite(cfg)
     assert _sha(result.to_json()) == report_sha
     assert _sha(_per_state_text(result)) == per_state_sha
+
+
+GOLDEN_CLI = [
+    (
+        "boson-vdj-q3/2-cutoff8",
+        ["boson", "--realization", "vdj", "--q", "3/2", "--cutoff", "8"],
+        0,
+        "dc293f068c16939ba9b05ddb037d4f1ec23320cb8b805c435cc86aa42e7097fa",
+    ),
+    (
+        "boson-paper-q2-cutoff8-towers",
+        ["boson", "--realization", "paper", "--q", "2", "--cutoff", "8", "--towers"],
+        1,
+        "287363240d084d3bc23cb082972646810a6f850483d15893631e0c944aa0145d",
+    ),
+    (
+        "rep-C2-2-6-deformed-node2-q3/5-json",
+        ["rep", "--type", "C", "--n", "2", "--lambda", "2", "--cap", "6",
+         "--which", "deformed", "--node", "2", "--q", "3/5", "--format", "json"],
+        0,
+        "c445ff6ed8b6ac9f0ed9d6af91512428bbc4198e1496949ecbcc47bf5bb871ba",
+    ),
+    (
+        "rep-C2-2-6-deformed-node2-q3/5-csv",
+        ["rep", "--type", "C", "--n", "2", "--lambda", "2", "--cap", "6",
+         "--which", "deformed", "--node", "2", "--q", "3/5", "--format", "csv"],
+        0,
+        "94f050d19dfbf45315a904eca67e5fc98038b2857f9fd50186b95891decbcac4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, file_sha",
+    [g[1:] for g in GOLDEN_CLI],
+    ids=[g[0] for g in GOLDEN_CLI],
+)
+def test_cli_output_digest(argv, exit_code, file_sha, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha

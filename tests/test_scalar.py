@@ -383,3 +383,125 @@ class TestRadical:
     @settings(deadline=None, max_examples=60)
     def test_associativity(self, a, b, c):
         assert (a * b) * c == a * (b * c)
+
+
+# -- differential test of the radical kernel against a Fraction reference ----
+#
+# Radicands are drawn from products of known primes, so the test can find
+# each radicand's true squarefree core by trial division over that list.
+# Products of two primes above the trial bound (times an optional square
+# of a third) exceed 10**6, so distinct representatives of one square class
+# meet and the kernel's class merging runs.  The reference keeps terms as
+# {squarefree core: Fraction} and multiplies cores directly.
+
+_REF_PRIMES = (2, 3, 5, 7, 11, 13, 1009, 1013, 1019, 1021, 1031)
+_BIG_PRIMES = (1009, 1013, 1019, 1021, 1031)
+
+_small_radicands = st.sampled_from((1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 30))
+_big_radicands = st.tuples(
+    st.sampled_from(_BIG_PRIMES),
+    st.sampled_from(_BIG_PRIMES),
+    st.sampled_from((1, 1009, 1031)),
+).filter(lambda t: t[0] != t[1]).map(lambda t: t[0] * t[1] * t[2] ** 2)
+_radicands = st.tuples(_small_radicands | _big_radicands, st.sampled_from((1, -1))).map(
+    lambda t: t[0] * t[1]
+)
+_coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+_ref_radicals = st.lists(st.tuples(_coeffs, _radicands), min_size=1, max_size=3).map(
+    lambda pairs: sum((sqrt_rat(m) * c for c, m in pairs), Radical.zero())
+)
+
+
+def _core(m: int) -> tuple[int, int]:
+    """(squarefree core, root of the square part) of m, found by trial
+    division over the test's prime list."""
+    sign = -1 if m < 0 else 1
+    m, core, root = abs(m), 1, 1
+    for p in _REF_PRIMES:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        root *= p ** (e // 2)
+        if e % 2:
+            core *= p
+    assert m == 1
+    return sign * core, root
+
+
+def _ref(x: Radical) -> dict[int, Fraction]:
+    """x as {squarefree core: coefficient}; also checks that no two terms
+    of x share a square class and that every coefficient is nonzero."""
+    out = {}
+    for m, c in x.terms.items():
+        assert c
+        core, root = _core(m)
+        assert core not in out
+        out[core] = c * root
+    return out
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            g = math.gcd(k1, k2)
+            c = c1 * c2 * g * (-1 if k1 < 0 and k2 < 0 else 1)
+            core = (k1 // g) * (k2 // g)
+            out[core] = out.get(core, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+class TestRadicalDifferential:
+    @given(x=_ref_radicals, y=_ref_radicals)
+    @settings(deadline=None, max_examples=150)
+    def test_sum_and_difference(self, x, y):
+        assert _ref(x + y) == _ref_add(_ref(x), _ref(y))
+        assert _ref(x - y) == _ref_add(_ref(x), _ref(y), -1)
+        assert (x + y) - y == x
+        assert _ref((x + y) - y) == _ref(x)
+
+    @given(x=_ref_radicals, y=_ref_radicals, z=_ref_radicals)
+    @settings(deadline=None, max_examples=100)
+    def test_product_distributes(self, x, y, z):
+        assert _ref(x * y) == _ref_mul(_ref(x), _ref(y))
+        assert x * (y + z) == x * y + x * z
+        assert _ref(x * (y + z)) == _ref_mul(_ref(x), _ref_add(_ref(y), _ref(z)))
+
+    @given(r=_coeffs, m=_radicands)
+    @settings(deadline=None, max_examples=150)
+    def test_square_root_squares_back(self, r, m):
+        s = sqrt_rat(r * m)
+        assert (s * s).as_fraction() == r * m
+        assert s * s == r * m
+
+    @given(c=_coeffs.filter(bool), m=_radicands, r=_coeffs)
+    @settings(deadline=None, max_examples=150)
+    def test_single_term_inverse(self, c, m, r):
+        x = sqrt_rat(m) * c
+        assert x * x.inverse() == 1
+        assert (x * x.inverse()).terms == {1: F(1)}
+        assert _ref(x.inverse()) == {k: 1 / (v * k) for k, v in _ref(x).items()}
+        assert (x / c).terms == sqrt_rat(m).terms
+        assert x * r == x * Radical.from_rational(r)
+
+    @given(r=st.fractions(max_denominator=10**6) | st.integers(-(10**20), 10**20))
+    @settings(deadline=None, max_examples=150)
+    def test_rational_text_matches_fraction(self, r):
+        x = Radical.from_rational(r)
+        assert x.render() == str(F(r))
+        assert x.json_map() == ({"1": str(F(r))} if r else {})
+        assert x.as_fraction() == r
+
+    @given(x=_ref_radicals)
+    @settings(deadline=None, max_examples=100)
+    def test_coefficient_text_matches_fraction(self, x):
+        assert x.json_map() == {str(m): str(c) for m, c in sorted(x.terms.items())}
+        assert all(c.denominator > 0 for c in x.terms.values())
