@@ -240,19 +240,38 @@ def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     return LinOp(model.dim, entries)
 
 
+def _e_classical_entry(model: CrystalModel, node: int, a: int, b: int) -> Radical:
+    """Classical generator entry at factor arguments (a, b)."""
+    v = sqrt_rat(a) * sqrt_rat(b)
+    return v * Fraction(1, 2) if _is_long_node(model, node) else v
+
+
+def _e_deformed_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
+    """Deformed generator entry at factor arguments (a, b)."""
+    v = sqrt_rat(qint_at(a, q)) * sqrt_rat(qint_at(b, q))
+    return v * (1 / (q + 1 / q)) if _is_long_node(model, node) else v
+
+
+def _deform_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
+    """Deforming-factor entry at factor arguments (a, b)."""
+    if a * b == 0:
+        return Radical.one()
+    v = _ratio_sqrt(a, b, q)
+    return v * (2 / (q + 1 / q)) if _is_long_node(model, node) else v
+
+
+def _cz_entry(a: int, b: int, q: Fraction) -> Radical:
+    """Weight-variant dressing entry at arguments (j0 + j, j0 - j - 1)."""
+    return Radical.one() if a == 0 else _ratio_sqrt(a, b, q)
+
+
 def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:
     """Undeformed Chevalley generator: the crystal ladder operator dressed
     with sqrt((N_i+1) N_{i+1}), or (1/2) sqrt((N_n+1)(-N_n-2)) on the type C
     long node.  The long-node radicand is negative, so those entries are
     imaginary and carried exactly by the radical branch rule.  Entries are
     shared per factor-argument pair (see _dressed_ladder)."""
-    long_node = _is_long_node(model, node)
-
-    def value(a, b):
-        v = sqrt_rat(a) * sqrt_rat(b)
-        return v * Fraction(1, 2) if long_node else v
-
-    return _dressed_ladder(model, node, sign, value)
+    return _dressed_ladder(model, node, sign, lambda a, b: _e_classical_entry(model, node, a, b))
 
 
 def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
@@ -262,14 +281,7 @@ def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
     op_e_classical entry for entry.  Entries are shared per
     factor-argument pair (see _dressed_ladder)."""
     q = ensure_positive_q(q)
-    long_node = _is_long_node(model, node)
-    pref = 1 / (q + 1 / q) if long_node else None
-
-    def value(a, b):
-        v = sqrt_rat(qint_at(a, q)) * sqrt_rat(qint_at(b, q))
-        return v * pref if long_node else v
-
-    return _dressed_ladder(model, node, sign, value)
+    return _dressed_ladder(model, node, sign, lambda a, b: _e_deformed_entry(model, node, a, b, q))
 
 
 def _ratio_sqrt(a: int, b: int, q: Fraction) -> Radical:
@@ -291,20 +303,12 @@ def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     every state with that pair holds the same object.
     """
     q = ensure_positive_q(q)
-    long_node = _is_long_node(model, node)
-
-    def value(a, b):
-        if a * b == 0:
-            return Radical.one()
-        v = _ratio_sqrt(a, b, q)
-        return v * (2 / (q + 1 / q)) if long_node else v
-
     shared = {}
     values = []
     for s in model.states:
         args = _factor_args(model, node, s)
         if args not in shared:
-            shared[args] = value(*args)
+            shared[args] = _deform_entry(model, node, *args, q)
         values.append(shared[args])
     return LinOp.diagonal(values)
 
@@ -341,12 +345,8 @@ def cz_factor(model: CrystalModel, q, variant: str) -> LinOp:
         return deform_factor(model, 1, q)
     if variant != CZ_WEIGHT:
         raise ValueError(f"unknown dressing variant {variant!r}")
-    values = []
-    for l1, l2 in model.states:
-        # j0 + j = l1 and j0 - j - 1 = -(l2 + 1) in the label variables.
-        a, b = l1, -(l2 + 1)
-        values.append(Radical.one() if a == 0 else _ratio_sqrt(a, b, q))
-    return LinOp.diagonal(values)
+    # j0 + j = l1 and j0 - j - 1 = -(l2 + 1) in the label variables.
+    return LinOp.diagonal(_cz_entry(l1, -(l2 + 1), q) for l1, l2 in model.states)
 
 
 def casimir(model: CrystalModel, deformed: bool, q=None) -> LinOp:

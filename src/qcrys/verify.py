@@ -5,19 +5,21 @@ each state PASS / FAIL / BOUNDARY, where BOUNDARY marks verdicts that
 would only reflect the finite cap truncating the type C state space.
 
 Every operator in a word is monomial (a ladder generator or a diagonal),
-so a word applied to a basis state is a single walk through per-operator
-step tables, one exact product per step.  All words of one relation
-component shift the labels by the same vector, so its residual at a state
-is one exact number at one target state.  The walk that computes it also
-reports whether a word stopped at the type C cap, which decides BOUNDARY.
-Sparse operator products (LinOp) are not used here; the tests rebuild
-every relation with them as the reference."""
+so a word applied to a basis state is a single walk, and all words of one
+relation component reach the same target: its residual at a state is one
+exact number.  Where a walk goes, where it stops (a dead move, or the
+type C cap, which decides BOUNDARY) and which entries it multiplies do
+not depend on q, so each family is compiled once per model into a
+straight-line program over entry keys; each q binds every key once and
+runs the program.  Sparse operator products (LinOp) are not used here;
+the tests rebuild every relation with them as the reference."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,17 +38,9 @@ from .crystal import (
     build_model,
     weight_h,
 )
-from .rep import (
-    CZ_WEIGHT,
-    LinOp,
-    cz_factor,
-    deform_factor,
-    op_e_classical,
-    op_e_deformed,
-    op_hat,
-)
+from .rep import _cz_entry, _deform_entry, _e_classical_entry, _e_deformed_entry, _factor_args
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
-from .scalar import Radical, ensure_positive_q, qbinom, qint_at
+from .scalar import Radical, _mul_term, _wrap, ensure_positive_q, qbinom, qint_at
 
 __all__ = [
     "VerificationError",
@@ -99,17 +93,22 @@ def expected_cartan(spec: CrystalSpec) -> list[list[int]]:
     return m
 
 
-def cartan_matrix(model: CrystalModel, moves: list | None = None) -> list[list[int]]:
+def cartan_matrix(
+    model: CrystalModel, moves: list | None = None, h: list | None = None
+) -> list[list[int]]:
     """Cartan integers measured from the crystal weight shifts: entry
     (i, j) is the shift of the H_i eigenvalue under the node-j raising
     move.  Every state admitting the move must report the same shift, and
     the result must agree with the reference matrix; disagreement is an
     engine error, not a relation failure.  ``moves`` is the model's
-    ladder-move table (built here when absent)."""
+    ladder-move table and ``h`` the weight_h of every state by ordinal
+    (each built here when absent)."""
     spec = model.spec
     nodes = spec.nodes
     if moves is None:
         moves = _move_table(model)
+    if h is None:
+        h = [weight_h(model, s) for s in model.states]
     expected = expected_cartan(spec)
     measured: list[list[int]] = [[0] * nodes for _ in range(nodes)]
     for j in range(1, nodes + 1):
@@ -118,8 +117,7 @@ def cartan_matrix(model: CrystalModel, moves: list | None = None) -> list[list[i
             t, status = row[(j, 1)]
             if status != MOVE_OK:
                 continue
-            hs = weight_h(model, model.states[k])
-            ht = weight_h(model, model.states[t])
+            hs, ht = h[k], h[t]
             shifts.add(tuple(ht[i] - hs[i] for i in range(nodes)))
         if not shifts:
             # No state admits the move (trivial representations); fall
@@ -217,102 +215,102 @@ class _ModelData:
 
 def _model_data(model: CrystalModel) -> _ModelData:
     moves = _move_table(model)
-    cartan = cartan_matrix(model, moves)
-    return _ModelData(
-        moves,
-        [weight_h(model, s) for s in model.states],
-        cartan,
-        symmetrizers(model.spec, cartan),
-    )
+    h = [weight_h(model, s) for s in model.states]
+    cartan = cartan_matrix(model, moves, h)
+    return _ModelData(moves, h, cartan, symmetrizers(model.spec, cartan))
 
 
-def _gen_set(model: CrystalModel, q, deformed: bool = True) -> dict:
-    """Chevalley generators keyed (node, sign): q-deformed, or classical
-    (then q is unused)."""
-    gens = {}
-    for node in range(1, model.spec.nodes + 1):
-        for sign in (1, -1):
-            if deformed:
-                gens[(node, sign)] = op_e_deformed(model, node, sign, q)
-            else:
-                gens[(node, sign)] = op_e_classical(model, node, sign)
-    return gens
-
-
-# -- step tables and the word walker -------------------------------------------
+# -- compiled relation plans ---------------------------------------------------
 #
 # Every operator a relation word uses is monomial: each state has at most
-# one target.  A step table lists, per source ordinal k, the pair
-# (target ordinal, entry) of one operator.  Where a ladder move is dead or
-# capped the pair is (move status, None), so a walk knows why it stopped.
+# one target.  A symbolic step table lists, per source ordinal k, the pair
+# (target ordinal, leaf id) of one operator, where a leaf names an entry by
+# its kind and the integers its value is computed from, so equal entries
+# share one leaf.  Where a ladder move is dead or capped the pair is (move
+# status, None), so a walk knows why it stopped.  Walking every word once
+# per model turns a family into a straight-line program over its leaves;
+# evaluating it at q binds each leaf once and runs the program.
+
+_MUL, _ADD, _SUB, _NEG = range(4)
+
+# The value of the leaf (kind, *args) at q.  Generator and factor entries
+# come from the same functions that build the rep matrices; a "finv" leaf
+# is the inverse of the "f" leaf with the same arguments.
+_LEAF_VALUES = {
+    "e": lambda model, q, node, a, b: _e_classical_entry(model, node, a, b),
+    "eq": lambda model, q, node, a, b: _e_deformed_entry(model, node, a, b, q),
+    "f": lambda model, q, node, a, b: _deform_entry(model, node, a, b, q),
+    "cz": lambda _, q, a, b: _cz_entry(a, b, q),
+    "one": lambda _, q: Radical.one(),
+    "int": lambda _, q, c: Radical.from_rational(c),
+    "bracket": lambda _, q, k, d: Radical.from_rational(qint_at(k, q) / qint_at(d, q)),
+    "binom": lambda _, q, m, v, d: Radical.from_rational((-1) ** v * qbinom(m, v).eval((q**d,))),
+    "comb": lambda _, q, m, v: Radical.from_rational((-1) ** v * math.comb(m, v)),
+}
 
 
-def _ladder_table(op: LinOp, moves: list, move) -> list:
-    """Step table of a ladder generator whose support is the move ``move``
-    of the move table: generator entries never vanish on a live move."""
-    table = []
-    for k, row in enumerate(moves):
-        t, status = row[move]
-        table.append((t, op.entries[(k, t)]) if status == MOVE_OK else (status, None))
-    return table
+def _term(value: Radical):
+    """A single-term value as its integer triple (m, n, d), else itself."""
+    if len(value._terms) != 1:
+        return value
+    ((m, (n, d)),) = value._terms.items()
+    return m, n, d
 
 
-def _step_tables(gens: dict, moves: list) -> dict:
-    """Step tables of a generator set, keyed (node, sign) like the set."""
-    return {move: _ladder_table(op, moves, move) for move, op in gens.items()}
+def _radical(value) -> Radical:
+    return _wrap({value[0]: (value[1], value[2])}) if value.__class__ is tuple else value
 
 
-def _diagonal_table(op: LinOp) -> list:
-    """Step table of an invertible diagonal operator."""
-    return [(k, op.entries[(k, k)]) for k in range(op.dim)]
+class _Tables:
+    """Leaf interning and symbolic step tables while one family compiles."""
 
+    def __init__(self, model: CrystalModel, data: _ModelData):
+        self.model, self.data = model, data
+        self.leaves = {}
+        self.ladders = {}
 
-def _memo_mul():
-    """Product of two Radicals, memoized by operand identity.  Generator
-    entries are shared per factor-argument pair, and a memoized product is
-    the same object on every hit, so walks through equal entries hit the
-    memo.  Each memo entry keeps both operands alive, so no id it is keyed
-    by can be reused while the memo lives.  _assemble keeps one memo per
-    relation component, which bounds the memory it holds."""
-    memo = {}
+    def leaf(self, *key) -> int:
+        return self.leaves.setdefault(key, len(self.leaves))
 
-    def mul(a: Radical, b: Radical) -> Radical:
-        key = (id(a), id(b))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (a, b, a * b)
-        return hit[2]
+    def ladder(self, kind: str, node: int, sign: int) -> list:
+        """Step table of a ladder generator.  Its leaves are keyed by the
+        factor arguments read on the raising source or the lowering target,
+        so raising and lowering share keys; kind "one" is the bare move."""
+        table = self.ladders.get((kind, node, sign))
+        if table is None:
+            table = self.ladders[(kind, node, sign)] = []
+            states = self.model.states
+            for k, row in enumerate(self.data.moves):
+                t, status = row[(node, sign)]
+                if status != MOVE_OK:
+                    table.append((status, None))
+                elif kind == "one":
+                    table.append((t, self.leaf(kind)))
+                else:
+                    args = _factor_args(self.model, node, states[k] if sign > 0 else states[t])
+                    table.append((t, self.leaf(kind, node, *args)))
+        return table
 
-    return mul
-
-
-def _walk(word, k: int, mul):
-    """Run one word (step tables in application order) from state k.
-    Returns (target ordinal, product of the entries met, later steps on
-    the left), or (status, None) with the status of the move that
-    stopped it (MOVE_DEAD or MOVE_CAPPED)."""
-    val = None
-    for table in word:
-        k, step = table[k]
-        if step is None:
-            return k, None
-        val = step if val is None else mul(step, val)
-    return k, val
+    def diagonal(self, kind: str, node: int) -> list:
+        """Step table of a deforming factor (kind "f") or its inverse ("finv")."""
+        args = (_factor_args(self.model, node, s) for s in self.model.states)
+        return [(k, self.leaf(kind, node, *ab)) for k, ab in enumerate(args)]
 
 
 @dataclass
 class _Component:
     """One identity inside a relation family, as a weighted sum of words.
 
-    ``terms`` pairs a coefficient with a word of step tables (application
-    order); a coefficient is the integer 1 or -1 (add or subtract the
-    walk), a Radical (multiply, then add), or a list of integers indexed
-    by source ordinal (the Cartan coefficients, all 0 on a correct model).
-    ``minus_diag`` holds per-state Radicals subtracted at the source.
-    ``words`` are the ladder moves of the words (application order), which
-    name the component's paths in FAIL traces.  Every word
-    of a component shifts the labels by one vector, so the residual at a
-    state has at most one target."""
+    ``terms`` are (sign, scale, word) triples: the walk of the word (step
+    tables in application order) is multiplied by the ``scale`` leaf, if
+    any, then added (sign 1) or subtracted (sign -1).  A scale is one leaf
+    id or a list of them by source ordinal, None where the coefficient is
+    0 (the Cartan integers, all 0 on a correct model).  ``minus_diag``
+    lists per-state leaves subtracted at the source.  ``words`` are the
+    ladder moves of the words (application order), which name the
+    component's paths in FAIL traces.  Every word of a component shifts
+    the labels by one vector, so the residual at a state has at most one
+    target."""
 
     label: str
     terms: tuple = ()
@@ -320,38 +318,155 @@ class _Component:
     minus_diag: list | None = None
 
 
-def _residual(comp: _Component, k: int, mul):
-    """Exact residual of one component at state k, from one walk per
-    word: (target ordinal, nonzero residual or None, capped), where
-    ``capped`` says some word stopped at the cap."""
-    target = acc = None
-    capped = False
-    for coeff, word in comp.terms:
-        t, val = _walk(word, k, mul)
+@dataclass
+class _Program:
+    """One family compiled on one model.  Node ids below len(leaves) are
+    the leaves (keys by id); op i, the flat triple (code, a, b) at 3i in
+    ``ops``, defines node len(leaves) + i from earlier nodes.  Per
+    (component, state), component-major: the target ordinal (-1 for
+    none), the residual's node (-1 when no word survives) and whether a
+    word stopped at the cap."""
+
+    labels: list
+    words: list
+    leaves: list
+    ops: array
+    targets: array
+    exprs: array
+    capped: bytearray
+
+
+def _compile(model: CrystalModel, data: _ModelData, family: str) -> _Program:
+    """Walk every word of every component from every state over symbolic
+    step tables, interning products and sums into one program."""
+    tables = _Tables(model, data)
+    components = _COMPONENTS[family](model, data, tables)
+    base = len(tables.leaves)
+    ops = array("i")
+    nodes = {}
+
+    def op(code: int, a: int, b: int = 0) -> int:
+        key = (a << 32 | b) << 2 | code
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = base + len(ops) // 3
+            ops.extend((code, a, b))
+        return node
+
+    targets, exprs, capped = array("i"), array("i"), bytearray()
+    for comp in components:
+        for k in range(model.dim):
+            target, acc, cap = None, None, False
+            for sign, scale, word in comp.terms:
+                t, val = k, None
+                for table in word:
+                    t, leaf = table[t]
+                    if leaf is None:
+                        cap = cap or t == MOVE_CAPPED
+                        break
+                    # later steps multiply on the left
+                    val = leaf if val is None else op(_MUL, leaf, val)
+                else:
+                    if target is None:
+                        target = t
+                    elif t != target:
+                        raise VerificationError(f"{comp.label}: words reach two targets")
+                    if scale is not None:
+                        s = scale[k] if isinstance(scale, list) else scale
+                        if s is None:
+                            continue
+                        val = op(_MUL, val, s)
+                    if acc is None:
+                        acc = val if sign > 0 else op(_NEG, val)
+                    else:
+                        acc = op(_ADD if sign > 0 else _SUB, acc, val)
+            if comp.minus_diag is not None:
+                if target not in (None, k):
+                    raise VerificationError(f"{comp.label}: diagonal term off the word target")
+                target, d = k, comp.minus_diag[k]
+                acc = op(_NEG, d) if acc is None else op(_SUB, acc, d)
+            targets.append(-1 if target is None else target)
+            exprs.append(-1 if acc is None else acc)
+            capped.append(cap)
+    # Flag the last read of every node that is not a residual (4: operand a,
+    # 8: operand b), so a run drops each value as soon as it is spent.
+    nodes.clear()
+    read = bytearray(base + len(ops) // 3)
+    for e in set(exprs) - {-1}:
+        read[e] = 1
+    for i in range(len(ops) - 3, -1, -3):
+        for bit, node in ((4, ops[i + 1]), (8, ops[i + 2])):
+            if not read[node] and (bit == 4 or ops[i] != _NEG):
+                read[node] = 1
+                ops[i] |= bit
+    labels, words = [c.label for c in components], [c.words for c in components]
+    return _Program(labels, words, list(tables.leaves), ops, targets, exprs, capped)
+
+
+def _run(ops: array, vals: list) -> list:
+    """Append the value of every op to ``vals`` (the leaf values).  Products
+    of single terms run on integer triples, as Radical's single-term product
+    does; sums run on Radicals in term order, so merges are unchanged."""
+    push = vals.append
+    it = iter(ops)
+    for code, a, b in zip(it, it, it):
+        x = vals[a]
+        kind = code & 3
+        if kind == _MUL:
+            y = vals[b]
+            if x.__class__ is tuple and y.__class__ is tuple:
+                push(_mul_term(*x, *y))
+            else:
+                push(_radical(x) * _radical(y))
+        elif kind == _NEG:
+            push(-_radical(x))
+        elif kind == _ADD:
+            push(_radical(x) + _radical(vals[b]))
+        else:
+            push(_radical(x) - _radical(vals[b]))
+        if code > 3:
+            if code & 4:
+                vals[a] = None
+            if code & 8:
+                vals[b] = None
+    return vals
+
+
+class _Plan:
+    """The relation families of one model, each compiled once on first use
+    and evaluated per q.  Leaf values are kept for one q at a time, node
+    values only while one family at one q is assembled."""
+
+    def __init__(self, model: CrystalModel, data: _ModelData | None = None):
+        self.model = model
+        self.data = _model_data(model) if data is None else data
+        self.programs = {}
+        self._q, self._leaf_values = None, {}
+
+    def program(self, family: str) -> _Program:
+        if family not in self.programs:
+            self.programs[family] = _compile(self.model, self.data, family)
+        return self.programs[family]
+
+    def _leaf(self, key: tuple):
+        val = self._leaf_values.get(key)
         if val is None:
-            capped = capped or t == MOVE_CAPPED
-            continue
-        if target is None:
-            target = t
-        elif t != target:
-            raise VerificationError(f"{comp.label}: words reach two targets")
-        if isinstance(coeff, Radical):
-            val = mul(val, coeff)
-        elif isinstance(coeff, list):
-            if not coeff[k]:
-                continue
-            val = val * coeff[k]
-        elif coeff == -1:
-            acc = -val if acc is None else acc - val
-            continue
-        acc = val if acc is None else acc + val
-    if comp.minus_diag is not None:
-        if target not in (None, k):
-            raise VerificationError(f"{comp.label}: diagonal term off the word target")
-        target = k
-        d = comp.minus_diag[k]
-        acc = -d if acc is None else acc - d
-    return target, (acc if acc else None), capped
+            if key[0] == "finv":
+                val = _radical(self._leaf(("f",) + key[1:])).inverse()
+            else:
+                val = _LEAF_VALUES[key[0]](self.model, self._q, *key[1:])
+            val = self._leaf_values[key] = _term(val)
+        return val
+
+    def evaluate(self, prog: _Program, q: Fraction) -> list:
+        """Node values of ``prog`` at q, where every residual node holds a
+        nonzero Radical or None and spent nodes hold None."""
+        if q != self._q:
+            self._q, self._leaf_values = q, {}
+        vals = _run(prog.ops, [self._leaf(key) for key in prog.leaves])
+        for e in set(prog.exprs) - {-1}:
+            vals[e] = _radical(vals[e]) or None
+        return vals
 
 
 def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
@@ -365,39 +480,38 @@ def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
     return "->".join(bits)
 
 
-def _assemble(
-    relation_id: str,
-    model: CrystalModel,
-    q: Fraction,
-    components: list[_Component],
-    margin: int,
-    moves: list,
-) -> RelationReport:
-    spec = model.spec
-    report = RelationReport(relation_id=relation_id, carrier=spec.describe(), q=q)
-    residuals = []
-    for comp in components:
-        mul = _memo_mul()
-        residuals.append([_residual(comp, k, mul) for k in range(model.dim)])
+def _assemble(family: str, model: CrystalModel, q, margin: int, plan) -> RelationReport:
+    q = ensure_positive_q(q)
+    relation_id = "serre-deformed" if family == "serre" else family
+    if plan is None:
+        plan = _Plan(model)
+    prog = plan.program(family)
+    vals = plan.evaluate(prog, q)
+    moves, dim = plan.data.moves, model.dim
+    exprs, capped = prog.exprs, prog.capped
+    report = RelationReport(relation_id=relation_id, carrier=model.spec.describe(), q=q)
     for k, s in enumerate(model.states):
         in_margin = boundary_class(model, s, margin) == CAP_MARGIN
         any_boundary = False
         any_fail = False
         all_zero = True
-        for comp, column in zip(components, residuals):
-            t, val, capped = column[k]
+        for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
+            i = c * dim + k
+            e = exprs[i]
+            val = vals[e] if e >= 0 else None
             if val is not None:
                 all_zero = False
             # A capped word excuses the state only inside the margin.
-            if in_margin and capped:
+            if in_margin and capped[i]:
                 any_boundary = True
             elif val is not None:
                 any_fail = True
-                traces = "; ".join(_word_trace(model, moves, k, w) for w in comp.words)
+                traces = "; ".join(_word_trace(model, moves, k, w) for w in words)
+                t = model.states[prog.targets[i]]
                 report.failures.append(
                     {
                         "state": list(s),
-                        "word": f"{comp.label} [{traces}] -> {list(model.states[t])}",
+                        "word": f"{label} [{traces}] -> {list(t)}",
                         "residual": val.json_map(),
                     }
                 )
@@ -408,25 +522,13 @@ def _assemble(
 
 # -- relation families ---------------------------------------------------------
 #
-# Each family builds its components from the shared inputs, which the
-# public check_* functions take as optional keyword arguments: the model
-# data (``data``) and the step tables of the generators at q (``steps``,
-# of the classical generators for the classical Serre family).  run_suite
-# builds them once and passes them in; a standalone call builds what it
-# is not given.
+# Each family lists its components over the symbolic step tables.  The
+# public check_* functions take the compiled plan of the model as the
+# optional keyword ``plan``: run_suite builds one per run and passes it to
+# every family at every q; a standalone call compiles its own.
 
 
-def _prepare(model: CrystalModel, q, data, steps, deformed: bool = True):
-    """Validate q and build whichever shared inputs the caller left out."""
-    q = ensure_positive_q(q)
-    if data is None:
-        data = _model_data(model)
-    if steps is None:
-        steps = _step_tables(_gen_set(model, q, deformed), data.moves)
-    return q, data, steps
-
-
-def _cartan_components(model: CrystalModel, data: _ModelData, steps: dict) -> list:
+def _cartan_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> list:
     a = data.cartan
     nodes = model.spec.nodes
     components = []
@@ -437,11 +539,12 @@ def _cartan_components(model: CrystalModel, data: _ModelData, steps: dict) -> li
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * a[i - 1][j - 1]
-                coeffs = data.cartan_coeffs[(i, j, sign)]
+                column = data.cartan_coeffs[(i, j, sign)]
+                coeffs = [tables.leaf("int", c) if c else None for c in column]
                 components.append(
                     _Component(
                         f"[h{i},e{tag}{j}]-({shift})e{tag}{j}",
-                        ((coeffs, (steps[(j, sign)],)),),
+                        ((1, coeffs, (tables.ladder("eq", j, sign),)),),
                         (((j, sign),),),
                     )
                 )
@@ -449,7 +552,7 @@ def _cartan_components(model: CrystalModel, data: _ModelData, steps: dict) -> li
 
 
 def check_cartan(
-    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, steps=None
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
     """[h_i, h_j] = 0 and [h_i, e_j^+-] = +-a e_j^+- with the Cartan
     integers recomputed from the crystal weight shifts.  With H_i diagonal
@@ -457,62 +560,53 @@ def check_cartan(
     integer multiple of the generator entry read from the weights (the
     integers are built once per model), so [h_i, h_j] vanishes identically
     and is recorded without words."""
-    q, data, steps = _prepare(model, q, data, steps)
-    components = _cartan_components(model, data, steps)
-    return _assemble("cartan", model, q, components, margin, data.moves)
+    return _assemble("cartan", model, q, margin, plan)
 
 
-def _bracket_h_diag(h: list, i: int, d: int, q: Fraction) -> list:
-    """Values of [H_i] in base q^d per state ordinal, from the weights
+def _bracket_h_diag(tables: _Tables, h: list, i: int, d: int) -> list:
+    """Leaves of [H_i] in base q^d per state ordinal, from the weights
     ``h``.  With k = d * H_i an integer the value is [k]_q / [d]_q, which
-    is exact and regular at q = 1.  States with equal k share one value."""
-    values = []
-    shared = {}
-    denom = qint_at(d, q)
+    is exact and regular at q = 1."""
+    leaves = []
     for hs in h:
         hd = hs[i - 1] * d
         if hd.denominator != 1:
             raise VerificationError("scaled Cartan eigenvalue is not integral")
-        k = int(hd)
-        val = shared.get(k)
-        if val is None:
-            val = shared[k] = Radical.from_rational(qint_at(k, q) / denom)
-        values.append(val)
-    return values
+        leaves.append(tables.leaf("bracket", int(hd), d))
+    return leaves
 
 
-def _ladder_components(model: CrystalModel, q, data: _ModelData, steps: dict) -> list:
+def _ladder_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> list:
     nodes = model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             terms = tuple(
-                (coeff, tuple(steps[move] for move in word))
-                for coeff, word in zip((1, -1), words)
+                (sign, None, tuple(tables.ladder("eq", *move) for move in word))
+                for sign, word in zip((1, -1), words)
             )
             label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
-            diag = _bracket_h_diag(data.h, i, data.d[i - 1], q) if i == j else None
+            diag = _bracket_h_diag(tables, data.h, i, data.d[i - 1]) if i == j else None
             components.append(_Component(label, terms, words, diag))
     return components
 
 
 def check_ladder(
-    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, data=None, steps=None
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
     """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i) (so the long type C
     node uses base q^2, where the half-integer H_n still gives an exact
     rational bracket)."""
-    q, data, steps = _prepare(model, q, data, steps)
-    components = _ladder_components(model, q, data, steps)
-    return _assemble("ladder", model, q, components, margin, data.moves)
+    return _assemble("ladder", model, q, margin, plan)
 
 
 def _serre_components(
-    model: CrystalModel, q, deformed: bool, data: _ModelData, steps: dict
+    model: CrystalModel, data: _ModelData, tables: _Tables, deformed: bool
 ) -> list:
     a, d = data.cartan, data.d
     nodes = model.spec.nodes
+    kind = "eq" if deformed else "e"
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
@@ -521,17 +615,18 @@ def _serre_components(
             m = 1 - a[i - 1][j - 1]
             if m < 1:
                 raise VerificationError("off-diagonal Cartan entry must be <= 0")
-            qi = q ** d[i - 1]
-            coeffs = []
-            for v in range(m + 1):
-                c = qbinom(m, v).eval((qi,)) if deformed else math.comb(m, v)
-                c = -c if v % 2 else c
-                coeffs.append(int(c) if c in (1, -1) else Radical.from_rational(c))
+            # The end binomials are 1; the inner ones exceed 1 at every q > 0.
+            coeffs = [(1, None)]
+            for v in range(1, m):
+                key = ("binom", m, v, d[i - 1]) if deformed else ("comb", m, v)
+                coeffs.append((1, tables.leaf(*key)))
+            coeffs.append(((-1) ** m, None))
             for sign, tag in ((1, "+"), (-1, "-")):
                 x, y = (i, sign), (j, sign)
                 words = tuple((x,) * v + (y,) + (x,) * (m - v) for v in range(m + 1))
                 terms = tuple(
-                    (coeffs[v], tuple(steps[mv] for mv in word)) for v, word in enumerate(words)
+                    (s, scale, tuple(tables.ladder(kind, *mv) for mv in word))
+                    for (s, scale), word in zip(coeffs, words)
                 )
                 base = f"q^{d[i - 1]}" if deformed else "1"
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"
@@ -540,86 +635,62 @@ def _serre_components(
 
 
 def check_serre(
-    model: CrystalModel,
-    q,
-    deformed: bool = True,
-    margin: int = DEFAULT_MARGIN,
-    *,
-    data=None,
-    steps=None,
+    model: CrystalModel, q, deformed: bool = True, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
     """Serre relations for every ordered node pair, built from the
     measured Cartan matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
     with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
-    ordinary binomial (classical).  Each term is one word, walked per
-    state.  ``steps`` are the step tables of the generators of the chosen
-    kind."""
-    q, data, steps = _prepare(model, q, data, steps, deformed)
-    components = _serre_components(model, q, deformed, data, steps)
-    rid = "serre-deformed" if deformed else "serre-classical"
-    return _assemble(rid, model, q, components, margin, data.moves)
+    ordinary binomial (classical).  Each term is one word."""
+    return _assemble("serre" if deformed else "serre-classical", model, q, margin, plan)
 
 
-def _map_components(
-    model: CrystalModel, q, data: _ModelData, steps: dict, classical: dict
-) -> list:
-    components = []
-    factors = {}
+def _map_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> list:
+    rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
-        fac = factors[node] = _diagonal_table(deform_factor(model, node, q))
-        # One inverse per distinct (shared) entry keeps the inverses shared.
-        distinct = {id(v): v for _, v in fac}
-        inverse = {i: v.inverse() for i, v in distinct.items()}
-        inv = [(k, inverse[id(v)]) for k, v in fac]
-        ep, em = classical[(node, 1)], classical[(node, -1)]
-        dp, dm = steps[(node, 1)], steps[(node, -1)]
-        up = (((node, 1),),)
-        down = (((node, -1),),)
-        components.extend(
+        fac, inv = tables.diagonal("f", node), tables.diagonal("finv", node)
+        ep, em = tables.ladder("e", node, 1), tables.ladder("e", node, -1)
+        dp, dm = tables.ladder("eq", node, 1), tables.ladder("eq", node, -1)
+        up, down = (((node, 1),),), (((node, -1),),)
+        rows.extend(
             [
-                _Component(f"E+{node}*F-e+{node}", ((1, (fac, ep)), (-1, (dp,))), up),
-                _Component(f"F*E-{node}-e-{node}", ((1, (em, fac)), (-1, (dm,))), down),
-                _Component(f"e+{node}*Finv-E+{node}", ((1, (inv, dp)), (-1, (ep,))), up),
-                _Component(f"Finv*e-{node}-E-{node}", ((1, (dm, inv)), (-1, (em,))), down),
+                (f"E+{node}*F-e+{node}", (fac, ep), (dp,), up),
+                (f"F*E-{node}-e-{node}", (em, fac), (dm,), down),
+                (f"e+{node}*Finv-E+{node}", (inv, dp), (ep,), up),
+                (f"Finv*e-{node}-E-{node}", (dm, inv), (em,), down),
             ]
         )
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
-        # The node variant of the rank-one functional is the node-1 factor.
-        d2 = _diagonal_table(cz_factor(model, q, CZ_WEIGHT))
-        d1 = factors[1]
-        hat = _ladder_table(op_hat(model, 1, 1), data.moves, (1, 1))
-        jp, dp = classical[(1, 1)], steps[(1, 1)]
-        up = (((1, 1),),)
-        components.append(_Component("cz_weight*j+-e+1", ((1, (jp, d2)), (-1, (dp,))), up))
-        components.append(
-            _Component(
-                "cz_weight(image)-cz_node(source)", ((1, (hat, d2)), (-1, (d1, hat))), up
-            )
-        )
-    return components
+        # The weight variant of the rank-one functional, and its node
+        # variant, which is the node-1 factor.
+        d2 = [(k, tables.leaf("cz", l1, -(l2 + 1))) for k, (l1, l2) in enumerate(model.states)]
+        d1, hat = tables.diagonal("f", 1), tables.ladder("one", 1, 1)
+        jp, dp = tables.ladder("e", 1, 1), tables.ladder("eq", 1, 1)
+        rows.append(("cz_weight*j+-e+1", (jp, d2), (dp,), (((1, 1),),)))
+        rows.append(("cz_weight(image)-cz_node(source)", (hat, d2), (d1, hat), (((1, 1),),)))
+    return [
+        _Component(label, ((1, None, plus), (-1, None, minus)), words)
+        for label, plus, minus, words in rows
+    ]
 
 
 def check_map(
-    model: CrystalModel,
-    q,
-    margin: int = DEFAULT_MARGIN,
-    *,
-    data=None,
-    steps=None,
-    classical=None,
+    model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
     """Entrywise dressing-map identities: classical * factor = deformed on
     every node, the partial-inverse roundtrip back to the classical
     generators, and for rank-one type A additionally the weight-diagonal
-    dressing route and its agreement with the node factor.  Each node's
-    deforming factor is built once per q and its partial inverse taken
-    entry by entry.  ``steps`` are the step tables of the deformed
-    generators at q, ``classical`` those of the classical ones."""
-    q, data, steps = _prepare(model, q, data, steps)
-    if classical is None:
-        classical = _step_tables(_gen_set(model, q, deformed=False), data.moves)
-    components = _map_components(model, q, data, steps, classical)
-    return _assemble("map", model, q, components, margin, data.moves)
+    dressing route and its agreement with the node factor.  Each deforming
+    factor entry and its inverse are computed once per q."""
+    return _assemble("map", model, q, margin, plan)
+
+
+_COMPONENTS = {
+    "cartan": _cartan_components,
+    "ladder": _ladder_components,
+    "serre": lambda model, data, tables: _serre_components(model, data, tables, True),
+    "serre-classical": lambda model, data, tables: _serre_components(model, data, tables, False),
+    "map": _map_components,
+}
 
 
 # -- suite ---------------------------------------------------------------------
@@ -726,6 +797,11 @@ def load_config(data) -> SuiteConfig:
             raise ConfigError(
                 f"unknown relation family {fam!r}; known: {list(KNOWN_FAMILIES)}"
             )
+    # A repeat would print every report twice and count it twice.
+    for key, values in (("q", q_list), ("families", families)):
+        repeated = [str(v) for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"config key {key!r} repeats {repeated[0]!r}")
     cfg = SuiteConfig(algebra_type, n, lam, cap, margin, q_list, families)
     try:
         cfg.spec()
@@ -762,26 +838,14 @@ class SuiteResult:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
-# Which generator sets each family reads.
-_DEFORMED_FAMILIES = ("cartan", "ladder", "serre", "map")
-_CLASSICAL_FAMILIES = ("serre-classical", "map")
-
 _FAMILY_RUNNERS = {
-    "cartan": lambda model, q, margin, data, steps, classical: check_cartan(
-        model, q, margin, data=data, steps=steps
+    "cartan": lambda model, q, margin, plan: check_cartan(model, q, margin, plan=plan),
+    "ladder": lambda model, q, margin, plan: check_ladder(model, q, margin, plan=plan),
+    "serre": lambda model, q, margin, plan: check_serre(model, q, True, margin, plan=plan),
+    "serre-classical": lambda model, q, margin, plan: check_serre(
+        model, q, False, margin, plan=plan
     ),
-    "ladder": lambda model, q, margin, data, steps, classical: check_ladder(
-        model, q, margin, data=data, steps=steps
-    ),
-    "serre": lambda model, q, margin, data, steps, classical: check_serre(
-        model, q, True, margin, data=data, steps=steps
-    ),
-    "serre-classical": lambda model, q, margin, data, steps, classical: check_serre(
-        model, q, False, margin, data=data, steps=classical
-    ),
-    "map": lambda model, q, margin, data, steps, classical: check_map(
-        model, q, margin, data=data, steps=steps, classical=classical
-    ),
+    "map": lambda model, q, margin, plan: check_map(model, q, margin, plan=plan),
 }
 
 
@@ -790,24 +854,15 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     deterministically: report order is (q, family) in the configured
     order, and the JSON rendering is byte-stable across runs.
 
-    Shared inputs are built once: the model's ladder-move table, Cartan
-    data and (when a family reads them) the step tables of the classical
-    generators for the whole run, and the step tables of the deformed
-    generators once per q, handed to every family at that q and released
-    before the next q builds its own."""
+    The model's relation plan is built once: its move table and Cartan
+    data, and each family's program, compiled at the family's first q.
+    Every q then binds the plan's leaves once and evaluates one family at
+    a time."""
     model = build_model(config.spec())
-    families = config.families
-    data = _model_data(model)
-    classical = None
-    if any(fam in _CLASSICAL_FAMILIES for fam in families):
-        classical = _step_tables(_gen_set(model, None, deformed=False), data.moves)
-    needs_deformed = any(fam in _DEFORMED_FAMILIES for fam in families)
-    reports = []
-    for q in config.q_list:
-        steps = _step_tables(_gen_set(model, q), data.moves) if needs_deformed else None
-        for fam in families:
-            reports.append(
-                _FAMILY_RUNNERS[fam](model, q, config.margin, data, steps, classical)
-            )
-        steps = None
+    plan = _Plan(model)
+    reports = [
+        _FAMILY_RUNNERS[fam](model, q, config.margin, plan)
+        for q in config.q_list
+        for fam in config.families
+    ]
     return SuiteResult(config=config, reports=reports)

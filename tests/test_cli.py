@@ -189,6 +189,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--q", "1,1"], ["--q", "2,4/2"], ["--families", "cartan,cartan"]], ids=repr
+    )
+    def test_repeated_q_or_family_exit_2(self, extra, capsys):
+        assert main(["verify", "--type", "A", "--n", "3", "--lambda", "2"] + extra) == 2
+        captured = capsys.readouterr()
+        assert "repeats" in captured.err
+        assert "TOTAL" not in captured.out
+
     def test_config_non_integer_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "float.json"
         cfg.write_text(json.dumps({"type": "A", "n": 3.7, "lambda": 2}), encoding="utf-8")

@@ -330,6 +330,29 @@ class TestSharedEntries:
             assert all(len(group) == 1 for group in ids.values())
 
 
+    # The relation engine keys each generator entry by (kind, node, factor
+    # arguments), with one key for raising and lowering, and each deforming
+    # factor entry likewise; that is sound only if the entries agree.
+    @pytest.mark.parametrize("model", [model_a(3, 3), model_c(2, 2, 12)], ids=repr)
+    @pytest.mark.parametrize("q", [F(1), F(3, 5), F(2)], ids=str)
+    def test_keys_shared_by_raising_lowering_and_equal_arguments(self, model, q):
+        states = model.states
+        for node in range(1, model.spec.nodes + 1):
+            for build in (
+                lambda sign: op_e_deformed(model, node, sign, q),
+                lambda sign: op_e_classical(model, node, sign),
+            ):
+                plus, minus = build(1), build(-1)
+                assert set(minus.entries) == {(t, s) for s, t in plus.entries}
+                for (s, t), v in plus.entries.items():
+                    assert minus.entries[(t, s)].json_map() == v.json_map()
+            f = deform_factor(model, node, q)
+            by_args = {}
+            for k, s in enumerate(states):
+                value = f.entries[(k, k)].json_map()
+                assert by_args.setdefault(_factor_args(model, node, s), value) == value
+
+
 class TestCzFactor:
     def test_both_variants_identity_at_q1(self):
         m = model_a(2, 3)

@@ -34,6 +34,13 @@ GOLDEN = [
         "1507269f1f93d865045dccec29f04c68de4d68226b489603766209cb83ba6fb4",
     ),
     (
+        # the benchmark's suite shape: four q in one run, with FAIL records
+        "C3-3-13-4q-margin0",
+        SuiteConfig("C", 3, 3, cap=13, margin=0, q_list=(F(2), F(1, 2), F(5, 3), F(2, 3))),
+        "96a10999403ee852ed7ef7fb67e7c8096d63c51e69c15360e5b6b11936ddbd0a",
+        "1d14f730be42bba0400ae7897409686e37ebb7899f478f550996844aae221f35",
+    ),
+    (
         "C2-2-12-margin0",
         SuiteConfig("C", 2, 2, cap=12, margin=0),
         "843f57fdf2a5094ac3c17d8fb1e57a2d98bb4372d1a78bbb76f6a90a5c7a8077",

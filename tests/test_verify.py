@@ -10,6 +10,7 @@ from qcrys.rep import (
     CZ_NODE,
     CZ_WEIGHT,
     LinOp,
+    _factor_args,
     commutator,
     cz_factor,
     deform_factor,
@@ -24,15 +25,9 @@ from qcrys.scalar import Radical, qbinom, qint_at
 from qcrys.verify import (
     ConfigError,
     SuiteConfig,
-    _cartan_components,
-    _gen_set,
-    _ladder_components,
-    _map_components,
-    _memo_mul,
     _model_data,
-    _residual,
-    _serre_components,
-    _step_tables,
+    _Plan,
+    _radical,
     cartan_matrix,
     check_cartan,
     check_ladder,
@@ -387,81 +382,111 @@ def _oracle_map(model, q):
     return ops
 
 
-def _word_capped(moves, k, word):
+def _word_end(moves, k, word):
+    """(end ordinal or None, stopped at the cap) of one walk of a word."""
     for move in word:
         k, status = moves[k][move]
         if status != MOVE_OK:
-            return status == MOVE_CAPPED
-    return False
+            return None, status == MOVE_CAPPED
+    return k, False
 
 
-def _assert_matches_oracle(model, data, components, oracle):
-    """Compare every (component, state) residual with the operator column,
-    and the walker's capped flag with a walk of the component's words."""
-    assert [c.label for c in components] == list(oracle)
-    mul = _memo_mul()
+def _assert_matches_oracle(plan, family, q, oracle):
+    """Compare every (component, state) residual of the compiled plan at q
+    with the operator column, and its target and capped flag with walks of
+    the component's words over the move table."""
+    model, moves = plan.model, plan.data.moves
+    prog = plan.program(family)
+    vals = plan.evaluate(prog, q)
+    assert prog.labels == list(oracle)
     nonzero = 0
-    for comp in components:
+    for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
         columns = {}
-        for (s, t), v in oracle[comp.label].entries.items():
+        for (s, t), v in oracle[label].entries.items():
             columns.setdefault(s, {})[t] = v
         for k in range(model.dim):
+            i = c * model.dim + k
             col = columns.get(k, {})
-            assert len(col) <= 1, f"{comp.label}: several targets from state {k}"
-            target, val, capped = _residual(comp, k, mul)
+            assert len(col) <= 1, f"{label}: several targets from state {k}"
+            target, e = prog.targets[i], prog.exprs[i]
+            val = vals[e] if e >= 0 else None
             if col:
                 nonzero += 1
-                assert val is not None and col == {target: val}, (comp.label, k)
+                assert val is not None and col == {target: val}, (label, k)
             else:
-                assert val is None, (comp.label, k)
-            assert capped == any(_word_capped(data.moves, k, w) for w in comp.words)
+                assert val is None, (label, k)
+            walks = [_word_end(moves, k, w) for w in words]
+            ends = {end for end, _ in walks if end is not None}
+            assert len(ends) <= 1, (label, k)
+            # The ladder bracket's diagonal term sits at the source.
+            want = k if "-[H" in label else (ends.pop() if ends else -1)
+            assert target == want, (label, k)
+            assert bool(prog.capped[i]) == any(cap for _, cap in walks), (label, k)
     return nonzero
+
+
+_ORACLES = {
+    "cartan": lambda model, q, data: _oracle_cartan(model, q, data),
+    "ladder": lambda model, q, data: _oracle_ladder(model, q, data),
+    "serre": lambda model, q, data: _oracle_serre(model, q, data, True),
+    "serre-classical": lambda model, q, data: _oracle_serre(model, q, data, False),
+    "map": lambda model, q, data: _oracle_map(model, q),
+}
 
 
 @pytest.mark.parametrize("q", DIFF_Q, ids=str)
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
 class TestEngineAgainstOperators:
-    def _inputs(self, cfg, q):
-        model = build_model(cfg.spec())
-        data = _model_data(model)
-        steps = _step_tables(_gen_set(model, q), data.moves)
-        return model, data, steps
+    def _check(self, cfg, q, family):
+        plan = _Plan(build_model(cfg.spec()))
+        oracle = _ORACLES[family](plan.model, q, plan.data)
+        _assert_matches_oracle(plan, family, q, oracle)
 
     def test_cartan(self, cfg, q):
-        model, data, steps = self._inputs(cfg, q)
-        components = _cartan_components(model, data, steps)
-        _assert_matches_oracle(model, data, components, _oracle_cartan(model, q, data))
+        self._check(cfg, q, "cartan")
+
+    def test_ladder(self, cfg, q):
+        self._check(cfg, q, "ladder")
+
+    @pytest.mark.parametrize("deformed", [True, False], ids=["deformed", "classical"])
+    def test_serre(self, cfg, q, deformed):
+        self._check(cfg, q, "serre" if deformed else "serre-classical")
+
+    def test_map(self, cfg, q):
+        self._check(cfg, q, "map")
 
     def test_cartan_wrong_shift_is_nonzero(self, cfg, q):
         # Shifting every Cartan integer makes each [h_i, e_j] residual
         # -(+-1) e_j: nonzero wherever the generator is.
-        model, data, steps = self._inputs(cfg, q)
+        model = build_model(cfg.spec())
+        data = _model_data(model)
         wrong = replace(data, cartan=[[a + 1 for a in row] for row in data.cartan])
-        components = _cartan_components(model, wrong, steps)
         oracle = _oracle_cartan(model, q, wrong)
-        live = sum(e is not None for table in steps.values() for _, e in table)
-        nonzero = _assert_matches_oracle(model, data, components, oracle)
+        live = sum(status == MOVE_OK for row in data.moves for _, status in row.values())
+        nonzero = _assert_matches_oracle(_Plan(model, wrong), "cartan", q, oracle)
         assert nonzero == live * model.spec.nodes
 
-    def test_ladder(self, cfg, q):
-        model, data, steps = self._inputs(cfg, q)
-        components = _ladder_components(model, q, data, steps)
-        _assert_matches_oracle(model, data, components, _oracle_ladder(model, q, data))
 
-    @pytest.mark.parametrize("deformed", [True, False], ids=["deformed", "classical"])
-    def test_serre(self, cfg, q, deformed):
-        model, data, steps = self._inputs(cfg, q)
-        if not deformed:
-            steps = _step_tables(_gen_set(model, q, deformed=False), data.moves)
-        components = _serre_components(model, q, deformed, data, steps)
-        oracle = _oracle_serre(model, q, data, deformed)
-        _assert_matches_oracle(model, data, components, oracle)
-
-    def test_map(self, cfg, q):
-        model, data, steps = self._inputs(cfg, q)
-        classical = _step_tables(_gen_set(model, q, deformed=False), data.moves)
-        components = _map_components(model, q, data, steps, classical)
-        _assert_matches_oracle(model, data, components, _oracle_map(model, q))
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+def test_plan_compiled_once_serves_every_q(cfg):
+    # One plan, as run_suite uses it: each family compiles at its first q
+    # and is re-evaluated at every later q against that q's operators.
+    plan = _Plan(build_model(cfg.spec()))
+    model = plan.model
+    programs = {}
+    for q in DIFF_Q:
+        for family, oracle in _ORACLES.items():
+            programs.setdefault(family, plan.program(family))
+            assert plan.program(family) is programs[family]
+            _assert_matches_oracle(plan, family, q, oracle(model, q, plan.data))
+        # Residuals that all vanish would hide stale entries: the leaves
+        # bound at this q must be this q's generator entries.
+        for node in range(1, model.spec.nodes + 1):
+            deformed, classical = op_e_deformed(model, node, -1, q), op_e_classical(model, node, -1)
+            for kind, op in (("eq", deformed), ("e", classical)):
+                for (s, t), v in op.entries.items():
+                    key = (kind, node) + _factor_args(model, node, model.states[t])
+                    assert _radical(plan._leaf(key)).json_map() == v.json_map()
 
 
 class TestLoadConfig:
@@ -531,6 +556,24 @@ class TestLoadConfig:
         assert cfg.families == ("cartan", "ladder")
         with pytest.raises(ConfigError, match="unknown relation family"):
             load_config({"type": "A", "n": 3, "lambda": 2, "families": "cartan,weird"})
+
+    @pytest.mark.parametrize(
+        "overrides, repeated",
+        [
+            ({"q": "1,1"}, "'1'"),
+            ({"q": ["2", "3/5", "4/2"]}, "'2'"),
+            ({"q": "1/2,2/4"}, "'1/2'"),
+            ({"families": "cartan,cartan"}, "'cartan'"),
+            ({"families": ["map", "serre", "map"]}, "'map'"),
+        ],
+        ids=repr,
+    )
+    def test_repeats_refused(self, overrides, repeated):
+        # Each q and family runs once; a repeat (after normalising q, so 2
+        # and 4/2 are one value) would double reports and totals.
+        data = {"type": "A", "n": 3, "lambda": 2, **overrides}
+        with pytest.raises(ConfigError, match=f"repeats {repeated}"):
+            load_config(data)
 
     def test_families_must_be_list_or_string(self):
         with pytest.raises(ConfigError, match="families"):
