@@ -9,13 +9,24 @@ so a word applied to a basis state is a single walk, and all words of one
 relation component reach the same target: its residual at a state is one
 exact number.  Where a walk goes, where it stops (a dead move, or the
 type C cap, which decides BOUNDARY) and which entries it multiplies do
-not depend on q, so each family is compiled once per model into a
-straight-line program over entry keys; each q binds every key once and
-runs the program.  Sparse operator products (LinOp) are not used here;
-the tests rebuild every relation with them as the reference."""
+not depend on q, so each model gets one plan: one namespace of entry
+keys and step tables shared by every family, and each family compiled
+once into a straight-line program over those keys.  Each q binds every
+key once, and the programs run on integer triples (m, n, d) for
+(n/d)*sqrt(m): sums and products of single terms stay triples, and only
+multi-term values or sums of two radicands go through Radical.
+
+A family is evaluated once per distinct binding of its keys, found by
+exact comparison with the bindings of the earlier q of the plan; a match
+reuses that q's per-state results and FAIL records.  The balanced
+q-brackets bind equal keys at q and 1/q, and serre-classical binds no q,
+so it runs once per suite.  Sparse operator products (LinOp) are not
+used here; the tests rebuild every relation with them as the
+reference."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -235,7 +246,8 @@ _MUL, _ADD, _SUB, _NEG = range(4)
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
 # come from the same functions that build the rep matrices; a "finv" leaf
-# is the inverse of the "f" leaf with the same arguments.
+# is the inverse of the "f" leaf with the same arguments.  The kinds in
+# _Q_FREE do not read q, so a plan binds them once.
 _LEAF_VALUES = {
     "e": lambda model, q, node, a, b: _e_classical_entry(model, node, a, b),
     "eq": lambda model, q, node, a, b: _e_deformed_entry(model, node, a, b, q),
@@ -247,6 +259,11 @@ _LEAF_VALUES = {
     "binom": lambda _, q, m, v, d: Radical.from_rational((-1) ** v * qbinom(m, v).eval((q**d,))),
     "comb": lambda _, q, m, v: Radical.from_rational((-1) ** v * math.comb(m, v)),
 }
+
+_Q_FREE = frozenset(("e", "one", "int", "comb"))
+
+# The value every cancelled sum of single terms evaluates to.
+_ZERO = Radical.zero()
 
 
 def _term(value: Radical):
@@ -261,25 +278,51 @@ def _radical(value) -> Radical:
     return _wrap({value[0]: (value[1], value[2])}) if value.__class__ is tuple else value
 
 
+def _same_binding(old: list, new: list) -> bool:
+    """Whether two leaf bindings hold the same values written the same way:
+    triples compare as integers, Radicals by their ordered terms (value
+    equality alone could pair two spellings of one square class)."""
+    return old == new and all(
+        x.__class__ is tuple or list(x._terms.items()) == list(y._terms.items())
+        for x, y in zip(old, new)
+    )
+
+
 class _Tables:
-    """Leaf interning and symbolic step tables while one family compiles."""
+    """The leaf namespace and symbolic step tables of one model, shared by
+    every family compiled on it: each table, each state's factor arguments
+    and each leaf id is built once per model."""
 
     def __init__(self, model: CrystalModel, data: _ModelData):
         self.model, self.data = model, data
-        self.leaves = {}
-        self.ladders = {}
+        self.keys = []  # leaf id -> key
+        self.ids = {}  # key -> leaf id
+        self.steps = {}
+        self.args = {}
 
     def leaf(self, *key) -> int:
-        return self.leaves.setdefault(key, len(self.leaves))
+        leaf = self.ids.get(key)
+        if leaf is None:
+            if key[0] == "finv":
+                self.leaf("f", *key[1:])  # the inverse is bound from it
+            leaf = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return leaf
+
+    def factor_args(self, node: int) -> list:
+        args = self.args.get(node)
+        if args is None:
+            args = self.args[node] = [_factor_args(self.model, node, s) for s in self.model.states]
+        return args
 
     def ladder(self, kind: str, node: int, sign: int) -> list:
         """Step table of a ladder generator.  Its leaves are keyed by the
         factor arguments read on the raising source or the lowering target,
         so raising and lowering share keys; kind "one" is the bare move."""
-        table = self.ladders.get((kind, node, sign))
+        table = self.steps.get((kind, node, sign))
         if table is None:
-            table = self.ladders[(kind, node, sign)] = []
-            states = self.model.states
+            table = self.steps[(kind, node, sign)] = []
+            args = self.factor_args(node) if kind != "one" else None
             for k, row in enumerate(self.data.moves):
                 t, status = row[(node, sign)]
                 if status != MOVE_OK:
@@ -287,14 +330,17 @@ class _Tables:
                 elif kind == "one":
                     table.append((t, self.leaf(kind)))
                 else:
-                    args = _factor_args(self.model, node, states[k] if sign > 0 else states[t])
-                    table.append((t, self.leaf(kind, node, *args)))
+                    table.append((t, self.leaf(kind, node, *args[k if sign > 0 else t])))
         return table
 
     def diagonal(self, kind: str, node: int) -> list:
         """Step table of a deforming factor (kind "f") or its inverse ("finv")."""
-        args = (_factor_args(self.model, node, s) for s in self.model.states)
-        return [(k, self.leaf(kind, node, *ab)) for k, ab in enumerate(args)]
+        table = self.steps.get((kind, node, 0))
+        if table is None:
+            table = self.steps[(kind, node, 0)] = [
+                (k, self.leaf(kind, node, *ab)) for k, ab in enumerate(self.factor_args(node))
+            ]
+        return table
 
 
 @dataclass
@@ -320,32 +366,35 @@ class _Component:
 
 @dataclass
 class _Program:
-    """One family compiled on one model.  Node ids below len(leaves) are
-    the leaves (keys by id); op i, the flat triple (code, a, b) at 3i in
-    ``ops``, defines node len(leaves) + i from earlier nodes.  Per
-    (component, state), component-major: the target ordinal (-1 for
-    none), the residual's node (-1 when no word survives) and whether a
-    word stopped at the cap."""
+    """One family compiled on one model.  Node ids below ``base`` are the
+    plan's leaf ids (the family reads those in ``leaves``); op i, the flat
+    triple (code, a, b) at 3i in ``ops``, defines node base + i from
+    earlier nodes.  Per (component, state), component-major: the target
+    ordinal (-1 for none), the residual's node (-1 when no word survives)
+    and whether a word stopped at the cap.  ``residuals`` are the distinct
+    residual nodes."""
 
     labels: list
     words: list
+    base: int
     leaves: list
     ops: array
     targets: array
     exprs: array
+    residuals: array
     capped: bytearray
 
 
-def _compile(model: CrystalModel, data: _ModelData, family: str) -> _Program:
-    """Walk every word of every component from every state over symbolic
+def _compile(tables: _Tables, family: str) -> _Program:
+    """Walk every word of every component from every state over the plan's
     step tables, interning products and sums into one program."""
-    tables = _Tables(model, data)
-    components = _COMPONENTS[family](model, data, tables)
-    base = len(tables.leaves)
+    model = tables.model
+    components = _COMPONENTS[family](model, tables.data, tables)
+    base = len(tables.keys)
     ops = array("i")
     nodes = {}
 
-    def op(code: int, a: int, b: int = 0) -> int:
+    def op(code: int, a: int, b: int) -> int:
         key = (a << 32 | b) << 2 | code
         node = nodes.get(key)
         if node is None:
@@ -377,53 +426,75 @@ def _compile(model: CrystalModel, data: _ModelData, family: str) -> _Program:
                             continue
                         val = op(_MUL, val, s)
                     if acc is None:
-                        acc = val if sign > 0 else op(_NEG, val)
+                        # a negation reads its operand twice, so every b is a node
+                        acc = val if sign > 0 else op(_NEG, val, val)
                     else:
                         acc = op(_ADD if sign > 0 else _SUB, acc, val)
             if comp.minus_diag is not None:
                 if target not in (None, k):
                     raise VerificationError(f"{comp.label}: diagonal term off the word target")
                 target, d = k, comp.minus_diag[k]
-                acc = op(_NEG, d) if acc is None else op(_SUB, acc, d)
+                acc = op(_NEG, d, d) if acc is None else op(_SUB, acc, d)
             targets.append(-1 if target is None else target)
             exprs.append(-1 if acc is None else acc)
             capped.append(cap)
+    nodes.clear()
+    residuals = array("i", sorted(set(exprs) - {-1}))
     # Flag the last read of every node that is not a residual (4: operand a,
     # 8: operand b), so a run drops each value as soon as it is spent.
-    nodes.clear()
     read = bytearray(base + len(ops) // 3)
-    for e in set(exprs) - {-1}:
+    for e in residuals:
         read[e] = 1
     for i in range(len(ops) - 3, -1, -3):
-        for bit, node in ((4, ops[i + 1]), (8, ops[i + 2])):
-            if not read[node] and (bit == 4 or ops[i] != _NEG):
-                read[node] = 1
-                ops[i] |= bit
+        a, b = ops[i + 1], ops[i + 2]
+        if not read[a]:
+            read[a] = 1
+            ops[i] |= 4
+        if not read[b]:
+            read[b] = 1
+            ops[i] |= 8
+    leaves = [g for g in range(base) if read[g]]
     labels, words = [c.label for c in components], [c.words for c in components]
-    return _Program(labels, words, list(tables.leaves), ops, targets, exprs, capped)
+    return _Program(labels, words, base, leaves, ops, targets, exprs, residuals, capped)
 
 
 def _run(ops: array, vals: list) -> list:
-    """Append the value of every op to ``vals`` (the leaf values).  Products
-    of single terms run on integer triples, as Radical's single-term product
-    does; sums run on Radicals in term order, so merges are unchanged."""
+    """Append the value of every op to ``vals`` (the leaf values).  Single
+    terms run on integer triples: products as Radical's single-term product
+    does, sums and differences of one radicand with one gcd, a cancelled
+    sum as the shared zero.  Anything else (multi-term values, a sum of two
+    radicands that may share a square class) runs on Radicals."""
     push = vals.append
+    gcd = math.gcd
     it = iter(ops)
     for code, a, b in zip(it, it, it):
         x = vals[a]
         kind = code & 3
-        if kind == _MUL:
-            y = vals[b]
-            if x.__class__ is tuple and y.__class__ is tuple:
-                push(_mul_term(*x, *y))
-            else:
-                push(_radical(x) * _radical(y))
-        elif kind == _NEG:
-            push(-_radical(x))
-        elif kind == _ADD:
-            push(_radical(x) + _radical(vals[b]))
+        if kind == _NEG:
+            push((x[0], -x[1], x[2]) if x.__class__ is tuple else -x)
         else:
-            push(_radical(x) - _radical(vals[b]))
+            y = vals[b]
+            single = x.__class__ is tuple and y.__class__ is tuple
+            if single and kind == _MUL:
+                push(_mul_term(*x, *y))
+            elif single and x[0] == y[0]:
+                m, n1, d1 = x
+                n2, d2 = y[1] if kind == _ADD else -y[1], y[2]
+                if d1 == d2:
+                    n, d = n1 + n2, d1
+                else:
+                    n, d = n1 * d2 + n2 * d1, d1 * d2
+                if n:
+                    g = gcd(n, d)
+                    push((m, n // g, d // g))
+                else:
+                    push(_ZERO)
+            elif kind == _MUL:
+                push(_term(_radical(x) * _radical(y)))
+            elif kind == _ADD:
+                push(_term(_radical(x) + _radical(y)))
+            else:
+                push(_term(_radical(x) - _radical(y)))
         if code > 3:
             if code & 4:
                 vals[a] = None
@@ -432,41 +503,14 @@ def _run(ops: array, vals: list) -> list:
     return vals
 
 
-class _Plan:
-    """The relation families of one model, each compiled once on first use
-    and evaluated per q.  Leaf values are kept for one q at a time, node
-    values only while one family at one q is assembled."""
-
-    def __init__(self, model: CrystalModel, data: _ModelData | None = None):
-        self.model = model
-        self.data = _model_data(model) if data is None else data
-        self.programs = {}
-        self._q, self._leaf_values = None, {}
-
-    def program(self, family: str) -> _Program:
-        if family not in self.programs:
-            self.programs[family] = _compile(self.model, self.data, family)
-        return self.programs[family]
-
-    def _leaf(self, key: tuple):
-        val = self._leaf_values.get(key)
-        if val is None:
-            if key[0] == "finv":
-                val = _radical(self._leaf(("f",) + key[1:])).inverse()
-            else:
-                val = _LEAF_VALUES[key[0]](self.model, self._q, *key[1:])
-            val = self._leaf_values[key] = _term(val)
-        return val
-
-    def evaluate(self, prog: _Program, q: Fraction) -> list:
-        """Node values of ``prog`` at q, where every residual node holds a
-        nonzero Radical or None and spent nodes hold None."""
-        if q != self._q:
-            self._q, self._leaf_values = q, {}
-        vals = _run(prog.ops, [self._leaf(key) for key in prog.leaves])
-        for e in set(prog.exprs) - {-1}:
-            vals[e] = _radical(vals[e]) or None
-        return vals
+def _evaluate(prog: _Program, values: list) -> list:
+    """Node values of ``prog`` over a copy of the plan's leaf values, where
+    every residual node holds a nonzero Radical or None and spent nodes
+    hold None."""
+    vals = _run(prog.ops, values[: prog.base])
+    for e in prog.residuals:
+        vals[e] = _radical(vals[e]) or None
+    return vals
 
 
 def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
@@ -480,43 +524,148 @@ def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
     return "->".join(bits)
 
 
+class _Plan:
+    """The relation families of one model over one leaf namespace, each
+    compiled once on first use and evaluated per q.  Leaf values are kept
+    for one q at a time, node values only while one family at one q is
+    evaluated.  Each evaluated outcome (per-state results and FAIL
+    records) is kept with the leaf binding it came from, so a later q
+    whose binding of the family's leaves is exactly the same reuses it."""
+
+    def __init__(self, model: CrystalModel, data: _ModelData | None = None):
+        self.model = model
+        self.data = _model_data(model) if data is None else data
+        self.tables = _Tables(model, self.data)
+        self.programs = {}
+        self._q, self._values = None, []
+        self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
+        self._clean = {}  # (family, margin) -> per_state when no residual survives
+        self._in_margin = {}  # margin -> per-ordinal flags
+
+    def program(self, family: str) -> _Program:
+        if family not in self.programs:
+            self.programs[family] = _compile(self.tables, family)
+        return self.programs[family]
+
+    def compile(self, families) -> None:
+        """Compile ``families`` now, then drop the step tables and factor
+        arguments, which only compiling reads (a later family rebuilds
+        them); the leaf namespace stays for binding."""
+        for family in families:
+            self.program(family)
+        self.tables.steps.clear()
+        self.tables.args.clear()
+
+    def _leaf(self, key: tuple):
+        """The value of the leaf ``key`` at the q of the last binding."""
+        leaf = self.tables.ids[key]
+        val = self._values[leaf]
+        if val is None:
+            if key[0] == "finv":
+                val = _radical(self._leaf(("f",) + key[1:])).inverse()
+            else:
+                val = _LEAF_VALUES[key[0]](self.model, self._q, *key[1:])
+            val = self._values[leaf] = _term(val)
+        return val
+
+    def bind(self, prog: _Program, q: Fraction) -> list:
+        """The values of ``prog``'s leaves at q.  Every leaf of the plan is
+        bound at most once per q, and one whose kind takes no q once."""
+        keys = self.tables.keys
+        if q != self._q:
+            self._q = q
+            self._values = [
+                v if v is not None and keys[g][0] in _Q_FREE else None
+                for g, v in enumerate(self._values)
+            ]
+        values = self._values
+        values.extend([None] * (len(keys) - len(values)))
+        return [values[g] if values[g] is not None else self._leaf(keys[g]) for g in prog.leaves]
+
+    def evaluate(self, prog: _Program, q: Fraction) -> list:
+        """Node values of ``prog`` at q (see _evaluate)."""
+        self.bind(prog, q)
+        return _evaluate(prog, self._values)
+
+    def outcome(self, family: str, q: Fraction, margin: int) -> tuple[list, list]:
+        """Per-state results and FAIL records of ``family`` at q."""
+        prog = self.program(family)
+        binding = self.bind(prog, q)
+        seen = self._outcomes.setdefault((family, margin), [])
+        for old, per_state, failures in seen:
+            if _same_binding(old, binding):
+                break
+        else:
+            vals = _evaluate(prog, self._values)
+            if any(vals[e] is not None for e in prog.residuals):
+                per_state, failures = self._classify(prog, vals, margin)
+            else:
+                per_state, failures = self._clean_states(family, prog, margin), []
+            seen.append((binding, per_state, failures))
+        return list(per_state), copy.deepcopy(failures)
+
+    def _margin(self, margin: int) -> list:
+        flags = self._in_margin.get(margin)
+        if flags is None:
+            model = self.model
+            flags = self._in_margin[margin] = [
+                boundary_class(model, s, margin) == CAP_MARGIN for s in model.states
+            ]
+        return flags
+
+    def _clean_states(self, family: str, prog: _Program, margin: int) -> list:
+        """Per-state results when every residual vanishes: BOUNDARY where a
+        word stopped at the cap inside the margin, PASS elsewhere."""
+        key = (family, margin)
+        states = self._clean.get(key)
+        if states is None:
+            dim, capped, in_margin = self.model.dim, prog.capped, self._margin(margin)
+            states = self._clean[key] = [
+                StateResult(s, True, BOUNDARY if in_margin[k] and any(capped[k::dim]) else PASS)
+                for k, s in enumerate(self.model.states)
+            ]
+        return states
+
+    def _classify(self, prog: _Program, vals: list, margin: int) -> tuple[list, list]:
+        model, moves, dim = self.model, self.data.moves, self.model.dim
+        exprs, capped, in_margin = prog.exprs, prog.capped, self._margin(margin)
+        per_state, failures = [], []
+        for k, s in enumerate(model.states):
+            any_boundary = False
+            any_fail = False
+            all_zero = True
+            for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
+                i = c * dim + k
+                e = exprs[i]
+                val = vals[e] if e >= 0 else None
+                if val is not None:
+                    all_zero = False
+                # A capped word excuses the state only inside the margin.
+                if in_margin[k] and capped[i]:
+                    any_boundary = True
+                elif val is not None:
+                    any_fail = True
+                    traces = "; ".join(_word_trace(model, moves, k, w) for w in words)
+                    t = model.states[prog.targets[i]]
+                    failures.append(
+                        {
+                            "state": list(s),
+                            "word": f"{label} [{traces}] -> {list(t)}",
+                            "residual": val.json_map(),
+                        }
+                    )
+            klass = FAIL if any_fail else (BOUNDARY if any_boundary else PASS)
+            per_state.append(StateResult(s, all_zero, klass))
+        return per_state, failures
+
+
 def _assemble(family: str, model: CrystalModel, q, margin: int, plan) -> RelationReport:
     q = ensure_positive_q(q)
     relation_id = "serre-deformed" if family == "serre" else family
     if plan is None:
         plan = _Plan(model)
-    prog = plan.program(family)
-    vals = plan.evaluate(prog, q)
-    moves, dim = plan.data.moves, model.dim
-    exprs, capped = prog.exprs, prog.capped
     report = RelationReport(relation_id=relation_id, carrier=model.spec.describe(), q=q)
-    for k, s in enumerate(model.states):
-        in_margin = boundary_class(model, s, margin) == CAP_MARGIN
-        any_boundary = False
-        any_fail = False
-        all_zero = True
-        for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
-            i = c * dim + k
-            e = exprs[i]
-            val = vals[e] if e >= 0 else None
-            if val is not None:
-                all_zero = False
-            # A capped word excuses the state only inside the margin.
-            if in_margin and capped[i]:
-                any_boundary = True
-            elif val is not None:
-                any_fail = True
-                traces = "; ".join(_word_trace(model, moves, k, w) for w in words)
-                t = model.states[prog.targets[i]]
-                report.failures.append(
-                    {
-                        "state": list(s),
-                        "word": f"{label} [{traces}] -> {list(t)}",
-                        "residual": val.json_map(),
-                    }
-                )
-        klass = FAIL if any_fail else (BOUNDARY if any_boundary else PASS)
-        report.per_state.append(StateResult(s, all_zero, klass))
+    report.per_state, report.failures = plan.outcome(family, q, margin)
     return report
 
 
@@ -855,11 +1004,17 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     order, and the JSON rendering is byte-stable across runs.
 
     The model's relation plan is built once: its move table and Cartan
-    data, and each family's program, compiled at the family's first q.
-    Every q then binds the plan's leaves once and evaluates one family at
-    a time."""
+    data, one leaf namespace with its step tables, and each family's
+    program, compiled at the family's first q.  Every q binds the plan's
+    leaves once (those that take no q once per run), and each family
+    runs on integer triples only when its binding differs from that of
+    every earlier q; on an exact match the earlier q's per-state results
+    and FAIL records are reused under the new q label.  The balanced
+    q-brackets bind equal leaves at q and 1/q, and serre-classical runs
+    once per suite; the comparison finds this, it is never assumed."""
     model = build_model(config.spec())
     plan = _Plan(model)
+    plan.compile(config.families)
     reports = [
         _FAMILY_RUNNERS[fam](model, q, config.margin, plan)
         for q in config.q_list

@@ -41,6 +41,22 @@ GOLDEN = [
         "1d14f730be42bba0400ae7897409686e37ebb7899f478f550996844aae221f35",
     ),
     (
+        # FAIL records at two reciprocal pairs of q
+        "C3-2-18-reciprocal-q-margin0",
+        SuiteConfig("C", 3, 2, cap=18, margin=0, q_list=(F(2), F(1, 2), F(3, 5), F(5, 3))),
+        "e88a93c1610fa6434274e0f626d5c5b1e488db971798af8beffc4a0533e1a73f",
+        "a3b744f1d2c3d22e1082083af2fc0b731506816eae70fde6e373529806c6f1b4",
+    ),
+    (
+        # serre-classical binds no q: one evaluation serves all three
+        "C2-2-12-3q-all-families-margin0",
+        SuiteConfig(
+            "C", 2, 2, cap=12, margin=0, q_list=(F(1), F(2), F(3)), families=KNOWN_FAMILIES
+        ),
+        "bcbe00d07007cfa807e41e671a3de19831a9786ea95e1555a4d8762ad0db8084",
+        "b4e2f13f24361d61d9ab644a40423014148dd165e00319c005e51524697422f9",
+    ),
+    (
         "C2-2-12-margin0",
         SuiteConfig("C", 2, 2, cap=12, margin=0),
         "843f57fdf2a5094ac3c17d8fb1e57a2d98bb4372d1a78bbb76f6a90a5c7a8077",

@@ -1,10 +1,13 @@
 import json
 import math
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qcrys.verify as verify
 from qcrys.crystal import MOVE_CAPPED, MOVE_OK, CrystalSpec, build_model, weight_h
 from qcrys.rep import (
     CZ_NODE,
@@ -23,11 +26,20 @@ from qcrys.rep import (
 from qcrys.report import BOUNDARY, FAIL, PASS
 from qcrys.scalar import Radical, qbinom, qint_at
 from qcrys.verify import (
+    _ADD,
+    _FAMILY_RUNNERS,
+    _MUL,
+    _NEG,
+    _SUB,
+    KNOWN_FAMILIES,
     ConfigError,
     SuiteConfig,
     _model_data,
     _Plan,
     _radical,
+    _run,
+    _same_binding,
+    _term,
     cartan_matrix,
     check_cartan,
     check_ladder,
@@ -487,6 +499,165 @@ def test_plan_compiled_once_serves_every_q(cfg):
                 for (s, t), v in op.entries.items():
                     key = (kind, node) + _factor_args(model, node, model.states[t])
                     assert _radical(plan._leaf(key)).json_map() == v.json_map()
+
+
+# Binding reuse: run_suite evaluates a family once per distinct leaf
+# binding.  Balanced q-brackets bind the same leaves at q and 1/q, and the
+# classical Serre relations bind no q at all.
+REUSE_CONFIGS = [
+    SuiteConfig("C", 3, 2, cap=18, margin=0, q_list=(F(2), F(1, 2), F(3, 5), F(5, 3))),
+    SuiteConfig("A", 3, 3, q_list=(F(2), F(1), F(1, 2), F(3), F(1, 3))),
+    SuiteConfig("C", 2, 2, cap=12, q_list=(F(3, 5), F(5, 3), F(1), F(2))),
+]
+
+
+@pytest.mark.parametrize("cfg", REUSE_CONFIGS, ids=_cfg_id)
+class TestBindingReuse:
+    def _suite(self, cfg):
+        return run_suite(replace(cfg, families=KNOWN_FAMILIES))
+
+    def test_reports_match_fresh_plans(self, cfg):
+        suite = self._suite(cfg)
+        model = build_model(cfg.spec())
+        keys = [(q, fam) for q in cfg.q_list for fam in KNOWN_FAMILIES]
+        assert len(suite.reports) == len(keys)
+        for got, (q, fam) in zip(suite.reports, keys):
+            want = _FAMILY_RUNNERS[fam](model, q, cfg.margin, None)
+            assert json.dumps(got.to_json_dict(), sort_keys=True) == json.dumps(
+                want.to_json_dict(), sort_keys=True
+            )
+            assert got.per_state == want.per_state
+
+    def test_reciprocal_q_reports_agree(self, cfg):
+        suite = self._suite(cfg)
+        by_q = {}
+        for report in suite.reports:
+            by_q.setdefault(report.q, []).append(report)
+        pairs = [q for q in cfg.q_list if q > 1 and 1 / q in by_q]
+        assert pairs
+        for q in pairs:
+            for a, b in zip(by_q[q], by_q[1 / q]):
+                da, db = a.to_json_dict(), b.to_json_dict()
+                assert (da.pop("q"), db.pop("q")) == (str(q), str(1 / q))
+                assert da == db
+                assert a.per_state == b.per_state
+        if cfg.margin == 0:
+            # the comparison must cover FAIL records at both ends of a pair
+            assert all(by_q[q][1].failures for q in pairs)
+
+
+@pytest.mark.parametrize(
+    "family, q_list, runs",
+    [
+        ("serre-classical", (F(1), F(2), F(3)), 1),
+        ("ladder", (F(2), F(1, 2)), 1),
+        ("ladder", (F(2), F(3)), 2),
+    ],
+    ids=["serre-classical-3q", "ladder-reciprocal", "ladder-distinct"],
+)
+def test_one_run_per_distinct_binding(monkeypatch, family, q_list, runs):
+    calls = []
+
+    def counting_run(ops, vals):
+        calls.append(len(ops))
+        return _run(ops, vals)
+
+    monkeypatch.setattr(verify, "_run", counting_run)
+    cfg = SuiteConfig("C", 2, 2, cap=12, margin=0, q_list=q_list, families=(family,))
+    run_suite(cfg)
+    assert len(calls) == runs
+
+
+def test_same_binding_compares_spellings():
+    # Two spellings of one square class: equal values, different terms.
+    a = Radical({1009 * 1013: 1, 6: 1})
+    b = Radical({1009 * 1013 * 1019**2: F(1, 1019), 6: 1})
+    assert a == b and a.json_map() != b.json_map()
+    assert not _same_binding([(2, 1, 1), a], [(2, 1, 1), b])
+    assert _same_binding([(2, 1, 1), a], [(2, 1, 1), Radical({1009 * 1013: 1, 6: 1})])
+    assert not _same_binding([(2, 1, 1)], [(2, 1, 3)])
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+def test_one_leaf_namespace_per_plan(monkeypatch, cfg):
+    # Factor arguments are read once per (node, state), and each leaf key
+    # is bound once per q, however many families use it (once per plan
+    # where its kind takes no q).
+    model = build_model(cfg.spec())
+    args_calls = []
+
+    def counting_args(model, node, state):
+        args_calls.append((node, state))
+        return _factor_args(model, node, state)
+
+    monkeypatch.setattr(verify, "_factor_args", counting_args)
+    bound = []
+    for kind, value in list(verify._LEAF_VALUES.items()):
+        monkeypatch.setitem(
+            verify._LEAF_VALUES,
+            kind,
+            lambda model, q, *args, kind=kind, value=value: bound.append((q, kind) + args)
+            or value(model, q, *args),
+        )
+    plan = _Plan(model)
+    for q in DIFF_Q:
+        for family in KNOWN_FAMILIES:
+            plan.evaluate(plan.program(family), q)
+    assert sorted(args_calls) == sorted(set(args_calls))
+    assert len(args_calls) == model.spec.nodes * model.dim
+    assert len(bound) == len(set(bound))
+    assert {b[1:] for b in bound} <= set(plan.tables.keys)
+    fixed = [b[1:] for b in bound if b[1] in verify._Q_FREE]
+    assert fixed and len(fixed) == len(set(fixed))
+
+
+# Runner differential: _run on integer triples against Radical arithmetic.
+# The radicands include two spellings of one square class (two primes
+# above the trial bound, times a square), whose sum only merges through
+# Radical's class check, and the small coefficient pool makes sums cancel.
+_RUN_RADICANDS = (1, -1, 2, -3, 6, 1009 * 1013, 1009 * 1013 * 1019**2, -1009 * 1031)
+_run_leaves = st.dictionaries(
+    st.sampled_from(_RUN_RADICANDS),
+    st.sampled_from((F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(3, 5))),
+    max_size=3,
+).map(lambda terms: _term(Radical(terms)))
+
+
+def test_runner_cancels_and_merges():
+    merged = 1009 * 1013
+    leaves = [(6, 1, 2), (merged, 1, 1), (merged * 1019**2, 1, 1019), (6, -1, 2)]
+    ops = [(_SUB, 0, 0), (_ADD, 0, 3), (_ADD, 1, 2), (_MUL, 4, 1), (_NEG, 4, 4)]
+    vals = _run(array("i", [x for op in ops for x in op]), list(leaves))
+    assert vals[4] is vals[5] and not vals[4]  # both cancelled sums: one shared zero
+    assert vals[6] == (merged, 2, 1)  # sqrt(m) + sqrt(1019^2 m) / 1019 = 2 sqrt(m)
+    assert not vals[7] and not vals[8]
+
+
+def _reference_run(ops, leaves):
+    vals = [_radical(v) for v in leaves]
+    for code, a, b in ops:
+        x, y = vals[a], vals[b]
+        vals.append({_MUL: x * y, _ADD: x + y, _SUB: x - y, _NEG: -x}[code])
+    return vals
+
+
+@given(leaves=st.lists(_run_leaves, min_size=1, max_size=5), data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_runner_matches_radical_reference(leaves, data):
+    ops = []
+    for i in range(data.draw(st.integers(1, 12))):
+        top = len(leaves) + i - 1
+        code = data.draw(st.sampled_from((_MUL, _ADD, _SUB, _NEG)))
+        a = data.draw(st.integers(0, top))
+        b = a if code == _NEG else data.draw(st.integers(0, top))
+        ops.append((code, a, b))
+    got = _run(array("i", [x for op in ops for x in op]), list(leaves))
+    want = _reference_run(ops, leaves)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert _radical(g).json_map() == w.json_map()
+        # single terms stay integer triples, so the fast paths keep firing
+        assert (g.__class__ is tuple) == (len(w.terms) == 1)
 
 
 class TestLoadConfig:

@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Byte-identity fingerprints of the qcrys command line.
+
+    python3 tools/report_identity.py [--root CHECKOUT] > fingerprints.txt
+
+Runs a fixed list of CLI configurations, each in a fresh interpreter
+against ``CHECKOUT/src`` (default: the checkout holding this script),
+and prints one line per configuration: its name, the exit code and the
+sha256 of standard output, standard error and the file written by
+``--output`` ("-" where the configuration writes none).  Every run
+happens in an empty temporary directory and writes to the relative path
+``out``, so no line depends on where it ran.
+
+A change that must keep the reports byte-identical is checked by running
+this script once against the old checkout and once against the new one
+and comparing the two outputs with ``diff``.  The list covers every
+README command, every Baseline row of ROADMAP.md, the margin-0 type C
+configurations that carry FAIL records, suites with reciprocal q pairs,
+and mixes of all relation families including ``serre-classical``.  The
+whole list takes a few minutes; the boson cutoff-40 tower check alone
+takes about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ALL_FAMILIES = "cartan,ladder,serre,serre-classical,map"
+
+# (name, argv); "--output out" is part of the argv where a file is written.
+CONFIGS = [
+    # README commands
+    ("readme-identity", "identity --a 1 --z 1"),
+    ("readme-crystal-dot", "crystal --type A --n 3 --lambda 2 --format dot"),
+    ("readme-rep-csv",
+     "rep --type C --n 1 --lambda 0 --cap 8 --which classical --node 1 --format csv"),
+    ("readme-verify-A3-3", "verify --type A --n 3 --lambda 3 --q 2"),
+    ("readme-verify-C2-2-12", "verify --type C --n 2 --lambda 2 --cap 12 --q 3/5 --output out"),
+    ("readme-verify-cz", "verify --type A --n 2 --lambda 8 --q 2,1/2 --cz"),
+    ("readme-boson-vdj", "boson --realization vdj --q 3/2 --cutoff 6"),
+    ("readme-boson-towers", "boson --realization paper --q 2 --cutoff 8 --towers"),
+    # ROADMAP Baseline rows, with their reports
+    ("base-A3-3", "verify --type A --n 3 --lambda 3 --output out"),
+    ("base-A4-5", "verify --type A --n 4 --lambda 5 --output out"),
+    ("base-A5-6", "verify --type A --n 5 --lambda 6 --output out"),
+    ("base-C2-2-12", "verify --type C --n 2 --lambda 2 --cap 12 --output out"),
+    ("base-C3-3-13", "verify --type C --n 3 --lambda 3 --cap 13 --output out"),
+    ("base-C3-3-21", "verify --type C --n 3 --lambda 3 --cap 21 --output out"),
+    ("base-C4-2-12", "verify --type C --n 4 --lambda 2 --cap 12 --output out"),
+    ("base-A2-80", "verify --type A --n 2 --lambda 80 --q 3/5 --output out"),
+    ("base-A2-200", "verify --type A --n 2 --lambda 200 --q 3/5 --output out"),
+    ("base-boson-vdj-20", "boson --realization vdj --q 3/2 --cutoff 20 --output out"),
+    ("base-boson-vdj-28", "boson --realization vdj --q 3/2 --cutoff 28 --output out"),
+    ("base-boson-paper-20", "boson --realization paper --q 2 --cutoff 20 --towers --output out"),
+    ("base-boson-paper-40", "boson --realization paper --q 2 --cutoff 40 --towers --output out"),
+    # margin 0: truncation artifacts surface as FAIL records
+    ("fail-C3-2-18", "verify --type C --n 3 --lambda 2 --cap 18 --margin 0 --output out"),
+    ("fail-C2-2-12", "verify --type C --n 2 --lambda 2 --cap 12 --margin 0 --output out"),
+    ("fail-C1-0-8", "verify --type C --n 1 --lambda 0 --cap 8 --margin 0 --output out"),
+    ("fail-C3-2-18-recip",
+     "verify --type C --n 3 --lambda 2 --cap 18 --margin 0 --q 2,1/2,3/5,5/3 --output out"),
+    ("fail-C3-3-13-recip",
+     "verify --type C --n 3 --lambda 3 --cap 13 --margin 0 --q 3/2,5/3,2/3,3/5 --output out"),
+    ("fail-C1-0-8-recip",
+     "verify --type C --n 1 --lambda 0 --cap 8 --margin 0 --q 1/2,1,2 --output out"),
+    # every family, and serre-classical on its own or mixed
+    ("fam-A4-5-all", f"verify --type A --n 4 --lambda 5 --families {ALL_FAMILIES} --output out"),
+    ("fam-C2-2-12-all",
+     f"verify --type C --n 2 --lambda 2 --cap 12 --margin 0 --q 1,2,3 --families {ALL_FAMILIES}"
+     " --output out"),
+    ("fam-C3-2-18-all-recip",
+     f"verify --type C --n 3 --lambda 2 --cap 18 --q 2,1/2,3 --families {ALL_FAMILIES}"
+     " --output out"),
+    ("fam-A3-3-serre-classical",
+     "verify --type A --n 3 --lambda 3 --q 2,1/2,3 --families serre-classical --output out"),
+    ("fam-C2-2-12-classical-mix",
+     "verify --type C --n 2 --lambda 2 --cap 12 --margin 0 --q 3/5,5/3"
+     " --families serre-classical,ladder,serre --output out"),
+    # the benchmark's suite shape: four q of the sp2n_suite pool
+    ("bench-C3-3-13-a", "verify --type C --n 3 --lambda 3 --cap 13 --q 1,2,1/2,3/5 --output out"),
+    ("bench-C3-3-13-b",
+     "verify --type C --n 3 --lambda 3 --cap 13 --q 5/3,3/2,2/3,3/5 --output out"),
+    ("bench-C3-3-13-c", "verify --type C --n 3 --lambda 3 --cap 13 --q 2/3,1,5/3,2 --output out"),
+    # exports, trivial carriers and refused input
+    ("rep-C2-2-6-deformed-json",
+     "rep --type C --n 2 --lambda 2 --cap 6 --which deformed --node 2 --q 3/5 --format json"
+     " --output out"),
+    ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
+    ("trivial-C1-1-1", "verify --type C --n 1 --lambda 1 --cap 1 --margin 0 --output out"),
+    ("refused-repeated-q", "verify --type A --n 2 --lambda 2 --q 2,4/2"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(src: Path, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryDirectory(prefix="qcrys-identity-") as work:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcrys.cli", *argv],
+            cwd=work,
+            env=env,
+            capture_output=True,
+            check=False,
+        )
+        out = Path(work) / "out"
+        written = _sha(out.read_bytes()) if out.exists() else "-"
+    return (
+        f"exit={proc.returncode} stdout={_sha(proc.stdout)} "
+        f"stderr={_sha(proc.stderr)} output={written}"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--root",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="checkout whose src/qcrys is run (default: this one)",
+    )
+    args = parser.parse_args(argv)
+    src = args.root.resolve() / "src"
+    if not (src / "qcrys" / "cli.py").is_file():
+        print(f"report_identity: no qcrys sources under {src}", file=sys.stderr)
+        return 2
+    for name, line in CONFIGS:
+        print(f"{name} {fingerprint(src, line.split())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
