@@ -6,6 +6,7 @@ exactness guarantee survives end to end."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import tempfile
 from fractions import Fraction
 
 from .boson import FockSpace, check_so3, check_so3_towers, standard_so3, vdj_so3
-from .crystal import CrystalSpec, build_model, graph_dot, graph_json
+from .crystal import DEFAULT_CAP_HEADROOM, CrystalSpec, build_model, graph_dot, graph_json
 from .rep import (
     matrix_csv,
     matrix_json_entries,
@@ -58,7 +59,7 @@ def _write_output(path: str | None, text: str) -> None:
 def _spec_from_args(args) -> CrystalSpec:
     cap = args.cap
     if args.type == "C" and cap is None:
-        cap = args.lam + 10
+        cap = args.lam + DEFAULT_CAP_HEADROOM
     return CrystalSpec(args.type, args.n, args.lam, cap)
 
 
@@ -216,17 +217,7 @@ def _cmd_verify(args) -> int:
             data["families"] = args.families
         config = load_config(data)
     if args.cz and "map" not in config.families:
-        config = load_config(
-            {
-                "type": config.algebra_type,
-                "n": config.n,
-                "lambda": config.lam,
-                "cap": config.cap,
-                "margin": config.margin,
-                "q": [str(v) for v in config.q_list],
-                "families": list(config.families) + ["map"],
-            }
-        )
+        config = dataclasses.replace(config, families=config.families + ("map",))
     result = run_suite(config)
     for report in result.reports:
         print(report.one_line())

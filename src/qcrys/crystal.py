@@ -17,6 +17,7 @@ __all__ = [
     "MOVE_DEAD",
     "MOVE_CAPPED",
     "DEFAULT_MARGIN",
+    "DEFAULT_CAP_HEADROOM",
     "CrystalSpec",
     "CrystalModel",
     "build_model",
@@ -25,6 +26,7 @@ __all__ = [
     "e_hat",
     "weight_n",
     "weight_h",
+    "weight_h2",
     "boundary_class",
     "graph_json_obj",
     "graph_json",
@@ -45,6 +47,9 @@ MOVE_DEAD = "dead"
 MOVE_CAPPED = "capped"
 
 DEFAULT_MARGIN = 6
+
+# A type C space built without an explicit cap stops at lam + this headroom.
+DEFAULT_CAP_HEADROOM = 10
 
 
 @dataclass(frozen=True)
@@ -201,14 +206,20 @@ def weight_n(model: CrystalModel, state) -> tuple[int, ...]:
     return state
 
 
+def weight_h2(model: CrystalModel, state) -> tuple[int, ...]:
+    """Doubled Cartan eigenvalues 2H_i, all integers: twice the adjacent
+    label differences, plus 2 l_n + 1 on the type C long node."""
+    state = weight_n(model, state)
+    out = [2 * (state[i] - state[i + 1]) for i in range(model.spec.n - 1)]
+    if model.spec.algebra_type == TYPE_C:
+        out.append(2 * state[-1] + 1)
+    return tuple(out)
+
+
 def weight_h(model: CrystalModel, state) -> tuple[Fraction, ...]:
     """Cartan eigenvalues: adjacent label differences, plus l_n + 1/2 on
-    the type C long node."""
-    state = weight_n(model, state)
-    out = [Fraction(state[i] - state[i + 1]) for i in range(model.spec.n - 1)]
-    if model.spec.algebra_type == TYPE_C:
-        out.append(state[-1] + Fraction(1, 2))
-    return tuple(out)
+    the type C long node (half of weight_h2)."""
+    return tuple(Fraction(x, 2) for x in weight_h2(model, state))
 
 
 def boundary_class(model: CrystalModel, state, margin: int = DEFAULT_MARGIN) -> str:

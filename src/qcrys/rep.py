@@ -222,19 +222,13 @@ def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
 def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     """Ladder matrix with a diagonal dressing evaluated on the raising
     operand / lowering image, i.e. on the state where both square-root
-    factor arguments are read off.  ``value(a, b)`` is called once per
-    distinct factor-argument pair, and every entry with that pair holds
-    the same object."""
+    factor arguments are read off: the entry is ``value(a, b)``."""
     entries = {}
-    shared = {}
     for k, s in enumerate(model.states):
         t = e_hat(model, node, sign, s)
         if t is None:
             continue
-        args = _factor_args(model, node, s if sign > 0 else t)
-        val = shared.get(args)
-        if val is None:
-            val = shared[args] = value(*args)
+        val = value(*_factor_args(model, node, s if sign > 0 else t))
         if val:
             entries[(k, model.index[t])] = val
     return LinOp(model.dim, entries)
@@ -269,8 +263,7 @@ def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:
     """Undeformed Chevalley generator: the crystal ladder operator dressed
     with sqrt((N_i+1) N_{i+1}), or (1/2) sqrt((N_n+1)(-N_n-2)) on the type C
     long node.  The long-node radicand is negative, so those entries are
-    imaginary and carried exactly by the radical branch rule.  Entries are
-    shared per factor-argument pair (see _dressed_ladder)."""
+    imaginary and carried exactly by the radical branch rule."""
     return _dressed_ladder(model, node, sign, lambda a, b: _e_classical_entry(model, node, a, b))
 
 
@@ -278,8 +271,7 @@ def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
     """q-deformed Chevalley generator: each arithmetic factor x of the
     classical dressing becomes the bracket [x]_q, and the long-node
     prefactor 1/2 becomes 1/(q + q^(-1)).  At q = 1 this coincides with
-    op_e_classical entry for entry.  Entries are shared per
-    factor-argument pair (see _dressed_ladder)."""
+    op_e_classical entry for entry."""
     q = ensure_positive_q(q)
     return _dressed_ladder(model, node, sign, lambda a, b: _e_deformed_entry(model, node, a, b, q))
 
@@ -299,18 +291,11 @@ def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     On states where the classical radicand vanishes (exactly the states the
     ladder operator annihilates) the factor is set to 1, which keeps it
     invertible on its support without changing either side of the map.
-    Each value is computed once per distinct factor-argument pair, and
-    every state with that pair holds the same object.
     """
     q = ensure_positive_q(q)
-    shared = {}
-    values = []
-    for s in model.states:
-        args = _factor_args(model, node, s)
-        if args not in shared:
-            shared[args] = _deform_entry(model, node, *args, q)
-        values.append(shared[args])
-    return LinOp.diagonal(values)
+    return LinOp.diagonal(
+        _deform_entry(model, node, *_factor_args(model, node, s), q) for s in model.states
+    )
 
 
 def deform_factor_inv(model: CrystalModel, node: int, q) -> LinOp:

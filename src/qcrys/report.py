@@ -55,9 +55,6 @@ class RelationReport:
     def all_clear(self) -> bool:
         return self.summary["fail"] == 0
 
-    def boundary_states(self) -> list[tuple[int, ...]]:
-        return [r.state for r in self.per_state if r.klass == BOUNDARY]
-
     def to_json_dict(self) -> dict:
         return {
             "relation_id": self.relation_id,

@@ -9,12 +9,15 @@ so a word applied to a basis state is a single walk, and all words of one
 relation component reach the same target: its residual at a state is one
 exact number.  Where a walk goes, where it stops (a dead move, or the
 type C cap, which decides BOUNDARY) and which entries it multiplies do
-not depend on q, so each model gets one plan: one namespace of entry
-keys and step tables shared by every family, and each family compiled
-once into a straight-line program over those keys.  Each q binds every
-key once, and the programs run on integer triples (m, n, d) for
-(n/d)*sqrt(m): sums and products of single terms stay triples, and only
-multi-term values or sums of two radicands go through Radical.
+not depend on q, so each model gets one plan, built once: its move
+table, its Cartan data read off the integer doubled eigenvalues 2H_i,
+one namespace of entry keys with step tables shared by every family, and
+each requested family compiled into a straight-line program over those
+keys, after which the step tables are dropped.  Per q the plan only
+binds, runs and classifies: each q binds every key once, and the
+programs run on integer triples (m, n, d) for (n/d)*sqrt(m): sums and
+products of single terms stay triples, and only multi-term values or
+sums of two radicands go through Radical.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -36,6 +39,7 @@ from fractions import Fraction
 
 from .crystal import (
     CAP_MARGIN,
+    DEFAULT_CAP_HEADROOM,
     DEFAULT_MARGIN,
     MOVE_CAPPED,
     MOVE_DEAD,
@@ -47,7 +51,7 @@ from .crystal import (
     apply_move,
     boundary_class,
     build_model,
-    weight_h,
+    weight_h2,
 )
 from .rep import _cz_entry, _deform_entry, _e_classical_entry, _e_deformed_entry, _factor_args
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
@@ -82,7 +86,6 @@ class ConfigError(Exception):
 
 DEFAULT_Q_LIST = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 DEFAULT_FAMILIES = ("cartan", "ladder", "serre", "map")
-KNOWN_FAMILIES = ("cartan", "ladder", "serre", "serre-classical", "map")
 
 
 # -- Cartan data derived from the crystal ------------------------------------
@@ -104,50 +107,13 @@ def expected_cartan(spec: CrystalSpec) -> list[list[int]]:
     return m
 
 
-def cartan_matrix(
-    model: CrystalModel, moves: list | None = None, h: list | None = None
-) -> list[list[int]]:
+def cartan_matrix(model: CrystalModel) -> list[list[int]]:
     """Cartan integers measured from the crystal weight shifts: entry
     (i, j) is the shift of the H_i eigenvalue under the node-j raising
     move.  Every state admitting the move must report the same shift, and
     the result must agree with the reference matrix; disagreement is an
-    engine error, not a relation failure.  ``moves`` is the model's
-    ladder-move table and ``h`` the weight_h of every state by ordinal
-    (each built here when absent)."""
-    spec = model.spec
-    nodes = spec.nodes
-    if moves is None:
-        moves = _move_table(model)
-    if h is None:
-        h = [weight_h(model, s) for s in model.states]
-    expected = expected_cartan(spec)
-    measured: list[list[int]] = [[0] * nodes for _ in range(nodes)]
-    for j in range(1, nodes + 1):
-        shifts = set()
-        for k, row in enumerate(moves):
-            t, status = row[(j, 1)]
-            if status != MOVE_OK:
-                continue
-            hs, ht = h[k], h[t]
-            shifts.add(tuple(ht[i] - hs[i] for i in range(nodes)))
-        if not shifts:
-            # No state admits the move (trivial representations); fall
-            # back to the reference column.
-            for i in range(nodes):
-                measured[i][j - 1] = expected[i][j - 1]
-            continue
-        if len(shifts) > 1:
-            raise VerificationError(f"inconsistent weight shifts for node {j}")
-        (shift,) = shifts
-        for i in range(nodes):
-            if shift[i].denominator != 1:
-                raise VerificationError("non-integer Cartan entry measured")
-            measured[i][j - 1] = int(shift[i])
-    if measured != expected:
-        raise VerificationError(
-            f"measured Cartan matrix {measured} differs from expected {expected}"
-        )
-    return measured
+    engine error, not a relation failure (see _model_data)."""
+    return _model_data(model)[1]
 
 
 def symmetrizers(spec: CrystalSpec, cartan: list[list[int]]) -> list[int]:
@@ -185,50 +151,64 @@ def _move_table(model: CrystalModel) -> list[dict[tuple[int, int], tuple]]:
     return table
 
 
-@dataclass(frozen=True)
-class _ModelData:
-    """The q-independent inputs of the relation families on one model:
-    the ladder-move table, the Cartan eigenvalues of each state (by
-    ordinal), the measured Cartan matrix and the symmetrizers.  Derived
-    from them on construction: the integer Cartan coefficients keyed
-    (i, j, sign), per source ordinal H_i(target) - H_i(source) - sign*a_ij
-    on a live node-j move and 0 elsewhere."""
-
-    moves: list
-    h: list
-    cartan: list
-    d: list
-    cartan_coeffs: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        moves, a = self.moves, self.cartan
-        nodes = len(a)
-        # Eigenvalues are integers or half-integers: work with them doubled.
-        h2 = [[2 * x for x in hs] for hs in self.h]
-        if any(x.denominator != 1 for hs in h2 for x in hs):
-            raise VerificationError("Cartan eigenvalue is not a half-integer")
-        h2 = [[int(x) for x in hs] for hs in h2]
-        coeffs = {}
-        for i in range(nodes):
-            for j in range(1, nodes + 1):
-                for sign in (1, -1):
-                    shift2 = 2 * sign * a[i][j - 1]
-                    column = []
-                    for k, row in enumerate(moves):
-                        t, status = row[(j, sign)]
-                        c2 = h2[t][i] - h2[k][i] - shift2 if status == MOVE_OK else 0
-                        if c2 % 2:
-                            raise VerificationError("non-integer Cartan coefficient")
-                        column.append(c2 // 2)
-                    coeffs[(i + 1, j, sign)] = column
-        object.__setattr__(self, "cartan_coeffs", coeffs)
+def _half(x2: int, what: str) -> int:
+    """Half of a doubled value that must be even."""
+    if x2 % 2:
+        raise VerificationError(f"{what} is not an integer: {x2}/2")
+    return x2 // 2
 
 
-def _model_data(model: CrystalModel) -> _ModelData:
+def _model_data(model: CrystalModel) -> tuple:
+    """The q-independent integers of the relation families on one model,
+    read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states:
+    the move table, the measured Cartan matrix, the symmetrizers, the
+    Cartan coefficients keyed (i, j, sign), per source ordinal
+    H_i(target) - H_i(source) - sign*a_ij on a live node-j move and 0
+    elsewhere, and per node i the [H_i] bracket arguments d_i*H_i by
+    ordinal.  Inconsistent weight shifts, a measured matrix other than the
+    reference one, and an odd doubled value where one is halved are
+    engine errors."""
+    spec, nodes = model.spec, model.spec.nodes
     moves = _move_table(model)
-    h = [weight_h(model, s) for s in model.states]
-    cartan = cartan_matrix(model, moves, h)
-    return _ModelData(moves, h, cartan, symmetrizers(model.spec, cartan))
+    h2 = [weight_h2(model, s) for s in model.states]
+    shifts = {}  # (j, sign) -> per ordinal, the H shift of the live move or None
+    for j in range(1, nodes + 1):
+        for sign in (1, -1):
+            column = shifts[(j, sign)] = []
+            for k, row in enumerate(moves):
+                t, status = row[(j, sign)]
+                if status != MOVE_OK:
+                    column.append(None)
+                    continue
+                hs, ht = h2[k], h2[t]
+                column.append(
+                    tuple(_half(ht[i] - hs[i], "Cartan eigenvalue shift") for i in range(nodes))
+                )
+    expected = expected_cartan(spec)
+    cartan = [row[:] for row in expected]
+    for j in range(1, nodes + 1):
+        # Where no state admits the move (trivial representations), the
+        # reference column stands.
+        measured = set(shifts[(j, 1)]) - {None}
+        if len(measured) > 1:
+            raise VerificationError(f"inconsistent weight shifts for node {j}")
+        for shift in measured:
+            for i in range(nodes):
+                cartan[i][j - 1] = shift[i]
+    if cartan != expected:
+        raise VerificationError(
+            f"measured Cartan matrix {cartan} differs from expected {expected}"
+        )
+    d = symmetrizers(spec, cartan)
+    coeffs = {
+        (i + 1, j, sign): [0 if x is None else x[i] - sign * cartan[i][j - 1] for x in column]
+        for (j, sign), column in shifts.items()
+        for i in range(nodes)
+    }
+    brackets = [
+        [_half(hs[i] * d[i], "scaled Cartan eigenvalue") for hs in h2] for i in range(nodes)
+    ]
+    return moves, cartan, d, coeffs, brackets
 
 
 # -- compiled relation plans ---------------------------------------------------
@@ -288,61 +268,6 @@ def _same_binding(old: list, new: list) -> bool:
     )
 
 
-class _Tables:
-    """The leaf namespace and symbolic step tables of one model, shared by
-    every family compiled on it: each table, each state's factor arguments
-    and each leaf id is built once per model."""
-
-    def __init__(self, model: CrystalModel, data: _ModelData):
-        self.model, self.data = model, data
-        self.keys = []  # leaf id -> key
-        self.ids = {}  # key -> leaf id
-        self.steps = {}
-        self.args = {}
-
-    def leaf(self, *key) -> int:
-        leaf = self.ids.get(key)
-        if leaf is None:
-            if key[0] == "finv":
-                self.leaf("f", *key[1:])  # the inverse is bound from it
-            leaf = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-        return leaf
-
-    def factor_args(self, node: int) -> list:
-        args = self.args.get(node)
-        if args is None:
-            args = self.args[node] = [_factor_args(self.model, node, s) for s in self.model.states]
-        return args
-
-    def ladder(self, kind: str, node: int, sign: int) -> list:
-        """Step table of a ladder generator.  Its leaves are keyed by the
-        factor arguments read on the raising source or the lowering target,
-        so raising and lowering share keys; kind "one" is the bare move."""
-        table = self.steps.get((kind, node, sign))
-        if table is None:
-            table = self.steps[(kind, node, sign)] = []
-            args = self.factor_args(node) if kind != "one" else None
-            for k, row in enumerate(self.data.moves):
-                t, status = row[(node, sign)]
-                if status != MOVE_OK:
-                    table.append((status, None))
-                elif kind == "one":
-                    table.append((t, self.leaf(kind)))
-                else:
-                    table.append((t, self.leaf(kind, node, *args[k if sign > 0 else t])))
-        return table
-
-    def diagonal(self, kind: str, node: int) -> list:
-        """Step table of a deforming factor (kind "f") or its inverse ("finv")."""
-        table = self.steps.get((kind, node, 0))
-        if table is None:
-            table = self.steps[(kind, node, 0)] = [
-                (k, self.leaf(kind, node, *ab)) for k, ab in enumerate(self.factor_args(node))
-            ]
-        return table
-
-
 @dataclass
 class _Component:
     """One identity inside a relation family, as a weighted sum of words.
@@ -383,79 +308,6 @@ class _Program:
     exprs: array
     residuals: array
     capped: bytearray
-
-
-def _compile(tables: _Tables, family: str) -> _Program:
-    """Walk every word of every component from every state over the plan's
-    step tables, interning products and sums into one program."""
-    model = tables.model
-    components = _COMPONENTS[family](model, tables.data, tables)
-    base = len(tables.keys)
-    ops = array("i")
-    nodes = {}
-
-    def op(code: int, a: int, b: int) -> int:
-        key = (a << 32 | b) << 2 | code
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = base + len(ops) // 3
-            ops.extend((code, a, b))
-        return node
-
-    targets, exprs, capped = array("i"), array("i"), bytearray()
-    for comp in components:
-        for k in range(model.dim):
-            target, acc, cap = None, None, False
-            for sign, scale, word in comp.terms:
-                t, val = k, None
-                for table in word:
-                    t, leaf = table[t]
-                    if leaf is None:
-                        cap = cap or t == MOVE_CAPPED
-                        break
-                    # later steps multiply on the left
-                    val = leaf if val is None else op(_MUL, leaf, val)
-                else:
-                    if target is None:
-                        target = t
-                    elif t != target:
-                        raise VerificationError(f"{comp.label}: words reach two targets")
-                    if scale is not None:
-                        s = scale[k] if isinstance(scale, list) else scale
-                        if s is None:
-                            continue
-                        val = op(_MUL, val, s)
-                    if acc is None:
-                        # a negation reads its operand twice, so every b is a node
-                        acc = val if sign > 0 else op(_NEG, val, val)
-                    else:
-                        acc = op(_ADD if sign > 0 else _SUB, acc, val)
-            if comp.minus_diag is not None:
-                if target not in (None, k):
-                    raise VerificationError(f"{comp.label}: diagonal term off the word target")
-                target, d = k, comp.minus_diag[k]
-                acc = op(_NEG, d, d) if acc is None else op(_SUB, acc, d)
-            targets.append(-1 if target is None else target)
-            exprs.append(-1 if acc is None else acc)
-            capped.append(cap)
-    nodes.clear()
-    residuals = array("i", sorted(set(exprs) - {-1}))
-    # Flag the last read of every node that is not a residual (4: operand a,
-    # 8: operand b), so a run drops each value as soon as it is spent.
-    read = bytearray(base + len(ops) // 3)
-    for e in residuals:
-        read[e] = 1
-    for i in range(len(ops) - 3, -1, -3):
-        a, b = ops[i + 1], ops[i + 2]
-        if not read[a]:
-            read[a] = 1
-            ops[i] |= 4
-        if not read[b]:
-            read[b] = 1
-            ops[i] |= 8
-    leaves = [g for g in range(base) if read[g]]
-    labels, words = [c.label for c in components], [c.words for c in components]
-    return _Program(labels, words, base, leaves, ops, targets, exprs, residuals, capped)
 
 
 def _run(ops: array, vals: list) -> list:
@@ -525,40 +377,147 @@ def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
 
 
 class _Plan:
-    """The relation families of one model over one leaf namespace, each
-    compiled once on first use and evaluated per q.  Leaf values are kept
-    for one q at a time, node values only while one family at one q is
-    evaluated.  Each evaluated outcome (per-state results and FAIL
-    records) is kept with the leaf binding it came from, so a later q
-    whose binding of the family's leaves is exactly the same reuses it."""
+    """The relation families of one model, compiled over one leaf
+    namespace.  Construction builds the move table and Cartan data, the
+    symbolic step tables and the program of every family in ``families``,
+    then drops the step tables and factor arguments, which only compiling
+    reads; the leaf namespace stays for binding.  Per q a family is only
+    bound, run and classified.  Leaf values are kept for one q at a time,
+    node values only while one family at one q is evaluated.  Each
+    evaluated outcome (per-state results and FAIL records) is kept with
+    the leaf binding it came from, so a later q whose binding of the
+    family's leaves is exactly the same reuses it."""
 
-    def __init__(self, model: CrystalModel, data: _ModelData | None = None):
+    def __init__(self, model: CrystalModel, families):
         self.model = model
-        self.data = _model_data(model) if data is None else data
-        self.tables = _Tables(model, self.data)
-        self.programs = {}
+        self.moves, self.cartan, self.d, self._coeffs, self._brackets = _model_data(model)
+        self.keys = []  # leaf id -> key
+        self.ids = {}  # key -> leaf id
+        self._steps, self._args = {}, {}
+        self.programs = {family: self._compile(family) for family in families}
+        del self._steps, self._args, self._coeffs, self._brackets
         self._q, self._values = None, []
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
         self._clean = {}  # (family, margin) -> per_state when no residual survives
         self._in_margin = {}  # margin -> per-ordinal flags
 
-    def program(self, family: str) -> _Program:
-        if family not in self.programs:
-            self.programs[family] = _compile(self.tables, family)
-        return self.programs[family]
+    def leaf(self, *key) -> int:
+        leaf = self.ids.get(key)
+        if leaf is None:
+            if key[0] == "finv":
+                self.leaf("f", *key[1:])  # the inverse is bound from it
+            leaf = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return leaf
 
-    def compile(self, families) -> None:
-        """Compile ``families`` now, then drop the step tables and factor
-        arguments, which only compiling reads (a later family rebuilds
-        them); the leaf namespace stays for binding."""
-        for family in families:
-            self.program(family)
-        self.tables.steps.clear()
-        self.tables.args.clear()
+    def factor_args(self, node: int) -> list:
+        args = self._args.get(node)
+        if args is None:
+            args = self._args[node] = [_factor_args(self.model, node, s) for s in self.model.states]
+        return args
+
+    def ladder(self, kind: str, node: int, sign: int) -> list:
+        """Step table of a ladder generator.  Its leaves are keyed by the
+        factor arguments read on the raising source or the lowering target,
+        so raising and lowering share keys; kind "one" is the bare move."""
+        table = self._steps.get((kind, node, sign))
+        if table is None:
+            table = self._steps[(kind, node, sign)] = []
+            args = self.factor_args(node) if kind != "one" else None
+            for k, row in enumerate(self.moves):
+                t, status = row[(node, sign)]
+                if status != MOVE_OK:
+                    table.append((status, None))
+                elif kind == "one":
+                    table.append((t, self.leaf(kind)))
+                else:
+                    table.append((t, self.leaf(kind, node, *args[k if sign > 0 else t])))
+        return table
+
+    def diagonal(self, kind: str, node: int) -> list:
+        """Step table of a deforming factor (kind "f") or its inverse ("finv")."""
+        table = self._steps.get((kind, node, 0))
+        if table is None:
+            table = self._steps[(kind, node, 0)] = [
+                (k, self.leaf(kind, node, *ab)) for k, ab in enumerate(self.factor_args(node))
+            ]
+        return table
+
+    def _compile(self, family: str) -> _Program:
+        """Walk every word of every component from every state over the
+        step tables, interning products and sums into one program."""
+        dim = self.model.dim
+        components = _FAMILIES[family][1](self)
+        base = len(self.keys)
+        ops = array("i")
+        nodes = {}
+
+        def op(code: int, a: int, b: int) -> int:
+            key = (a << 32 | b) << 2 | code
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = base + len(ops) // 3
+                ops.extend((code, a, b))
+            return node
+
+        targets, exprs, capped = array("i"), array("i"), bytearray()
+        for comp in components:
+            for k in range(dim):
+                target, acc, cap = None, None, False
+                for sign, scale, word in comp.terms:
+                    t, val = k, None
+                    for table in word:
+                        t, leaf = table[t]
+                        if leaf is None:
+                            cap = cap or t == MOVE_CAPPED
+                            break
+                        # later steps multiply on the left
+                        val = leaf if val is None else op(_MUL, leaf, val)
+                    else:
+                        if target is None:
+                            target = t
+                        elif t != target:
+                            raise VerificationError(f"{comp.label}: words reach two targets")
+                        if scale is not None:
+                            s = scale[k] if isinstance(scale, list) else scale
+                            if s is None:
+                                continue
+                            val = op(_MUL, val, s)
+                        if acc is None:
+                            # a negation reads its operand twice, so every b is a node
+                            acc = val if sign > 0 else op(_NEG, val, val)
+                        else:
+                            acc = op(_ADD if sign > 0 else _SUB, acc, val)
+                if comp.minus_diag is not None:
+                    if target not in (None, k):
+                        raise VerificationError(f"{comp.label}: diagonal term off the word target")
+                    target, d = k, comp.minus_diag[k]
+                    acc = op(_NEG, d, d) if acc is None else op(_SUB, acc, d)
+                targets.append(-1 if target is None else target)
+                exprs.append(-1 if acc is None else acc)
+                capped.append(cap)
+        nodes.clear()
+        residuals = array("i", sorted(set(exprs) - {-1}))
+        # Flag the last read of every node that is not a residual (4: operand
+        # a, 8: operand b), so a run drops each value as soon as it is spent.
+        read = bytearray(base + len(ops) // 3)
+        for e in residuals:
+            read[e] = 1
+        for i in range(len(ops) - 3, -1, -3):
+            a, b = ops[i + 1], ops[i + 2]
+            if not read[a]:
+                read[a] = 1
+                ops[i] |= 4
+            if not read[b]:
+                read[b] = 1
+                ops[i] |= 8
+        leaves = [g for g in range(base) if read[g]]
+        labels, words = [c.label for c in components], [c.words for c in components]
+        return _Program(labels, words, base, leaves, ops, targets, exprs, residuals, capped)
 
     def _leaf(self, key: tuple):
         """The value of the leaf ``key`` at the q of the last binding."""
-        leaf = self.tables.ids[key]
+        leaf = self.ids[key]
         val = self._values[leaf]
         if val is None:
             if key[0] == "finv":
@@ -571,7 +530,7 @@ class _Plan:
     def bind(self, prog: _Program, q: Fraction) -> list:
         """The values of ``prog``'s leaves at q.  Every leaf of the plan is
         bound at most once per q, and one whose kind takes no q once."""
-        keys = self.tables.keys
+        keys = self.keys
         if q != self._q:
             self._q = q
             self._values = [
@@ -582,14 +541,11 @@ class _Plan:
         values.extend([None] * (len(keys) - len(values)))
         return [values[g] if values[g] is not None else self._leaf(keys[g]) for g in prog.leaves]
 
-    def evaluate(self, prog: _Program, q: Fraction) -> list:
-        """Node values of ``prog`` at q (see _evaluate)."""
-        self.bind(prog, q)
-        return _evaluate(prog, self._values)
-
-    def outcome(self, family: str, q: Fraction, margin: int) -> tuple[list, list]:
-        """Per-state results and FAIL records of ``family`` at q."""
-        prog = self.program(family)
+    def report(self, family: str, q, margin: int) -> RelationReport:
+        """The report of ``family`` at q: its per-state results and FAIL
+        records, evaluated unless an earlier q bound the same leaves."""
+        q = ensure_positive_q(q)
+        prog = self.programs[family]
         binding = self.bind(prog, q)
         seen = self._outcomes.setdefault((family, margin), [])
         for old, per_state, failures in seen:
@@ -602,7 +558,10 @@ class _Plan:
             else:
                 per_state, failures = self._clean_states(family, prog, margin), []
             seen.append((binding, per_state, failures))
-        return list(per_state), copy.deepcopy(failures)
+        relation_id = _FAMILIES[family][0]
+        return RelationReport(
+            relation_id, self.model.spec.describe(), q, list(per_state), copy.deepcopy(failures)
+        )
 
     def _margin(self, margin: int) -> list:
         flags = self._in_margin.get(margin)
@@ -627,7 +586,7 @@ class _Plan:
         return states
 
     def _classify(self, prog: _Program, vals: list, margin: int) -> tuple[list, list]:
-        model, moves, dim = self.model, self.data.moves, self.model.dim
+        model, moves, dim = self.model, self.moves, self.model.dim
         exprs, capped, in_margin = prog.exprs, prog.capped, self._margin(margin)
         per_state, failures = [], []
         for k, s in enumerate(model.states):
@@ -659,27 +618,20 @@ class _Plan:
         return per_state, failures
 
 
-def _assemble(family: str, model: CrystalModel, q, margin: int, plan) -> RelationReport:
-    q = ensure_positive_q(q)
-    relation_id = "serre-deformed" if family == "serre" else family
-    if plan is None:
-        plan = _Plan(model)
-    report = RelationReport(relation_id=relation_id, carrier=model.spec.describe(), q=q)
-    report.per_state, report.failures = plan.outcome(family, q, margin)
-    return report
 
 
 # -- relation families ---------------------------------------------------------
 #
-# Each family lists its components over the symbolic step tables.  The
-# public check_* functions take the compiled plan of the model as the
-# optional keyword ``plan``: run_suite builds one per run and passes it to
-# every family at every q; a standalone call compiles its own.
+# Each family lists its components over the plan's step tables.  The
+# public check_* functions take the plan of the model as the optional
+# keyword ``plan``: run_suite builds one per run with every configured
+# family and passes it to every family at every q; a standalone call
+# builds one for its own family.
 
 
-def _cartan_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> list:
-    a = data.cartan
-    nodes = model.spec.nodes
+def _cartan_components(plan: _Plan) -> list:
+    a = plan.cartan
+    nodes = plan.model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
         for j in range(i + 1, nodes + 1):
@@ -688,12 +640,12 @@ def _cartan_components(model: CrystalModel, data: _ModelData, tables: _Tables) -
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * a[i - 1][j - 1]
-                column = data.cartan_coeffs[(i, j, sign)]
-                coeffs = [tables.leaf("int", c) if c else None for c in column]
+                column = plan._coeffs[(i, j, sign)]
+                coeffs = [plan.leaf("int", c) if c else None for c in column]
                 components.append(
                     _Component(
                         f"[h{i},e{tag}{j}]-({shift})e{tag}{j}",
-                        ((1, coeffs, (tables.ladder("eq", j, sign),)),),
+                        ((1, coeffs, (plan.ladder("eq", j, sign),)),),
                         (((j, sign),),),
                     )
                 )
@@ -709,34 +661,23 @@ def check_cartan(
     integer multiple of the generator entry read from the weights (the
     integers are built once per model), so [h_i, h_j] vanishes identically
     and is recorded without words."""
-    return _assemble("cartan", model, q, margin, plan)
+    return (plan or _Plan(model, ("cartan",))).report("cartan", q, margin)
 
 
-def _bracket_h_diag(tables: _Tables, h: list, i: int, d: int) -> list:
-    """Leaves of [H_i] in base q^d per state ordinal, from the weights
-    ``h``.  With k = d * H_i an integer the value is [k]_q / [d]_q, which
-    is exact and regular at q = 1."""
-    leaves = []
-    for hs in h:
-        hd = hs[i - 1] * d
-        if hd.denominator != 1:
-            raise VerificationError("scaled Cartan eigenvalue is not integral")
-        leaves.append(tables.leaf("bracket", int(hd), d))
-    return leaves
-
-
-def _ladder_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> list:
-    nodes = model.spec.nodes
+def _ladder_components(plan: _Plan) -> list:
+    nodes = plan.model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             terms = tuple(
-                (sign, None, tuple(tables.ladder("eq", *move) for move in word))
+                (sign, None, tuple(plan.ladder("eq", *move) for move in word))
                 for sign, word in zip((1, -1), words)
             )
             label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
-            diag = _bracket_h_diag(tables, data.h, i, data.d[i - 1]) if i == j else None
+            # [H_i] in base q^d is [d H_i]_q / [d]_q, exact and regular at q = 1.
+            d = plan.d[i - 1]
+            diag = [plan.leaf("bracket", hd, d) for hd in plan._brackets[i - 1]] if i == j else None
             components.append(_Component(label, terms, words, diag))
     return components
 
@@ -747,14 +688,12 @@ def check_ladder(
     """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i) (so the long type C
     node uses base q^2, where the half-integer H_n still gives an exact
     rational bracket)."""
-    return _assemble("ladder", model, q, margin, plan)
+    return (plan or _Plan(model, ("ladder",))).report("ladder", q, margin)
 
 
-def _serre_components(
-    model: CrystalModel, data: _ModelData, tables: _Tables, deformed: bool
-) -> list:
-    a, d = data.cartan, data.d
-    nodes = model.spec.nodes
+def _serre_components(plan: _Plan, deformed: bool) -> list:
+    a, d = plan.cartan, plan.d
+    nodes = plan.model.spec.nodes
     kind = "eq" if deformed else "e"
     components = []
     for i in range(1, nodes + 1):
@@ -768,13 +707,13 @@ def _serre_components(
             coeffs = [(1, None)]
             for v in range(1, m):
                 key = ("binom", m, v, d[i - 1]) if deformed else ("comb", m, v)
-                coeffs.append((1, tables.leaf(*key)))
+                coeffs.append((1, plan.leaf(*key)))
             coeffs.append(((-1) ** m, None))
             for sign, tag in ((1, "+"), (-1, "-")):
                 x, y = (i, sign), (j, sign)
                 words = tuple((x,) * v + (y,) + (x,) * (m - v) for v in range(m + 1))
                 terms = tuple(
-                    (s, scale, tuple(tables.ladder(kind, *mv) for mv in word))
+                    (s, scale, tuple(plan.ladder(kind, *mv) for mv in word))
                     for (s, scale), word in zip(coeffs, words)
                 )
                 base = f"q^{d[i - 1]}" if deformed else "1"
@@ -790,15 +729,17 @@ def check_serre(
     measured Cartan matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
     with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
     ordinary binomial (classical).  Each term is one word."""
-    return _assemble("serre" if deformed else "serre-classical", model, q, margin, plan)
+    family = "serre" if deformed else "serre-classical"
+    return (plan or _Plan(model, (family,))).report(family, q, margin)
 
 
-def _map_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> list:
+def _map_components(plan: _Plan) -> list:
+    model = plan.model
     rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
-        fac, inv = tables.diagonal("f", node), tables.diagonal("finv", node)
-        ep, em = tables.ladder("e", node, 1), tables.ladder("e", node, -1)
-        dp, dm = tables.ladder("eq", node, 1), tables.ladder("eq", node, -1)
+        fac, inv = plan.diagonal("f", node), plan.diagonal("finv", node)
+        ep, em = plan.ladder("e", node, 1), plan.ladder("e", node, -1)
+        dp, dm = plan.ladder("eq", node, 1), plan.ladder("eq", node, -1)
         up, down = (((node, 1),),), (((node, -1),),)
         rows.extend(
             [
@@ -811,9 +752,9 @@ def _map_components(model: CrystalModel, data: _ModelData, tables: _Tables) -> l
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
         # The weight variant of the rank-one functional, and its node
         # variant, which is the node-1 factor.
-        d2 = [(k, tables.leaf("cz", l1, -(l2 + 1))) for k, (l1, l2) in enumerate(model.states)]
-        d1, hat = tables.diagonal("f", 1), tables.ladder("one", 1, 1)
-        jp, dp = tables.ladder("e", 1, 1), tables.ladder("eq", 1, 1)
+        d2 = [(k, plan.leaf("cz", l1, -(l2 + 1))) for k, (l1, l2) in enumerate(model.states)]
+        d1, hat = plan.diagonal("f", 1), plan.ladder("one", 1, 1)
+        jp, dp = plan.ladder("e", 1, 1), plan.ladder("eq", 1, 1)
         rows.append(("cz_weight*j+-e+1", (jp, d2), (dp,), (((1, 1),),)))
         rows.append(("cz_weight(image)-cz_node(source)", (hat, d2), (d1, hat), (((1, 1),),)))
     return [
@@ -830,16 +771,18 @@ def check_map(
     generators, and for rank-one type A additionally the weight-diagonal
     dressing route and its agreement with the node factor.  Each deforming
     factor entry and its inverse are computed once per q."""
-    return _assemble("map", model, q, margin, plan)
+    return (plan or _Plan(model, ("map",))).report("map", q, margin)
 
 
-_COMPONENTS = {
-    "cartan": _cartan_components,
-    "ladder": _ladder_components,
-    "serre": lambda model, data, tables: _serre_components(model, data, tables, True),
-    "serre-classical": lambda model, data, tables: _serre_components(model, data, tables, False),
-    "map": _map_components,
+# Family name -> (relation id in reports, component builder).
+_FAMILIES = {
+    "cartan": ("cartan", _cartan_components),
+    "ladder": ("ladder", _ladder_components),
+    "serre": ("serre-deformed", lambda plan: _serre_components(plan, True)),
+    "serre-classical": ("serre-classical", lambda plan: _serre_components(plan, False)),
+    "map": ("map", _map_components),
 }
+KNOWN_FAMILIES = tuple(_FAMILIES)
 
 
 # -- suite ---------------------------------------------------------------------
@@ -933,7 +876,7 @@ def load_config(data) -> SuiteConfig:
     lam = _config_int(data, "lambda")
     cap = _config_int(data, "cap", None)
     if cap is None and algebra_type == TYPE_C:
-        cap = lam + 10
+        cap = lam + DEFAULT_CAP_HEADROOM
     margin = _config_int(data, "margin", DEFAULT_MARGIN)
     if margin < 0:
         raise ConfigError("margin must be non-negative")
@@ -1003,9 +946,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     deterministically: report order is (q, family) in the configured
     order, and the JSON rendering is byte-stable across runs.
 
-    The model's relation plan is built once: its move table and Cartan
-    data, one leaf namespace with its step tables, and each family's
-    program, compiled at the family's first q.  Every q binds the plan's
+    The model's relation plan is built once, before the first q: its
+    move table and Cartan data, one leaf namespace, and every configured
+    family's program.  Every q binds the plan's
     leaves once (those that take no q once per run), and each family
     runs on integer triples only when its binding differs from that of
     every earlier q; on an exact match the earlier q's per-state results
@@ -1013,8 +956,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     q-brackets bind equal leaves at q and 1/q, and serre-classical runs
     once per suite; the comparison finds this, it is never assumed."""
     model = build_model(config.spec())
-    plan = _Plan(model)
-    plan.compile(config.families)
+    plan = _Plan(model, config.families)
     reports = [
         _FAMILY_RUNNERS[fam](model, q, config.margin, plan)
         for q in config.q_list

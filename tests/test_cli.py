@@ -8,6 +8,7 @@ import pytest
 
 import qcrys
 from qcrys.cli import main
+from qcrys.verify import load_config
 
 
 class TestIdentityCommand:
@@ -174,6 +175,28 @@ class TestVerifyCommand:
         )
         out = capsys.readouterr().out
         assert "map" in out and "fail=0" in out
+
+    def test_cz_flag_adds_map_family(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        argv = ["verify", "--type", "A", "--n", "2", "--lambda", "3", "--q", "2,1/2"]
+        assert main(argv + ["--families", "cartan", "--cz", "--output", str(target)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["cartan", "map"] * 2
+        obj = json.loads(target.read_text())
+        assert obj["config"]["families"] == ["cartan", "map"]
+        assert obj["config"]["q_list"] == ["2", "1/2"]
+
+    def test_type_c_default_cap(self, capsys, tmp_path):
+        # lambda + 10, as the --cap help says, from every entry point
+        target = tmp_path / "report.json"
+        argv = ["verify", "--type", "C", "--n", "1", "--lambda", "2", "--q", "2"]
+        assert main(argv + ["--families", "cartan", "--output", str(target)]) == 0
+        assert json.loads(target.read_text())["config"]["cap"] == 12
+        capsys.readouterr()
+        assert main(["crystal", "--type", "C", "--n", "1", "--lambda", "2"]) == 0
+        graph = json.loads(capsys.readouterr().out)
+        assert graph["spec"]["cap"] == 12
+        assert load_config({"type": "C", "n": 1, "lambda": 2}).cap == 12
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -20,6 +20,7 @@ from qcrys.crystal import (
     graph_json,
     graph_json_obj,
     weight_h,
+    weight_h2,
     weight_n,
 )
 
@@ -219,6 +220,26 @@ class TestWeights:
     def test_type_c_half_integer(self):
         m = model_c(2, 2, 8)
         assert weight_h(m, (1, 3)) == (F(-2), F(7, 2))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CrystalSpec("A", 2, 3),
+            CrystalSpec("A", 4, 3),
+            CrystalSpec("C", 1, 1, 7),
+            CrystalSpec("C", 3, 2, 8),
+        ],
+        ids=repr,
+    )
+    def test_weight_h_is_half_of_integer_weight_h2(self, spec):
+        m = build_model(spec)
+        for s in m.states:
+            h2 = weight_h2(m, s)
+            assert all(type(x) is int for x in h2)
+            short = [2 * (s[i] - s[i + 1]) for i in range(spec.n - 1)]
+            # the type C long node carries 2 l_n + 1, always odd
+            assert list(h2) == short + ([2 * s[-1] + 1] if spec.algebra_type == "C" else [])
+            assert weight_h(m, s) == tuple(F(x, 2) for x in h2)
 
     def test_weight_n_is_label_tuple(self):
         m = model_c(2, 2, 8)

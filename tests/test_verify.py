@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcrys.verify as verify
-from qcrys.crystal import MOVE_CAPPED, MOVE_OK, CrystalSpec, build_model, weight_h
+from qcrys.crystal import MOVE_CAPPED, MOVE_OK, CrystalSpec, build_model, weight_h, weight_h2
 from qcrys.rep import (
     CZ_NODE,
     CZ_WEIGHT,
@@ -34,6 +34,8 @@ from qcrys.verify import (
     KNOWN_FAMILIES,
     ConfigError,
     SuiteConfig,
+    VerificationError,
+    _evaluate,
     _model_data,
     _Plan,
     _radical,
@@ -88,6 +90,41 @@ class TestCartanMatrix:
         spec_a = CrystalSpec("A", 4, 2)
         model_a4 = build_model(spec_a)
         assert symmetrizers(spec_a, cartan_matrix(model_a4)) == [1, 1, 1]
+
+
+SELF_CHECK_MODELS = [("A", 3, 2, None), ("C", 2, 1, 9)]
+
+
+@pytest.mark.parametrize("spec", SELF_CHECK_MODELS, ids=lambda s: f"{s[0]}{s[1]}-{s[2]}")
+class TestEngineSelfChecks:
+    # Each check is hit through a doubled-eigenvalue function that breaks
+    # only the invariant under test; the engine must refuse the model.
+    def _refused(self, monkeypatch, spec, fake_h2, match):
+        monkeypatch.setattr(verify, "weight_h2", fake_h2)
+        model = build_model(CrystalSpec(*spec))
+        with pytest.raises(VerificationError, match=match):
+            cartan_matrix(model)
+        with pytest.raises(VerificationError, match=match):
+            check_cartan(model, F(2))
+
+    def test_inconsistent_weight_shift(self, monkeypatch, spec):
+        # an even extra 2*l_1^2 shifts by 2(2 l_1 + 1) under the node-1 move
+        fake = lambda model, s: tuple(x + 2 * s[0] ** 2 for x in weight_h2(model, s))
+        self._refused(monkeypatch, spec, fake, "inconsistent weight shifts for node 1")
+
+    def test_measured_matrix_differs_from_expected(self, monkeypatch, spec):
+        fake = lambda model, s: tuple(2 * x for x in weight_h2(model, s))
+        self._refused(monkeypatch, spec, fake, "differs from expected")
+
+    def test_odd_doubled_shift(self, monkeypatch, spec):
+        # an extra l_1 shifts every doubled eigenvalue by 1 under the node-1 move
+        fake = lambda model, s: tuple(x + s[0] for x in weight_h2(model, s))
+        self._refused(monkeypatch, spec, fake, "Cartan eigenvalue shift is not an integer")
+
+    def test_odd_doubled_bracket_argument(self, monkeypatch, spec):
+        # a constant leaves every shift alone but makes 2 H_1 odd
+        fake = lambda model, s: tuple(x + 1 for x in weight_h2(model, s))
+        self._refused(monkeypatch, spec, fake, "scaled Cartan eigenvalue is not an integer")
 
 
 class TestCheckCartan:
@@ -403,13 +440,18 @@ def _word_end(moves, k, word):
     return k, False
 
 
+def _node_values(plan, family, q):
+    prog = plan.programs[family]
+    plan.bind(prog, q)
+    return prog, _evaluate(prog, plan._values)
+
+
 def _assert_matches_oracle(plan, family, q, oracle):
     """Compare every (component, state) residual of the compiled plan at q
     with the operator column, and its target and capped flag with walks of
     the component's words over the move table."""
-    model, moves = plan.model, plan.data.moves
-    prog = plan.program(family)
-    vals = plan.evaluate(prog, q)
+    model, moves = plan.model, plan.moves
+    prog, vals = _node_values(plan, family, q)
     assert prog.labels == list(oracle)
     nonzero = 0
     for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
@@ -450,8 +492,8 @@ _ORACLES = {
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
 class TestEngineAgainstOperators:
     def _check(self, cfg, q, family):
-        plan = _Plan(build_model(cfg.spec()))
-        oracle = _ORACLES[family](plan.model, q, plan.data)
+        plan = _Plan(build_model(cfg.spec()), (family,))
+        oracle = _ORACLES[family](plan.model, q, plan)
         _assert_matches_oracle(plan, family, q, oracle)
 
     def test_cartan(self, cfg, q):
@@ -467,30 +509,41 @@ class TestEngineAgainstOperators:
     def test_map(self, cfg, q):
         self._check(cfg, q, "map")
 
-    def test_cartan_wrong_shift_is_nonzero(self, cfg, q):
+    def test_cartan_wrong_shift_is_nonzero(self, cfg, q, monkeypatch):
         # Shifting every Cartan integer makes each [h_i, e_j] residual
-        # -(+-1) e_j: nonzero wherever the generator is.
+        # -(+-1) e_j: nonzero wherever the generator is.  The coefficient
+        # H_i(t) - H_i(s) - sign*a_ij of every live node-j move drops by sign.
         model = build_model(cfg.spec())
-        data = _model_data(model)
-        wrong = replace(data, cartan=[[a + 1 for a in row] for row in data.cartan])
-        oracle = _oracle_cartan(model, q, wrong)
-        live = sum(status == MOVE_OK for row in data.moves for _, status in row.values())
-        nonzero = _assert_matches_oracle(_Plan(model, wrong), "cartan", q, oracle)
+        moves, cartan, d, coeffs, brackets = _model_data(model)
+        wrong = [[a + 1 for a in row] for row in cartan]
+        coeffs = {
+            (i, j, sign): [
+                c - sign if moves[k][(j, sign)][1] == MOVE_OK else c for k, c in enumerate(column)
+            ]
+            for (i, j, sign), column in coeffs.items()
+        }
+        monkeypatch.setattr(verify, "_model_data", lambda _: (moves, wrong, d, coeffs, brackets))
+        plan = _Plan(model, ("cartan",))
+        assert plan.cartan == wrong
+        oracle = _oracle_cartan(model, q, plan)
+        live = sum(status == MOVE_OK for row in moves for _, status in row.values())
+        nonzero = _assert_matches_oracle(plan, "cartan", q, oracle)
         assert nonzero == live * model.spec.nodes
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
 def test_plan_compiled_once_serves_every_q(cfg):
-    # One plan, as run_suite uses it: each family compiles at its first q
-    # and is re-evaluated at every later q against that q's operators.
-    plan = _Plan(build_model(cfg.spec()))
+    # One plan, as run_suite uses it: every family compiles at
+    # construction and is re-evaluated at every q against that q's
+    # operators, with no program or leaf added after construction.
+    plan = _Plan(build_model(cfg.spec()), tuple(_ORACLES))
     model = plan.model
-    programs = {}
+    programs, leaves = dict(plan.programs), len(plan.keys)
     for q in DIFF_Q:
         for family, oracle in _ORACLES.items():
-            programs.setdefault(family, plan.program(family))
-            assert plan.program(family) is programs[family]
-            _assert_matches_oracle(plan, family, q, oracle(model, q, plan.data))
+            _assert_matches_oracle(plan, family, q, oracle(model, q, plan))
+            assert plan.programs[family] is programs[family]
+            assert len(plan.keys) == leaves
         # Residuals that all vanish would hide stale entries: the leaves
         # bound at this q must be this q's generator entries.
         for node in range(1, model.spec.nodes + 1):
@@ -599,14 +652,14 @@ def test_one_leaf_namespace_per_plan(monkeypatch, cfg):
             lambda model, q, *args, kind=kind, value=value: bound.append((q, kind) + args)
             or value(model, q, *args),
         )
-    plan = _Plan(model)
+    plan = _Plan(model, KNOWN_FAMILIES)
     for q in DIFF_Q:
         for family in KNOWN_FAMILIES:
-            plan.evaluate(plan.program(family), q)
+            _node_values(plan, family, q)
     assert sorted(args_calls) == sorted(set(args_calls))
     assert len(args_calls) == model.spec.nodes * model.dim
     assert len(bound) == len(set(bound))
-    assert {b[1:] for b in bound} <= set(plan.tables.keys)
+    assert {b[1:] for b in bound} <= set(plan.keys)
     fixed = [b[1:] for b in bound if b[1] in verify._Q_FREE]
     assert fixed and len(fixed) == len(set(fixed))
 
