@@ -4,11 +4,9 @@ truncation-aware relation checks."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .rep import LinOp, commutator
+from .rep import LinOp, _deform_entry, commutator
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
-from .scalar import Radical, ensure_positive_q, qint_at, sqrt_rat
+from .scalar import Radical, _qint_root, ensure_positive_q, qint_at, sqrt_rat
 
 __all__ = [
     "STANDARD",
@@ -82,9 +80,9 @@ def boson_ops(space: FockSpace, mode: int, kind: str, q=None):
         raise ValueError(f"unknown oscillator kind {kind!r}")
     if kind == Q_DEFORMED:
         q = ensure_positive_q(q)
-        weight = lambda n: qint_at(n, q)
+        root = lambda n: _qint_root(n, q.numerator, q.denominator, False)
     else:
-        weight = lambda n: Fraction(n)
+        root = sqrt_rat
     pos = _MODE_INDEX[mode]
     ann: dict[tuple[int, int], Radical] = {}
     num: dict[tuple[int, int], Radical] = {}
@@ -94,7 +92,7 @@ def boson_ops(space: FockSpace, mode: int, kind: str, q=None):
             num[(k, k)] = Radical.from_rational(n)
             lowered = list(s)
             lowered[pos] -= 1
-            ann[(k, space.index[tuple(lowered)])] = sqrt_rat(weight(n))
+            ann[(k, space.index[tuple(lowered)])] = root(n)
     annihilator = LinOp(space.dim, ann)
     creator = annihilator.transpose()
     return annihilator, creator, LinOp(space.dim, num)
@@ -147,13 +145,9 @@ def standard_so3(space: FockSpace, q):
     bm1, _, _ = boson_ops(space, -1, STANDARD)
 
     def factor(s):
+        # the short-node deforming factor at (N1 + 1, N2)
         n1_, n0_, nm1_ = s
-        comp1 = 2 * n1_ + n0_
-        comp2 = 2 * nm1_ + n0_
-        a, b = comp1 + 1, comp2
-        if a * b == 0:
-            return Radical.one()
-        return sqrt_rat(qint_at(a, q) / a) * sqrt_rat(qint_at(b, q) / b)
+        return _deform_entry(2 * n1_ + n0_ + 1, 2 * nm1_ + n0_, q)
 
     bilinear = (b1c @ b0 + b0c @ bm1) * sqrt_rat(2)
     raising = bilinear @ _diagonal(space, factor)

@@ -23,6 +23,7 @@ __all__ = [
     "build_model",
     "move_delta",
     "apply_move",
+    "apply_delta",
     "e_hat",
     "weight_n",
     "weight_h",
@@ -179,9 +180,15 @@ def apply_move(spec: CrystalSpec, state, node: int, sign: int):
     would turn negative, which also kills the move on the untruncated
     space); MOVE_CAPPED marks a move blocked only by the type C cap.
     """
-    delta = move_delta(spec, node, sign)
+    return apply_delta(spec, state, move_delta(spec, node, sign))
+
+
+def apply_delta(spec: CrystalSpec, state, delta: tuple[int, ...]):
+    """apply_move with the move given by its label shift, as move_delta
+    returns it, so a caller that applies one move to many states computes
+    the shift once."""
     new = tuple(a + b for a, b in zip(state, delta))
-    if any(v < 0 for v in new):
+    if min(new) < 0:
         return None, MOVE_DEAD
     if spec.algebra_type == TYPE_C and sum(new) > spec.cap:
         return None, MOVE_CAPPED

@@ -11,9 +11,10 @@ from fractions import Fraction
 from .crystal import TYPE_C, CrystalModel, e_hat, weight_h, weight_n
 from .scalar import (
     Radical,
+    _qint_root,
+    _root_product,
     ensure_positive_q,
     half_bracket_product,
-    qint_at,
     sqrt_rat,
 )
 
@@ -241,22 +242,24 @@ def _e_classical_entry(model: CrystalModel, node: int, a: int, b: int) -> Radica
 
 
 def _e_deformed_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
-    """Deformed generator entry at factor arguments (a, b)."""
-    v = sqrt_rat(qint_at(a, q)) * sqrt_rat(qint_at(b, q))
-    return v * (1 / (q + 1 / q)) if _is_long_node(model, node) else v
+    """Deformed generator entry at factor arguments (a, b): the cached
+    roots sqrt([a]_q) and sqrt([b]_q), times 1/(q + 1/q) = ab/(a^2 + b^2)
+    at q = a/b on the long node."""
+    n, d = q.numerator, q.denominator
+    scale = (n * d, n * n + d * d) if _is_long_node(model, node) else (1, 1)
+    return _root_product(_qint_root(a, n, d, False), _qint_root(b, n, d, False), *scale)
 
 
-def _deform_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
-    """Deforming-factor entry at factor arguments (a, b)."""
+def _deform_entry(a: int, b: int, q: Fraction, long_node: bool = False) -> Radical:
+    """Deforming-factor entry at factor arguments (a, b): 1 where a*b = 0,
+    else the cached roots sqrt([a]_q/a) and sqrt([b]_q/b), split so that
+    radicands stay small and real, times 2/(q + 1/q) = 2ab/(a^2 + b^2) at
+    q = a/b on the long node."""
     if a * b == 0:
         return Radical.one()
-    v = _ratio_sqrt(a, b, q)
-    return v * (2 / (q + 1 / q)) if _is_long_node(model, node) else v
-
-
-def _cz_entry(a: int, b: int, q: Fraction) -> Radical:
-    """Weight-variant dressing entry at arguments (j0 + j, j0 - j - 1)."""
-    return Radical.one() if a == 0 else _ratio_sqrt(a, b, q)
+    n, d = q.numerator, q.denominator
+    scale = (2 * n * d, n * n + d * d) if long_node else (1, 1)
+    return _root_product(_qint_root(a, n, d, True), _qint_root(b, n, d, True), *scale)
 
 
 def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:
@@ -276,12 +279,6 @@ def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
     return _dressed_ladder(model, node, sign, lambda a, b: _e_deformed_entry(model, node, a, b, q))
 
 
-def _ratio_sqrt(a: int, b: int, q: Fraction) -> Radical:
-    """sqrt(([a]_q [b]_q) / (a b)) for nonzero integers a, b, split into two
-    positive square roots so radicands stay small and real."""
-    return sqrt_rat(qint_at(a, q) / a) * sqrt_rat(qint_at(b, q) / b)
-
-
 def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     """Diagonal deforming factor F with
     F = sqrt([N_i+1]_q [N_{i+1}]_q / ((N_i+1) N_{i+1})) on short nodes and
@@ -293,8 +290,9 @@ def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     invertible on its support without changing either side of the map.
     """
     q = ensure_positive_q(q)
+    long_node = _is_long_node(model, node)
     return LinOp.diagonal(
-        _deform_entry(model, node, *_factor_args(model, node, s), q) for s in model.states
+        _deform_entry(*_factor_args(model, node, s), q, long_node) for s in model.states
     )
 
 
@@ -330,8 +328,9 @@ def cz_factor(model: CrystalModel, q, variant: str) -> LinOp:
         return deform_factor(model, 1, q)
     if variant != CZ_WEIGHT:
         raise ValueError(f"unknown dressing variant {variant!r}")
-    # j0 + j = l1 and j0 - j - 1 = -(l2 + 1) in the label variables.
-    return LinOp.diagonal(_cz_entry(l1, -(l2 + 1), q) for l1, l2 in model.states)
+    # j0 + j = l1 and j0 - j - 1 = -(l2 + 1) in the label variables; the
+    # second is never 0, so the entry is 1 exactly where j0 + j = 0.
+    return LinOp.diagonal(_deform_entry(l1, -(l2 + 1), q) for l1, l2 in model.states)
 
 
 def casimir(model: CrystalModel, deformed: bool, q=None) -> LinOp:

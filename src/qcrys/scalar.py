@@ -2,8 +2,9 @@
 their identities, q-combinatorics, and radicals (sums of c*sqrt(m)).
 
 Everything in this module is exact rational arithmetic, over ``Fraction``
-or, inside radicals, over integer numerator/denominator pairs; no floating
-point appears anywhere in the package.
+or, inside radicals and for the point values of q-integers, over integer
+numerator/denominator pairs; no floating point appears anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -388,6 +389,14 @@ class SymBracket:
 # -- q-combinatorics ---------------------------------------------------------
 
 
+def _integer(x) -> int:
+    """An integer argument: an int or an integral Fraction.  A float or a
+    non-integral Fraction is refused, never truncated."""
+    if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
+        return int(x)
+    raise TypeError(f"expected an integer, got {x!r}")
+
+
 @lru_cache(maxsize=None)
 def _qint_terms(x: int) -> tuple[tuple[int, int], ...]:
     if x == 0:
@@ -404,20 +413,59 @@ def qint(x: int) -> Laurent:
     [-x]_q = -[x]_q.  Because the sum is explicit the value is regular at
     q = 1, where it equals x.
     """
-    return Laurent(1, {(e,): c for e, c in _qint_terms(int(x))})
+    return Laurent(1, {(e,): c for e, c in _qint_terms(_integer(x))})
+
+
+# -- point values on integers --------------------------------------------------
+#
+# At q = a/b (a, b > 0 coprime) every per-q value is computed on integers
+# and cached on integer keys.  For n > 0 and a != b,
+#     [n]_q = (a^(2n) - b^(2n)) / ((a^2 - b^2) (ab)^(n-1)),
+# where the quotient S = (a^(2n) - b^(2n)) / (a^2 - b^2) is the integer
+# sum of a^(2i) b^(2(n-1-i)).  S is prime to ab (it is b^(2(n-1)) mod a
+# and a^(2(n-1)) mod b), so S / (ab)^(n-1) is already in lowest terms.
 
 
 @lru_cache(maxsize=None)
-def _qint_at(x: int, q: Fraction) -> Fraction:
-    total = Fraction(0)
-    for e, c in _qint_terms(x):
-        total += c * q**e
-    return total
+def _qint_pair(x: int, a: int, b: int) -> tuple[int, int]:
+    """[x]_q at q = a/b as (numerator, denominator) in lowest terms, with a
+    positive denominator: x at q = 1, 0 at x = 0, odd in x."""
+    n = abs(x)
+    if n == 0 or a == b:
+        return x, 1
+    num = (a ** (2 * n) - b ** (2 * n)) // (a * a - b * b)
+    return (num if x > 0 else -num), (a * b) ** (n - 1)
+
+
+@lru_cache(maxsize=None)
+def _qint_root(x: int, a: int, b: int, ratio: bool) -> Radical:
+    """sqrt([x]_q), or sqrt([x]_q / x) when ``ratio`` (x != 0), at q = a/b,
+    as sqrt_rat writes it: the same (num, den) pair reaches _sqrt_frac."""
+    n, d = _qint_pair(x, a, b)
+    return _sqrt_frac(*_lowest(n, d * x)) if ratio else _sqrt_frac(n, d)
 
 
 def qint_at(x: int, q) -> Fraction:
-    """Exact value of [x]_q at a positive rational q (q = 1 included)."""
-    return _qint_at(int(x), ensure_positive_q(q))
+    """Exact value of [x]_q at a positive rational q (q = 1 included).
+
+    At q = a/b the value is the closed form
+    (a^(2n) - b^(2n)) / ((a^2 - b^2) (ab)^(n-1)) with n = |x| and the sign
+    of x, computed on integers and cached on (x, a, b); no power sum is
+    formed.  :func:`qint` is the symbolic definition it agrees with."""
+    q = ensure_positive_q(q)
+    return Fraction(*_qint_pair(_integer(x), q.numerator, q.denominator))
+
+
+def _qbinom_pair(m: int, k: int, a: int, b: int) -> tuple[int, int]:
+    """The balanced q-binomial [m choose k] (0 <= k <= m) at q = a/b as a
+    lowest-terms (num, den) pair: the product of [m - k + i]_q / [i]_q for
+    i = 1..k.  :func:`qbinom` is the symbolic definition it agrees with."""
+    num, den = 1, 1
+    for i in range(1, k + 1):
+        n1, d1 = _qint_pair(m - k + i, a, b)
+        n2, d2 = _qint_pair(i, a, b)
+        num, den = num * n1 * d2, den * d1 * n2
+    return _lowest(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -436,9 +484,10 @@ def qbinom(m: int, k: int) -> Laurent:
     [m;k] = q^k [m-1;k] + q^(k-m) [m-1;k-1]; the value at q = 1 is the
     ordinary binomial coefficient.
     """
+    m, k = _integer(m), _integer(k)
     if m < 0 or k < 0 or k > m:
         raise ValueError("require 0 <= k <= m")
-    return _qbinom(int(m), int(k))
+    return _qbinom(m, k)
 
 
 def sym_bracket(nvars: int, c: int, zvec) -> SymBracket:
@@ -537,23 +586,31 @@ def half_bracket_product(h2: int, q) -> Fraction:
 
     The two half-integer brackets are individually irrational when h2 is
     odd, but their product is rational: it equals S(h2) S(h2+2) / (q+2+1/q)
-    with S(m) = sum of q^t over the symmetric integer range of length |m|.
-    Regular at q = 1, where it equals (h2/2)(h2/2 + 1).
+    with S(m) = sign(m) * sum of q^t over the symmetric integer range of
+    length |m|.  At q = a/b that sum is
+    (a^(2h+1) - b^(2h+1)) / ((a - b)(ab)^h) with |m| = 2h + 1, computed on
+    integers like :func:`qint_at`.  Regular at q = 1, where the product
+    equals (h2/2)(h2/2 + 1).
     """
     q = ensure_positive_q(q)
-    h2 = int(h2)
+    h2 = _integer(h2)
+    a, b = q.numerator, q.denominator
     if h2 % 2 == 0:
-        return qint_at(h2 // 2, q) * qint_at(h2 // 2 + 1, q)
+        n1, d1 = _qint_pair(h2 // 2, a, b)
+        n2, d2 = _qint_pair(h2 // 2 + 1, a, b)
+        return Fraction(n1 * n2, d1 * d2)
 
-    def oddsum(m: int) -> Fraction:
-        if m == 0:
-            return Fraction(0)
-        sign = 1 if m > 0 else -1
-        m = abs(m)
-        half = (m - 1) // 2
-        return sign * sum((q**t for t in range(-half, half + 1)), Fraction(0))
+    def oddsum(m: int) -> tuple[int, int]:
+        h = (abs(m) - 1) // 2
+        if a == b:
+            num = 2 * h + 1
+        else:
+            num = (a ** (2 * h + 1) - b ** (2 * h + 1)) // (a - b)
+        return (num if m > 0 else -num), (a * b) ** h
 
-    return oddsum(h2) * oddsum(h2 + 2) / (q + 2 + 1 / q)
+    (n1, d1), (n2, d2) = oddsum(h2), oddsum(h2 + 2)
+    # q + 2 + 1/q = (a + b)^2 / (ab)
+    return Fraction(n1 * n2 * a * b, d1 * d2 * (a + b) ** 2)
 
 
 # -- radicals ----------------------------------------------------------------
@@ -800,6 +857,19 @@ def _wrap(terms: dict[int, tuple[int, int]]) -> Radical:
     obj = object.__new__(Radical)
     obj._terms = terms
     return obj
+
+
+def _root_product(x: Radical, y: Radical, n: int = 1, d: int = 1) -> Radical:
+    """x * y * (n/d) for radicals of at most one term each and n/d > 0, as
+    one single-term product: the Radical that ``x * y * Fraction(n, d)``
+    gives, since the coefficient is brought to lowest terms once, at the
+    end, either way."""
+    if not (x._terms and y._terms):
+        return _wrap({})
+    ((m1, (n1, d1)),) = x._terms.items()
+    ((m2, (n2, d2)),) = y._terms.items()
+    m, num, den = _mul_term(m1, n1 * n, d1 * d, m2, n2, d2)
+    return _wrap({m: (num, den)})
 
 
 @lru_cache(maxsize=None)

@@ -48,14 +48,29 @@ from .crystal import (
     TYPE_C,
     CrystalModel,
     CrystalSpec,
-    apply_move,
+    apply_delta,
     boundary_class,
     build_model,
+    move_delta,
     weight_h2,
 )
-from .rep import _cz_entry, _deform_entry, _e_classical_entry, _e_deformed_entry, _factor_args
+from .rep import (
+    _deform_entry,
+    _e_classical_entry,
+    _e_deformed_entry,
+    _factor_args,
+    _is_long_node,
+)
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
-from .scalar import Radical, _mul_term, _wrap, ensure_positive_q, qbinom, qint_at
+from .scalar import (
+    Radical,
+    _lowest,
+    _mul_term,
+    _qbinom_pair,
+    _qint_pair,
+    _wrap,
+    ensure_positive_q,
+)
 
 __all__ = [
     "VerificationError",
@@ -140,13 +155,17 @@ def _move_table(model: CrystalModel) -> list[dict[tuple[int, int], tuple]]:
     A move that succeeds always lands inside the model, so word walks
     never leave the table."""
     spec, index = model.spec, model.index
-    steps = [(node, sign) for node in range(1, spec.nodes + 1) for sign in (1, -1)]
+    deltas = {
+        (node, sign): move_delta(spec, node, sign)
+        for node in range(1, spec.nodes + 1)
+        for sign in (1, -1)
+    }
     table = []
     for s in model.states:
         row = {}
-        for node, sign in steps:
-            t, status = apply_move(spec, s, node, sign)
-            row[(node, sign)] = (index[t] if status == MOVE_OK else None, status)
+        for step, delta in deltas.items():
+            t, status = apply_delta(spec, s, delta)
+            row[step] = (index[t] if status == MOVE_OK else None, status)
         table.append(row)
     return table
 
@@ -231,16 +250,30 @@ _MUL, _ADD, _SUB, _NEG = range(4)
 _LEAF_VALUES = {
     "e": lambda model, q, node, a, b: _e_classical_entry(model, node, a, b),
     "eq": lambda model, q, node, a, b: _e_deformed_entry(model, node, a, b, q),
-    "f": lambda model, q, node, a, b: _deform_entry(model, node, a, b, q),
-    "cz": lambda _, q, a, b: _cz_entry(a, b, q),
+    "f": lambda model, q, node, a, b: _deform_entry(a, b, q, _is_long_node(model, node)),
+    "cz": lambda _, q, a, b: _deform_entry(a, b, q),
     "one": lambda _, q: Radical.one(),
     "int": lambda _, q, c: Radical.from_rational(c),
-    "bracket": lambda _, q, k, d: Radical.from_rational(qint_at(k, q) / qint_at(d, q)),
-    "binom": lambda _, q, m, v, d: Radical.from_rational((-1) ** v * qbinom(m, v).eval((q**d,))),
+    "bracket": lambda _, q, k, d: _bracket(k, d, q),
+    "binom": lambda _, q, m, v, d: _binom(m, v, d, q),
     "comb": lambda _, q, m, v: Radical.from_rational((-1) ** v * math.comb(m, v)),
 }
 
 _Q_FREE = frozenset(("e", "one", "int", "comb"))
+
+
+def _bracket(k: int, d: int, q: Fraction) -> Radical:
+    """[k]_q / [d]_q (d != 0), from the integer pairs of the q-integers."""
+    a, b = q.numerator, q.denominator
+    (n1, d1), (n2, d2) = _qint_pair(k, a, b), _qint_pair(d, a, b)
+    return _wrap({1: _lowest(n1 * d2, d1 * n2)} if n1 else {})
+
+
+def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
+    """(-1)^v times the balanced q-binomial [m choose v] at base q^d."""
+    n, den = _qbinom_pair(m, v, q.numerator**d, q.denominator**d)
+    return _wrap({1: (-n if v % 2 else n, den)})
+
 
 # The value every cancelled sum of single terms evaluates to.
 _ZERO = Radical.zero()

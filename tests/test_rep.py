@@ -22,7 +22,7 @@ from qcrys.rep import (
     op_hat,
     op_num,
 )
-from qcrys.scalar import Radical, qint_at, sqrt_rat
+from qcrys.scalar import Radical, qint, qint_at, sqrt_rat
 
 F = Fraction
 Q_SAMPLES = (F(2), F(1, 2), F(3, 5))
@@ -326,6 +326,43 @@ class TestSharedEntries:
             for k, s in enumerate(states):
                 value = f.entries[(k, k)].json_map()
                 assert by_args.setdefault(_factor_args(model, node, s), value) == value
+
+
+def _sqrt_bracket(x, q, over_x=False):
+    """sqrt([x]_q) or sqrt([x]_q / x) from the power-sum definition."""
+    value = qint(x).eval((q,))
+    return sqrt_rat(value / x if over_x else value)
+
+
+class TestEntriesOnIntegers:
+    # Generator and deforming-factor entries are built from cached roots of
+    # integer-keyed q-integers; they must be the Radicals the Fraction
+    # route writes, term by term, because reports print the representative.
+    @pytest.mark.parametrize(
+        "model", GRID + [model_a(2, 40), model_c(2, 2, 20)], ids=repr
+    )
+    @pytest.mark.parametrize("q", [F(1), F(2), F(3, 5), F(3, 4), F(7, 4), F(1, 7)], ids=str)
+    def test_entries_match_the_fraction_route(self, model, q):
+        terms = lambda v: list(v._terms.items())
+        for node in range(1, model.spec.nodes + 1):
+            long_node = model.spec.algebra_type == "C" and node == model.spec.n
+            e = op_e_deformed(model, node, 1, q)
+            for (s, _), v in e.entries.items():
+                a, b = _factor_args(model, node, model.states[s])
+                expect = _sqrt_bracket(a, q) * _sqrt_bracket(b, q)
+                if long_node:
+                    expect = expect * (1 / (q + 1 / q))
+                assert terms(v) == terms(expect)
+            f = deform_factor(model, node, q)
+            for k, s in enumerate(model.states):
+                a, b = _factor_args(model, node, s)
+                if a * b == 0:
+                    expect = Radical.one()
+                else:
+                    expect = _sqrt_bracket(a, q, True) * _sqrt_bracket(b, q, True)
+                    if long_node:
+                        expect = expect * (2 / (q + 1 / q))
+                assert terms(f.entries[(k, k)]) == terms(expect)
 
 
 class TestCzFactor:

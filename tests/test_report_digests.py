@@ -9,7 +9,8 @@ too.  The CLI rows pin the bytes of the files written by ``--output``:
 boson reports (the paper realization with its criterion-7 failures and
 their residual maps) and ``rep`` exports of the type C long node, whose
 entries carry negative radicands, so the way radicals are written to
-files is pinned as well."""
+files is pinned as well, down to radicands of about fifty digits that
+come from deep q-integers."""
 
 import hashlib
 import json
@@ -133,6 +134,22 @@ GOLDEN_CLI = [
          "--which", "deformed", "--node", "2", "--q", "3/5", "--format", "csv"],
         0,
         "94f050d19dfbf45315a904eca67e5fc98038b2857f9fd50186b95891decbcac4",
+    ),
+    (
+        # roots of q-integers up to [41]_q: radicands of up to 47 digits
+        "rep-A2-40-deformed-node1-q3/4-json",
+        ["rep", "--type", "A", "--n", "2", "--lambda", "40",
+         "--which", "deformed", "--node", "1", "--q", "3/4"],
+        0,
+        "db266b664c7ae524cfb1ef4c815ed96713f74cc571f875cc6fd6f315e9381bb0",
+    ),
+    (
+        # the long node up to [-22]_q: negative radicands of up to 53 digits
+        "rep-C2-2-20-deformed-node2-q3/5-json",
+        ["rep", "--type", "C", "--n", "2", "--lambda", "2", "--cap", "20",
+         "--which", "deformed", "--node", "2", "--q", "3/5"],
+        0,
+        "6ff22bc81c445c5ac1429217c04b040bcbb964741bdb5750325dd41ee335b812",
     ),
 ]
 

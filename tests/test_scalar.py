@@ -21,6 +21,7 @@ from qcrys.scalar import (
     sqrt_rat,
     sym_bracket,
 )
+from qcrys.scalar import _qbinom_pair, _qint_root
 
 F = Fraction
 Q_SAMPLES = (F(2), F(1, 2), F(3, 5))
@@ -254,6 +255,107 @@ class TestHalfBracketProduct:
     @pytest.mark.parametrize("h2", range(-6, 7))
     def test_q1_degeneration(self, h2):
         assert half_bracket_product(h2, F(1)) == F(h2, 2) * (F(h2, 2) + 1)
+
+
+# q samples of the integer kernel: q = 1, reciprocal pairs, and bases far
+# from 1 on both sides.
+KERNEL_Q = tuple(F(q) for q in ("1", "2", "1/2", "3/5", "5/3", "3/4", "4/3", "7/4", "1/7"))
+positive_rationals = st.fractions(min_value=F(1, 30), max_value=30, max_denominator=30)
+
+
+def _power_sum(m: int, q: Fraction) -> Fraction:
+    """sign(m) * (q^-h + ... + q^h) for odd m = +-(2h + 1), summed term by
+    term."""
+    sign = -1 if m < 0 else 1
+    return sign * sum((q**t for t in range(-(abs(m) - 1) // 2, (abs(m) - 1) // 2 + 1)), F(0))
+
+
+class TestIntegerKernel:
+    """The per-q values computed on integers agree exactly with the
+    symbolic definitions, and the cached roots are the radicals sqrt_rat
+    builds, term by term."""
+
+    @pytest.mark.parametrize("q", KERNEL_Q, ids=str)
+    def test_qint_at_is_the_symbolic_value(self, q):
+        for x in range(-60, 61):
+            assert qint_at(x, q) == qint(x).eval((q,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=positive_rationals, x=st.integers(-60, 60))
+    def test_qint_at_is_the_symbolic_value_at_any_q(self, q, x):
+        assert qint_at(x, q) == qint(x).eval((q,))
+
+    @pytest.mark.parametrize("q", KERNEL_Q, ids=str)
+    def test_qbinom_point_value(self, q):
+        for d in (1, 2):
+            base = q**d
+            for m in range(9):
+                for k in range(m + 1):
+                    pair = _qbinom_pair(m, k, base.numerator, base.denominator)
+                    assert pair[1] > 0
+                    assert F(*pair) == qbinom(m, k).eval((base,))
+
+    @pytest.mark.parametrize("q", KERNEL_Q, ids=str)
+    def test_half_bracket_product_is_the_power_sum_form(self, q):
+        for h2 in range(-21, 22):
+            if h2 % 2:
+                expect = _power_sum(h2, q) * _power_sum(h2 + 2, q) / (q + 2 + 1 / q)
+            else:
+                expect = qint(h2 // 2).eval((q,)) * qint(h2 // 2 + 1).eval((q,))
+            assert half_bracket_product(h2, q) == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=positive_rationals, h2=st.integers(-21, 21))
+    def test_half_bracket_product_at_any_q(self, q, h2):
+        if h2 % 2:
+            expect = _power_sum(h2, q) * _power_sum(h2 + 2, q) / (q + 2 + 1 / q)
+        else:
+            expect = qint(h2 // 2).eval((q,)) * qint(h2 // 2 + 1).eval((q,))
+        assert half_bracket_product(h2, q) == expect
+
+    @pytest.mark.parametrize("q", KERNEL_Q, ids=str)
+    def test_cached_roots_are_sqrt_rat_term_by_term(self, q):
+        # Negative x includes the long-node argument -l_n - 2.
+        a, b = q.numerator, q.denominator
+        for x in range(-40, 41):
+            root = _qint_root(x, a, b, False)
+            assert list(root._terms.items()) == list(sqrt_rat(qint_at(x, q))._terms.items())
+            if x:
+                ratio = _qint_root(x, a, b, True)
+                assert list(ratio._terms.items()) == list(
+                    sqrt_rat(qint_at(x, q) / x)._terms.items()
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=positive_rationals, x=st.integers(-40, 40).filter(bool))
+    def test_cached_roots_at_any_q(self, q, x):
+        a, b = q.numerator, q.denominator
+        assert _qint_root(x, a, b, False)._terms == sqrt_rat(qint_at(x, q))._terms
+        assert _qint_root(x, a, b, True)._terms == sqrt_rat(qint_at(x, q) / x)._terms
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qint_at(2.5, 2),
+            lambda: qint_at(2.0, 2),
+            lambda: qint_at(F(5, 2), 2),
+            lambda: qint(2.7),
+            lambda: qint(F(7, 3)),
+            lambda: qbinom(F(5, 2), 1),
+            lambda: qbinom(4, 1.0),
+            lambda: half_bracket_product(3.7, 2),
+            lambda: half_bracket_product(F(7, 2), 2),
+        ],
+    )
+    def test_refuses_non_integer_arguments(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_integral_fractions_are_integers(self):
+        assert qint_at(F(4, 2), 2) == qint_at(2, 2) == F(5, 2)
+        assert qint(F(3)) == qint(3)
+        assert qbinom(F(4), F(2)) == qbinom(4, 2)
+        assert half_bracket_product(F(3), 2) == half_bracket_product(3, 2)
 
 
 class TestSqrtRat:

@@ -16,7 +16,8 @@ this script once against the old checkout and once against the new one
 and comparing the two outputs with ``diff``.  The list covers every
 README command, every Baseline row of ROADMAP.md, the margin-0 type C
 configurations that carry FAIL records, suites with reciprocal q pairs,
-and mixes of all relation families including ``serre-classical``.  The
+mixes of all relation families including ``serre-classical``, and
+generator exports whose entries are roots of deep q-integers.  The
 whole list takes a few minutes; the boson cutoff-40 tower check alone
 takes about a minute.
 """
@@ -91,6 +92,12 @@ CONFIGS = [
     ("rep-C2-2-6-deformed-json",
      "rep --type C --n 2 --lambda 2 --cap 6 --which deformed --node 2 --q 3/5 --format json"
      " --output out"),
+    # generator entries of deep q-integers, with radicands of up to 53 digits
+    # (negative ones on the type C long node)
+    ("rep-A2-40-deformed-q3/4",
+     "rep --type A --n 2 --lambda 40 --which deformed --node 1 --q 3/4 --output out"),
+    ("rep-C2-2-20-deformed-node2-q3/5",
+     "rep --type C --n 2 --lambda 2 --cap 20 --which deformed --node 2 --q 3/5 --output out"),
     ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
     ("trivial-C1-1-1", "verify --type C --n 1 --lambda 1 --cap 1 --margin 0 --output out"),
     ("refused-repeated-q", "verify --type A --n 2 --lambda 2 --q 2,4/2"),
