@@ -14,7 +14,7 @@ import tempfile
 from fractions import Fraction
 
 from .boson import FockSpace, check_so3, check_so3_towers, standard_so3, vdj_so3
-from .crystal import DEFAULT_CAP_HEADROOM, CrystalSpec, build_model, graph_dot, graph_json
+from .crystal import CrystalSpec, build_model, graph_dot, graph_json, resolve_cap
 from .rep import (
     matrix_csv,
     matrix_json_entries,
@@ -57,10 +57,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _spec_from_args(args) -> CrystalSpec:
-    cap = args.cap
-    if args.type == "C" and cap is None:
-        cap = args.lam + DEFAULT_CAP_HEADROOM
-    return CrystalSpec(args.type, args.n, args.lam, cap)
+    return CrystalSpec(args.type, args.n, args.lam, resolve_cap(args.type, args.lam, args.cap))
 
 
 def _add_spec_flags(parser, require_type=True):

@@ -18,6 +18,7 @@ __all__ = [
     "MOVE_CAPPED",
     "DEFAULT_MARGIN",
     "DEFAULT_CAP_HEADROOM",
+    "resolve_cap",
     "CrystalSpec",
     "CrystalModel",
     "build_model",
@@ -51,6 +52,14 @@ DEFAULT_MARGIN = 6
 
 # A type C space built without an explicit cap stops at lam + this headroom.
 DEFAULT_CAP_HEADROOM = 10
+
+
+def resolve_cap(algebra_type: str, lam: int, cap: int | None) -> int | None:
+    """``cap`` when given, else lam + DEFAULT_CAP_HEADROOM for type C and
+    None for type A; CrystalSpec still refuses a cap that does not fit."""
+    if cap is None and algebra_type == TYPE_C:
+        return lam + DEFAULT_CAP_HEADROOM
+    return cap
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ from fractions import Fraction
 from .crystal import TYPE_C, CrystalModel, e_hat, weight_h, weight_n
 from .scalar import (
     Radical,
+    _mul_term,
     _qint_root,
-    _root_product,
+    _radical,
+    _term,
     ensure_positive_q,
     half_bracket_product,
     sqrt_rat,
@@ -229,9 +231,7 @@ def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
         t = e_hat(model, node, sign, s)
         if t is None:
             continue
-        val = value(*_factor_args(model, node, s if sign > 0 else t))
-        if val:
-            entries[(k, model.index[t])] = val
+        entries[(k, model.index[t])] = value(*_factor_args(model, node, s if sign > 0 else t))
     return LinOp(model.dim, entries)
 
 
@@ -242,24 +242,29 @@ def _e_classical_entry(model: CrystalModel, node: int, a: int, b: int) -> Radica
 
 
 def _e_deformed_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
-    """Deformed generator entry at factor arguments (a, b): the cached
-    roots sqrt([a]_q) and sqrt([b]_q), times 1/(q + 1/q) = ab/(a^2 + b^2)
-    at q = a/b on the long node."""
+    """Deformed generator entry at factor arguments (a, b), both nonzero on
+    a live move: the cached roots sqrt([a]_q) and sqrt([b]_q), times
+    1/(q + 1/q) = ab/(a^2 + b^2) at q = a/b on the long node, as one
+    single-term product."""
     n, d = q.numerator, q.denominator
-    scale = (n * d, n * n + d * d) if _is_long_node(model, node) else (1, 1)
-    return _root_product(_qint_root(a, n, d, False), _qint_root(b, n, d, False), *scale)
+    m, c, e = _term(_qint_root(a, n, d, False))
+    if _is_long_node(model, node):
+        c, e = c * n * d, e * (n * n + d * d)
+    return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, False))))
 
 
 def _deform_entry(a: int, b: int, q: Fraction, long_node: bool = False) -> Radical:
     """Deforming-factor entry at factor arguments (a, b): 1 where a*b = 0,
     else the cached roots sqrt([a]_q/a) and sqrt([b]_q/b), split so that
     radicands stay small and real, times 2/(q + 1/q) = 2ab/(a^2 + b^2) at
-    q = a/b on the long node."""
+    q = a/b on the long node, as one single-term product."""
     if a * b == 0:
         return Radical.one()
     n, d = q.numerator, q.denominator
-    scale = (2 * n * d, n * n + d * d) if long_node else (1, 1)
-    return _root_product(_qint_root(a, n, d, True), _qint_root(b, n, d, True), *scale)
+    m, c, e = _term(_qint_root(a, n, d, True))
+    if long_node:
+        c, e = 2 * c * n * d, e * (n * n + d * d)
+    return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, True))))
 
 
 def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:

@@ -105,7 +105,7 @@ class Laurent:
                 c = _frac(c)
                 if not c:
                     continue
-                key = tuple(int(e) for e in exps)
+                key = tuple(_integer(e) for e in exps)
                 if len(key) != nvars:
                     raise ValueError("exponent tuple has wrong arity")
                 clean[key] = c
@@ -493,7 +493,7 @@ def qbinom(m: int, k: int) -> Laurent:
 def sym_bracket(nvars: int, c: int, zvec) -> SymBracket:
     """Symbolic bracket [c + sum_i z_i N_i]_q with Q_i = q^(N_i) formal,
     as the quotient (q^c prod Q_i^(z_i) - inverse) / (q - q^(-1))."""
-    zvec = tuple(int(z) for z in zvec)
+    c, zvec = _integer(c), tuple(_integer(z) for z in zvec)
     if len(zvec) != nvars - 1:
         raise ValueError("one z per formal variable required")
     plus = Laurent.monomial(nvars, (c,) + zvec)
@@ -506,7 +506,7 @@ def qint_sym(c: int, z_coeff: int) -> SymBracket:
 
     Specializing Q := q**k recovers qint(z_coeff*k + c) exactly.
     """
-    return sym_bracket(2, int(c), (int(z_coeff),))
+    return sym_bracket(2, c, (z_coeff,))
 
 
 # -- bracket identities ------------------------------------------------------
@@ -718,9 +718,9 @@ class Radical:
 
     Each term is an integer pair m -> (numerator, denominator) in lowest
     terms with a positive denominator, normalised by one ``math.gcd`` per
-    result term.  ``Fraction`` appears only at the edges: rational inputs,
-    :meth:`as_fraction` and the read-only :attr:`terms` view; :meth:`render`
-    and :meth:`json_map` write coefficients as ``str(Fraction)`` does.
+    result term.  ``Fraction`` appears only at the edges: rational inputs
+    and :meth:`as_fraction`; :meth:`render` and :meth:`json_map` write
+    coefficients as ``str(Fraction)`` does.
     """
 
     __slots__ = ("_terms",)
@@ -728,9 +728,10 @@ class Radical:
     def __init__(self, terms: dict | None = None):
         acc: dict[int, tuple[int, int]] = {}
         for m, c in (terms or {}).items():
-            if not int(m):
+            m = _integer(m)
+            if not m:
                 raise ValueError("radicand 0 is not allowed")
-            ((m, (square, _)),) = _sqrt_frac(int(m), 1)._terms.items()
+            ((m, (square, _)),) = _sqrt_frac(m, 1)._terms.items()
             n, d = _pair(c)
             _accumulate(acc, m, *_lowest(n * square, d))
         self._terms = {m: nd for m, nd in acc.items() if nd[0]}
@@ -747,11 +748,6 @@ class Radical:
     @classmethod
     def one(cls) -> "Radical":
         return _wrap({1: (1, 1)})
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        """A copy of the terms as radicand -> Fraction."""
-        return {m: Fraction(n, d) for m, (n, d) in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -859,17 +855,18 @@ def _wrap(terms: dict[int, tuple[int, int]]) -> Radical:
     return obj
 
 
-def _root_product(x: Radical, y: Radical, n: int = 1, d: int = 1) -> Radical:
-    """x * y * (n/d) for radicals of at most one term each and n/d > 0, as
-    one single-term product: the Radical that ``x * y * Fraction(n, d)``
-    gives, since the coefficient is brought to lowest terms once, at the
-    end, either way."""
-    if not (x._terms and y._terms):
-        return _wrap({})
-    ((m1, (n1, d1)),) = x._terms.items()
-    ((m2, (n2, d2)),) = y._terms.items()
-    m, num, den = _mul_term(m1, n1 * n, d1 * d, m2, n2, d2)
-    return _wrap({m: (num, den)})
+def _term(value: Radical):
+    """A single-term value as the integer triple (m, n, d) for (n/d)*sqrt(m)
+    that _mul_term takes and gives; any other value is returned as is."""
+    if len(value._terms) != 1:
+        return value
+    ((m, (n, d)),) = value._terms.items()
+    return m, n, d
+
+
+def _radical(value) -> Radical:
+    """The Radical of a triple from :func:`_term`; a Radical passes through."""
+    return _wrap({value[0]: (value[1], value[2])}) if value.__class__ is tuple else value
 
 
 @lru_cache(maxsize=None)

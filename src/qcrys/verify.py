@@ -39,7 +39,6 @@ from fractions import Fraction
 
 from .crystal import (
     CAP_MARGIN,
-    DEFAULT_CAP_HEADROOM,
     DEFAULT_MARGIN,
     MOVE_CAPPED,
     MOVE_DEAD,
@@ -52,6 +51,7 @@ from .crystal import (
     boundary_class,
     build_model,
     move_delta,
+    resolve_cap,
     weight_h2,
 )
 from .rep import (
@@ -68,6 +68,9 @@ from .scalar import (
     _mul_term,
     _qbinom_pair,
     _qint_pair,
+    _radical,
+    _sum,
+    _term,
     _wrap,
     ensure_positive_q,
 )
@@ -244,13 +247,13 @@ def _model_data(model: CrystalModel) -> tuple:
 _MUL, _ADD, _SUB, _NEG = range(4)
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
-# come from the same functions that build the rep matrices; a "finv" leaf
-# is the inverse of the "f" leaf with the same arguments.  The kinds in
+# come from the same functions that build the rep matrices.  The kinds in
 # _Q_FREE do not read q, so a plan binds them once.
 _LEAF_VALUES = {
     "e": lambda model, q, node, a, b: _e_classical_entry(model, node, a, b),
     "eq": lambda model, q, node, a, b: _e_deformed_entry(model, node, a, b, q),
     "f": lambda model, q, node, a, b: _deform_entry(a, b, q, _is_long_node(model, node)),
+    "finv": lambda m, q, node, a, b: _deform_entry(a, b, q, _is_long_node(m, node)).inverse(),
     "cz": lambda _, q, a, b: _deform_entry(a, b, q),
     "one": lambda _, q: Radical.one(),
     "int": lambda _, q, c: Radical.from_rational(c),
@@ -277,28 +280,6 @@ def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
 
 # The value every cancelled sum of single terms evaluates to.
 _ZERO = Radical.zero()
-
-
-def _term(value: Radical):
-    """A single-term value as its integer triple (m, n, d), else itself."""
-    if len(value._terms) != 1:
-        return value
-    ((m, (n, d)),) = value._terms.items()
-    return m, n, d
-
-
-def _radical(value) -> Radical:
-    return _wrap({value[0]: (value[1], value[2])}) if value.__class__ is tuple else value
-
-
-def _same_binding(old: list, new: list) -> bool:
-    """Whether two leaf bindings hold the same values written the same way:
-    triples compare as integers, Radicals by their ordered terms (value
-    equality alone could pair two spellings of one square class)."""
-    return old == new and all(
-        x.__class__ is tuple or list(x._terms.items()) == list(y._terms.items())
-        for x, y in zip(old, new)
-    )
 
 
 @dataclass
@@ -345,12 +326,12 @@ class _Program:
 
 def _run(ops: array, vals: list) -> list:
     """Append the value of every op to ``vals`` (the leaf values).  Single
-    terms run on integer triples: products as Radical's single-term product
-    does, sums and differences of one radicand with one gcd, a cancelled
-    sum as the shared zero.  Anything else (multi-term values, a sum of two
-    radicands that may share a square class) runs on Radicals."""
+    terms run on integer triples through scalar's single-term kernel:
+    products with _mul_term, sums and differences of one radicand with
+    _sum, a cancelled sum as the shared zero.  Anything else (multi-term
+    values, a sum of two radicands that may share a square class) runs on
+    Radicals."""
     push = vals.append
-    gcd = math.gcd
     it = iter(ops)
     for code, a, b in zip(it, it, it):
         x = vals[a]
@@ -363,17 +344,8 @@ def _run(ops: array, vals: list) -> list:
             if single and kind == _MUL:
                 push(_mul_term(*x, *y))
             elif single and x[0] == y[0]:
-                m, n1, d1 = x
-                n2, d2 = y[1] if kind == _ADD else -y[1], y[2]
-                if d1 == d2:
-                    n, d = n1 + n2, d1
-                else:
-                    n, d = n1 * d2 + n2 * d1, d1 * d2
-                if n:
-                    g = gcd(n, d)
-                    push((m, n // g, d // g))
-                else:
-                    push(_ZERO)
+                n, d = _sum(x[1], x[2], y[1] if kind == _ADD else -y[1], y[2])
+                push((x[0], n, d) if n else _ZERO)
             elif kind == _MUL:
                 push(_term(_radical(x) * _radical(y)))
             elif kind == _ADD:
@@ -419,7 +391,8 @@ class _Plan:
     node values only while one family at one q is evaluated.  Each
     evaluated outcome (per-state results and FAIL records) is kept with
     the leaf binding it came from, so a later q whose binding of the
-    family's leaves is exactly the same reuses it."""
+    family's leaves is equal reuses it: every leaf value is an integer
+    triple or the zero Radical, so == compares how values are written."""
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
@@ -429,7 +402,7 @@ class _Plan:
         self._steps, self._args = {}, {}
         self.programs = {family: self._compile(family) for family in families}
         del self._steps, self._args, self._coeffs, self._brackets
-        self._q, self._values = None, []
+        self._q, self._values = None, [None] * len(self.keys)
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
         self._clean = {}  # (family, margin) -> per_state when no residual survives
         self._in_margin = {}  # margin -> per-ordinal flags
@@ -437,8 +410,6 @@ class _Plan:
     def leaf(self, *key) -> int:
         leaf = self.ids.get(key)
         if leaf is None:
-            if key[0] == "finv":
-                self.leaf("f", *key[1:])  # the inverse is bound from it
             leaf = self.ids[key] = len(self.keys)
             self.keys.append(key)
         return leaf
@@ -553,11 +524,7 @@ class _Plan:
         leaf = self.ids[key]
         val = self._values[leaf]
         if val is None:
-            if key[0] == "finv":
-                val = _radical(self._leaf(("f",) + key[1:])).inverse()
-            else:
-                val = _LEAF_VALUES[key[0]](self.model, self._q, *key[1:])
-            val = self._values[leaf] = _term(val)
+            val = self._values[leaf] = _term(_LEAF_VALUES[key[0]](self.model, self._q, *key[1:]))
         return val
 
     def bind(self, prog: _Program, q: Fraction) -> list:
@@ -571,7 +538,6 @@ class _Plan:
                 for g, v in enumerate(self._values)
             ]
         values = self._values
-        values.extend([None] * (len(keys) - len(values)))
         return [values[g] if values[g] is not None else self._leaf(keys[g]) for g in prog.leaves]
 
     def report(self, family: str, q, margin: int) -> RelationReport:
@@ -582,7 +548,7 @@ class _Plan:
         binding = self.bind(prog, q)
         seen = self._outcomes.setdefault((family, margin), [])
         for old, per_state, failures in seen:
-            if _same_binding(old, binding):
+            if old == binding:
                 break
         else:
             vals = _evaluate(prog, self._values)
@@ -649,8 +615,6 @@ class _Plan:
             klass = FAIL if any_fail else (BOUNDARY if any_boundary else PASS)
             per_state.append(StateResult(s, all_zero, klass))
         return per_state, failures
-
-
 
 
 # -- relation families ---------------------------------------------------------
@@ -907,9 +871,7 @@ def load_config(data) -> SuiteConfig:
     algebra_type = str(data["type"])
     n = _config_int(data, "n")
     lam = _config_int(data, "lambda")
-    cap = _config_int(data, "cap", None)
-    if cap is None and algebra_type == TYPE_C:
-        cap = lam + DEFAULT_CAP_HEADROOM
+    cap = resolve_cap(algebra_type, lam, _config_int(data, "cap", None))
     margin = _config_int(data, "margin", DEFAULT_MARGIN)
     if margin < 0:
         raise ConfigError("margin must be non-negative")

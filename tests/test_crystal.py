@@ -19,6 +19,7 @@ from qcrys.crystal import (
     graph_dot,
     graph_json,
     graph_json_obj,
+    resolve_cap,
     weight_h,
     weight_h2,
     weight_n,
@@ -52,6 +53,13 @@ class TestSpecValidation:
     def test_type_c_requires_cap(self):
         with pytest.raises(ValueError):
             CrystalSpec("C", 2, 1)
+
+    def test_resolve_cap_defaults_type_c_only(self):
+        assert resolve_cap("C", 2, None) == 12
+        assert resolve_cap("C", 2, 5) == 5
+        assert resolve_cap("A", 2, None) is None
+        # an explicit type A cap is passed through for CrystalSpec to refuse
+        assert resolve_cap("A", 2, 4) == 4
 
     def test_cap_below_lambda(self):
         with pytest.raises(ValueError):

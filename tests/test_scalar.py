@@ -21,7 +21,7 @@ from qcrys.scalar import (
     sqrt_rat,
     sym_bracket,
 )
-from qcrys.scalar import _qbinom_pair, _qint_root
+from qcrys.scalar import _qbinom_pair, _qint_root, _radical, _term
 
 F = Fraction
 Q_SAMPLES = (F(2), F(1, 2), F(3, 5))
@@ -66,6 +66,14 @@ class TestLaurent:
         p = Laurent(2, {(1, 2): F(3), (0, -1): F(1)})
         # Q := q^2 sends q*Q^2 -> q^5 and Q^-1 -> q^-2.
         assert p.collapse(1, 2) == lp({5: 3, -2: 1})
+
+    @pytest.mark.parametrize("exp", [1.7, 2.0, "2", F(3, 2)], ids=repr)
+    def test_refuses_non_integer_exponents(self, exp):
+        with pytest.raises(TypeError):
+            Laurent(1, {(exp,): 1})
+
+    def test_integral_fraction_exponent_is_an_integer(self):
+        assert Laurent(1, {(F(2),): 1}) == Laurent.var(1, 0, 2)
 
 
 class TestQint:
@@ -144,6 +152,25 @@ class TestQintSym:
     @pytest.mark.parametrize("c,z,k", [(0, 1, 4), (3, -2, 1), (-1, 2, -3)])
     def test_specialize_matches_qint(self, c, z, k):
         assert qint_sym(c, z).specialize(k) == qint(z * k + c)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qint_sym(2.5, 1),
+            lambda: qint_sym(2, 1.0),
+            lambda: qint_sym("2", 1),
+            lambda: sym_bracket(2, F(1, 2), (1,)),
+            lambda: sym_bracket(3, 0, (1, 0.5)),
+        ],
+        ids=["c-float", "z-float", "c-str", "c-fraction", "zvec-float"],
+    )
+    def test_refuses_non_integer_arguments(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_integral_fraction_arguments_are_integers(self):
+        assert qint_sym(F(2), F(1)) == qint_sym(2, 1)
+        assert sym_bracket(3, F(-1), (F(1), 0)) == sym_bracket(3, -1, (1, 0))
 
 
 def _identity_value(a, z, q, n_val):
@@ -393,8 +420,8 @@ class TestSqrtRat:
         assert sqrt_rat(1009**2 * 1013) == Radical({1013: F(1009)})
 
     def test_square_cofactor_folds(self):
-        assert sqrt_rat(3 * 1009**2 * 1013**2).terms == {3: F(1009 * 1013)}
-        assert sqrt_rat(F(-(1019**2), 4)).terms == {-1: F(1019, 2)}
+        assert sqrt_rat(3 * 1009**2 * 1013**2)._terms == {3: (1009 * 1013, 1)}
+        assert sqrt_rat(F(-(1019**2), 4))._terms == {-1: (1019, 2)}
 
     @given(r=large_rationals)
     @settings(deadline=None)
@@ -464,8 +491,8 @@ class TestRadical:
         assert sqrt_rat(1009**2 * 1013) != 1009 * sqrt_rat(-1013)
 
     def test_constructor_reduces_radicands(self):
-        assert Radical({8: F(1)}).terms == {2: F(2)}
-        assert Radical({2: F(1), 8: F(-2), -9: F(1)}).terms == {-1: F(3), 2: F(-3)}
+        assert Radical({8: F(1)})._terms == {2: (2, 1)}
+        assert Radical({2: F(1), 8: F(-2), -9: F(1)})._terms == {-1: (3, 1), 2: (-3, 1)}
         assert Radical({1009**2 * 1013: F(1)}) == Radical({1013: F(1009)})
 
     def test_unhashable(self):
@@ -475,6 +502,21 @@ class TestRadical:
     def test_disallows_radicand_zero(self):
         with pytest.raises(ValueError):
             Radical({0: F(1)})
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "3", F(5, 2)], ids=repr)
+    def test_refuses_non_integer_radicands(self, m):
+        with pytest.raises(TypeError):
+            Radical({m: 1})
+
+    def test_integral_fraction_radicand_is_an_integer(self):
+        assert Radical({F(12): 1})._terms == {3: (2, 1)}
+
+    def test_single_term_triples_round_trip(self):
+        x = sqrt_rat(F(-5, 2)) * F(1, 3)
+        assert _term(x) == (-10, 1, 6)
+        assert _radical(_term(x))._terms == x._terms
+        for value in (Radical.zero(), sqrt_rat(2) + sqrt_rat(3)):
+            assert _term(value) is value and _radical(value) is value
 
     @given(a=radical_st, b=radical_st, c=radical_st)
     @settings(deadline=None, max_examples=60)
@@ -535,7 +577,8 @@ def _ref(x: Radical) -> dict[int, Fraction]:
     """x as {squarefree core: coefficient}; also checks that no two terms
     of x share a square class and that every coefficient is nonzero."""
     out = {}
-    for m, c in x.terms.items():
+    for m, (n, d) in x._terms.items():
+        c = F(n, d)
         assert c
         core, root = _core(m)
         assert core not in out
@@ -589,9 +632,9 @@ class TestRadicalDifferential:
     def test_single_term_inverse(self, c, m, r):
         x = sqrt_rat(m) * c
         assert x * x.inverse() == 1
-        assert (x * x.inverse()).terms == {1: F(1)}
+        assert (x * x.inverse())._terms == {1: (1, 1)}
         assert _ref(x.inverse()) == {k: 1 / (v * k) for k, v in _ref(x).items()}
-        assert (x / c).terms == sqrt_rat(m).terms
+        assert (x / c)._terms == sqrt_rat(m)._terms
         assert x * r == x * Radical.from_rational(r)
 
     @given(r=st.fractions(max_denominator=10**6) | st.integers(-(10**20), 10**20))
@@ -605,5 +648,5 @@ class TestRadicalDifferential:
     @given(x=_ref_radicals)
     @settings(deadline=None, max_examples=100)
     def test_coefficient_text_matches_fraction(self, x):
-        assert x.json_map() == {str(m): str(c) for m, c in sorted(x.terms.items())}
-        assert all(c.denominator > 0 for c in x.terms.values())
+        assert x.json_map() == {str(m): str(F(n, d)) for m, (n, d) in sorted(x._terms.items())}
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in x._terms.values())

@@ -24,7 +24,7 @@ from qcrys.rep import (
     op_hat,
 )
 from qcrys.report import BOUNDARY, FAIL, PASS
-from qcrys.scalar import Radical, qbinom, qint_at
+from qcrys.scalar import Radical, _radical, _term, qbinom, qint_at
 from qcrys.verify import (
     _ADD,
     _FAMILY_RUNNERS,
@@ -38,10 +38,7 @@ from qcrys.verify import (
     _evaluate,
     _model_data,
     _Plan,
-    _radical,
     _run,
-    _same_binding,
-    _term,
     cartan_matrix,
     check_cartan,
     check_ladder,
@@ -621,14 +618,20 @@ def test_one_run_per_distinct_binding(monkeypatch, family, q_list, runs):
     assert len(calls) == runs
 
 
-def test_same_binding_compares_spellings():
-    # Two spellings of one square class: equal values, different terms.
-    a = Radical({1009 * 1013: 1, 6: 1})
-    b = Radical({1009 * 1013 * 1019**2: F(1, 1019), 6: 1})
-    assert a == b and a.json_map() != b.json_map()
-    assert not _same_binding([(2, 1, 1), a], [(2, 1, 1), b])
-    assert _same_binding([(2, 1, 1), a], [(2, 1, 1), Radical({1009 * 1013: 1, 6: 1})])
-    assert not _same_binding([(2, 1, 1)], [(2, 1, 3)])
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS + [SuiteConfig("A", 2, 40)], ids=_cfg_id)
+def test_bound_leaves_are_single_terms_or_zero(cfg):
+    # Bindings are compared with plain ==, which is exact only because no
+    # leaf value has two spellings: every one is an integer triple or the
+    # zero Radical, never a multi-term Radical.
+    plan = _Plan(build_model(cfg.spec()), KNOWN_FAMILIES)
+    for q in DIFF_Q:
+        for family in KNOWN_FAMILIES:
+            for value in plan.bind(plan.programs[family], q):
+                if value.__class__ is tuple:
+                    m, n, d = value
+                    assert m and n and d > 0 and math.gcd(n, d) == 1
+                else:
+                    assert value.__class__ is Radical and not value
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
@@ -710,7 +713,7 @@ def test_runner_matches_radical_reference(leaves, data):
     for g, w in zip(got, want):
         assert _radical(g).json_map() == w.json_map()
         # single terms stay integer triples, so the fast paths keep firing
-        assert (g.__class__ is tuple) == (len(w.terms) == 1)
+        assert (g.__class__ is tuple) == (len(w._terms) == 1)
 
 
 class TestLoadConfig:
