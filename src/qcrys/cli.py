@@ -97,10 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--output", default=None)
 
     p_ver = sub.add_parser("verify", help="run the relation-verification suite")
-    p_ver.add_argument("--config", default=None, help="JSON config file (overrides flags)")
+    p_ver.add_argument(
+        "--config",
+        default=None,
+        help="JSON config file, in place of --type/--n/--lambda/--cap/--margin/--q/--families",
+    )
     p_ver.add_argument("--type", choices=["A", "C"])
     p_ver.add_argument("--n", type=int)
-    p_ver.add_argument("--lambda", dest="lam", type=int)
+    p_ver.add_argument("--lambda", type=int)
     p_ver.add_argument("--cap", type=int, default=None)
     p_ver.add_argument("--margin", type=int, default=None)
     p_ver.add_argument("--q", default=None, help="comma list of rationals, e.g. 1,2,1/2,3/5")
@@ -197,21 +201,20 @@ def _cmd_rep(args) -> int:
     return 0
 
 
+# The verify flags that spell out a suite: each is named after its config key.
+_SUITE_KEYS = ("type", "n", "lambda", "cap", "margin", "q", "families")
+
+
 def _cmd_verify(args) -> int:
+    data = {key: getattr(args, key) for key in _SUITE_KEYS if getattr(args, key) is not None}
     if args.config is not None:
+        if data:
+            flags = ", ".join(f"--{key}" for key in data)
+            raise ConfigError(f"--config cannot be combined with {flags}")
         config = load_config(args.config)
+    elif not {"type", "n", "lambda"} <= data.keys():
+        raise ConfigError("verify needs --config or --type/--n/--lambda")
     else:
-        if args.type is None or args.n is None or args.lam is None:
-            raise ConfigError("verify needs --config or --type/--n/--lambda")
-        data = {"type": args.type, "n": args.n, "lambda": args.lam}
-        if args.cap is not None:
-            data["cap"] = args.cap
-        if args.margin is not None:
-            data["margin"] = args.margin
-        if args.q is not None:
-            data["q"] = args.q
-        if args.families is not None:
-            data["families"] = args.families
         config = load_config(data)
     if args.cz and "map" not in config.families:
         config = dataclasses.replace(config, families=config.families + ("map",))

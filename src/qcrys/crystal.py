@@ -24,7 +24,6 @@ __all__ = [
     "build_model",
     "move_delta",
     "apply_move",
-    "apply_delta",
     "e_hat",
     "weight_n",
     "weight_h",
@@ -110,9 +109,10 @@ class CrystalSpec:
 
 
 class CrystalModel:
-    """Immutable enumerated state space with ordinal lookup."""
+    """Immutable enumerated state space with ordinal lookup, and the one
+    table of its ladder moves, which every consumer reads by ordinal."""
 
-    __slots__ = ("spec", "states", "index")
+    __slots__ = ("spec", "states", "index", "_moves")
 
     def __init__(self, spec: CrystalSpec, states):
         self.spec = spec
@@ -120,6 +120,23 @@ class CrystalModel:
         self.index = {s: k for k, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
+        self._moves = {}  # (node, sign) -> column of moves
+
+    def moves(self, node: int, sign: int) -> tuple:
+        """The ladder move (node, sign) on every state, by source ordinal:
+        (target ordinal, MOVE_OK), or (None, MOVE_DEAD / MOVE_CAPPED) as
+        apply_move decides.  Each column is built on first use from one
+        move_delta and kept.  A move that succeeds always lands inside the
+        model, so word walks never leave the table."""
+        column = self._moves.get((node, sign))
+        if column is None:
+            spec, index = self.spec, self.index
+            delta, column = move_delta(spec, node, sign), []
+            for s in self.states:
+                t, status = _shift(spec, s, delta)
+                column.append((None if t is None else index[t], status))
+            column = self._moves[(node, sign)] = tuple(column)
+        return column
 
     @property
     def dim(self) -> int:
@@ -189,13 +206,11 @@ def apply_move(spec: CrystalSpec, state, node: int, sign: int):
     would turn negative, which also kills the move on the untruncated
     space); MOVE_CAPPED marks a move blocked only by the type C cap.
     """
-    return apply_delta(spec, state, move_delta(spec, node, sign))
+    return _shift(spec, state, move_delta(spec, node, sign))
 
 
-def apply_delta(spec: CrystalSpec, state, delta: tuple[int, ...]):
-    """apply_move with the move given by its label shift, as move_delta
-    returns it, so a caller that applies one move to many states computes
-    the shift once."""
+def _shift(spec: CrystalSpec, state, delta: tuple[int, ...]):
+    """apply_move with the move given by its label shift."""
     new = tuple(a + b for a, b in zip(state, delta))
     if min(new) < 0:
         return None, MOVE_DEAD
@@ -207,11 +222,11 @@ def apply_delta(spec: CrystalSpec, state, delta: tuple[int, ...]):
 def e_hat(model: CrystalModel, node: int, sign: int, state):
     """Crystal ladder operator on a basis state: the shifted state, or
     None when the operator annihilates (string end or cap)."""
-    state = tuple(state)
-    if state not in model.index:
-        raise ValueError(f"state {state} not in model")
-    new, _ = apply_move(model.spec, state, node, sign)
-    return new
+    k = model.index.get(tuple(state))
+    if k is None:
+        raise ValueError(f"state {tuple(state)} not in model")
+    t = model.moves(node, sign)[k][0]
+    return None if t is None else model.states[t]
 
 
 def weight_n(model: CrystalModel, state) -> tuple[int, ...]:
@@ -251,12 +266,14 @@ def boundary_class(model: CrystalModel, state, margin: int = DEFAULT_MARGIN) -> 
 
 
 def _edges(model: CrystalModel):
-    """Directed lowering edges (source ordinal, target ordinal, node)."""
-    for k, state in enumerate(model.states):
-        for node in range(1, model.spec.nodes + 1):
-            target = e_hat(model, node, -1, state)
-            if target is not None:
-                yield k, model.index[target], node
+    """Directed lowering edges (source ordinal, target ordinal, node), in
+    (source, node) order."""
+    columns = [model.moves(node, -1) for node in range(1, model.spec.nodes + 1)]
+    for k in range(model.dim):
+        for node, column in enumerate(columns, 1):
+            t = column[k][0]
+            if t is not None:
+                yield k, t, node
 
 
 def graph_json_obj(model: CrystalModel) -> dict:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crystal import TYPE_C, CrystalModel, e_hat, weight_h, weight_n
+from .crystal import TYPE_C, CrystalModel, weight_h, weight_n
 from .scalar import (
     Radical,
     _mul_term,
@@ -182,12 +182,8 @@ def commutator(a: LinOp, b: LinOp) -> LinOp:
 
 def op_hat(model: CrystalModel, node: int, sign: int) -> LinOp:
     """0/1 matrix of the bare crystal ladder operator."""
-    entries = {}
-    for k, s in enumerate(model.states):
-        t = e_hat(model, node, sign, s)
-        if t is not None:
-            entries[(k, model.index[t])] = Radical.one()
-    return LinOp(model.dim, entries)
+    moves = enumerate(model.moves(node, sign))
+    return LinOp(model.dim, {(k, t): Radical.one() for k, (t, _) in moves if t is not None})
 
 
 def op_num(model: CrystalModel, i: int) -> LinOp:
@@ -226,12 +222,10 @@ def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     """Ladder matrix with a diagonal dressing evaluated on the raising
     operand / lowering image, i.e. on the state where both square-root
     factor arguments are read off: the entry is ``value(a, b)``."""
-    entries = {}
-    for k, s in enumerate(model.states):
-        t = e_hat(model, node, sign, s)
-        if t is None:
-            continue
-        entries[(k, model.index[t])] = value(*_factor_args(model, node, s if sign > 0 else t))
+    states, entries = model.states, {}
+    for k, (t, _) in enumerate(model.moves(node, sign)):
+        if t is not None:
+            entries[(k, t)] = value(*_factor_args(model, node, states[k if sign > 0 else t]))
     return LinOp(model.dim, entries)
 
 
@@ -333,9 +327,15 @@ def cz_factor(model: CrystalModel, q, variant: str) -> LinOp:
         return deform_factor(model, 1, q)
     if variant != CZ_WEIGHT:
         raise ValueError(f"unknown dressing variant {variant!r}")
-    # j0 + j = l1 and j0 - j - 1 = -(l2 + 1) in the label variables; the
-    # second is never 0, so the entry is 1 exactly where j0 + j = 0.
-    return LinOp.diagonal(_deform_entry(l1, -(l2 + 1), q) for l1, l2 in model.states)
+    return LinOp.diagonal(_deform_entry(*_cz_args(s), q) for s in model.states)
+
+
+def _cz_args(state) -> tuple[int, int]:
+    """The weight variant's factor arguments (j0 + j, j0 - j - 1) at a
+    rank-one state, which are (l1, -(l2 + 1)) in the label variables; the
+    second is never 0, so the entry is 1 exactly where j0 + j = 0."""
+    l1, l2 = state
+    return l1, -(l2 + 1)
 
 
 def casimir(model: CrystalModel, deformed: bool, q=None) -> LinOp:

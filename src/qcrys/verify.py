@@ -9,15 +9,16 @@ so a word applied to a basis state is a single walk, and all words of one
 relation component reach the same target: its residual at a state is one
 exact number.  Where a walk goes, where it stops (a dead move, or the
 type C cap, which decides BOUNDARY) and which entries it multiplies do
-not depend on q, so each model gets one plan, built once: its move
-table, its Cartan data read off the integer doubled eigenvalues 2H_i,
-one namespace of entry keys with step tables shared by every family, and
-each requested family compiled into a straight-line program over those
-keys, after which the step tables are dropped.  Per q the plan only
-binds, runs and classifies: each q binds every key once, and the
-programs run on integer triples (m, n, d) for (n/d)*sqrt(m): sums and
-products of single terms stay triples, and only multi-term values or
-sums of two radicands go through Radical.
+not depend on q.  The model owns the move table (CrystalModel.moves),
+which the plan reads by ordinal like every other consumer, and each
+model gets one plan, built once: its Cartan data read off the integer
+doubled eigenvalues 2H_i, one namespace of entry keys with step tables
+shared by every family, and each requested family compiled into a
+straight-line program over those keys, after which the step tables are
+dropped.  Per q the plan only binds, runs and classifies: each q binds
+every key once, and the programs run on integer triples (m, n, d) for
+(n/d)*sqrt(m): sums and products of single terms stay triples, and only
+multi-term values or sums of two radicands go through Radical.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -42,19 +43,17 @@ from .crystal import (
     DEFAULT_MARGIN,
     MOVE_CAPPED,
     MOVE_DEAD,
-    MOVE_OK,
     TYPE_A,
     TYPE_C,
     CrystalModel,
     CrystalSpec,
-    apply_delta,
     boundary_class,
     build_model,
-    move_delta,
     resolve_cap,
     weight_h2,
 )
 from .rep import (
+    _cz_args,
     _deform_entry,
     _e_classical_entry,
     _e_deformed_entry,
@@ -131,7 +130,7 @@ def cartan_matrix(model: CrystalModel) -> list[list[int]]:
     move.  Every state admitting the move must report the same shift, and
     the result must agree with the reference matrix; disagreement is an
     engine error, not a relation failure (see _model_data)."""
-    return _model_data(model)[1]
+    return _model_data(model)[0]
 
 
 def symmetrizers(spec: CrystalSpec, cartan: list[list[int]]) -> list[int]:
@@ -152,27 +151,6 @@ def symmetrizers(spec: CrystalSpec, cartan: list[list[int]]) -> list[int]:
 # -- per-model data shared by the families ------------------------------------
 
 
-def _move_table(model: CrystalModel) -> list[dict[tuple[int, int], tuple]]:
-    """Every ladder move of the model, evaluated once: entry k maps
-    (node, sign) to (target ordinal or None, move status) for state k.
-    A move that succeeds always lands inside the model, so word walks
-    never leave the table."""
-    spec, index = model.spec, model.index
-    deltas = {
-        (node, sign): move_delta(spec, node, sign)
-        for node in range(1, spec.nodes + 1)
-        for sign in (1, -1)
-    }
-    table = []
-    for s in model.states:
-        row = {}
-        for step, delta in deltas.items():
-            t, status = apply_delta(spec, s, delta)
-            row[step] = (index[t] if status == MOVE_OK else None, status)
-        table.append(row)
-    return table
-
-
 def _half(x2: int, what: str) -> int:
     """Half of a doubled value that must be even."""
     if x2 % 2:
@@ -182,30 +160,24 @@ def _half(x2: int, what: str) -> int:
 
 def _model_data(model: CrystalModel) -> tuple:
     """The q-independent integers of the relation families on one model,
-    read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states:
-    the move table, the measured Cartan matrix, the symmetrizers, the
-    Cartan coefficients keyed (i, j, sign), per source ordinal
+    read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states
+    along the model's moves: the measured Cartan matrix, the symmetrizers,
+    the Cartan coefficients keyed (i, j, sign), per source ordinal
     H_i(target) - H_i(source) - sign*a_ij on a live node-j move and 0
     elsewhere, and per node i the [H_i] bracket arguments d_i*H_i by
     ordinal.  Inconsistent weight shifts, a measured matrix other than the
     reference one, and an odd doubled value where one is halved are
     engine errors."""
     spec, nodes = model.spec, model.spec.nodes
-    moves = _move_table(model)
     h2 = [weight_h2(model, s) for s in model.states]
+    what = "Cartan eigenvalue shift"
     shifts = {}  # (j, sign) -> per ordinal, the H shift of the live move or None
     for j in range(1, nodes + 1):
         for sign in (1, -1):
-            column = shifts[(j, sign)] = []
-            for k, row in enumerate(moves):
-                t, status = row[(j, sign)]
-                if status != MOVE_OK:
-                    column.append(None)
-                    continue
-                hs, ht = h2[k], h2[t]
-                column.append(
-                    tuple(_half(ht[i] - hs[i], "Cartan eigenvalue shift") for i in range(nodes))
-                )
+            shifts[(j, sign)] = [
+                None if t is None else tuple(_half(h2[t][i] - hs[i], what) for i in range(nodes))
+                for hs, (t, _) in zip(h2, model.moves(j, sign))
+            ]
     expected = expected_cartan(spec)
     cartan = [row[:] for row in expected]
     for j in range(1, nodes + 1):
@@ -230,7 +202,7 @@ def _model_data(model: CrystalModel) -> tuple:
     brackets = [
         [_half(hs[i] * d[i], "scaled Cartan eigenvalue") for hs in h2] for i in range(nodes)
     ]
-    return moves, cartan, d, coeffs, brackets
+    return cartan, d, coeffs, brackets
 
 
 # -- compiled relation plans ---------------------------------------------------
@@ -370,11 +342,11 @@ def _evaluate(prog: _Program, values: list) -> list:
     return vals
 
 
-def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
+def _word_trace(model: CrystalModel, k: int, word) -> str:
     bits = [str(model.states[k])]
     for move in word:
-        k, status = moves[k][move]
-        if status != MOVE_OK:
+        k, status = model.moves(*move)[k]
+        if k is None:
             bits.append("0" if status == MOVE_DEAD else "cap")
             break
         bits.append(str(model.states[k]))
@@ -383,8 +355,8 @@ def _word_trace(model: CrystalModel, moves: list, k: int, word) -> str:
 
 class _Plan:
     """The relation families of one model, compiled over one leaf
-    namespace.  Construction builds the move table and Cartan data, the
-    symbolic step tables and the program of every family in ``families``,
+    namespace.  Construction builds the Cartan data, the symbolic step
+    tables and the program of every family in ``families``,
     then drops the step tables and factor arguments, which only compiling
     reads; the leaf namespace stays for binding.  Per q a family is only
     bound, run and classified.  Leaf values are kept for one q at a time,
@@ -396,7 +368,7 @@ class _Plan:
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
-        self.moves, self.cartan, self.d, self._coeffs, self._brackets = _model_data(model)
+        self.cartan, self.d, self._coeffs, self._brackets = _model_data(model)
         self.keys = []  # leaf id -> key
         self.ids = {}  # key -> leaf id
         self._steps, self._args = {}, {}
@@ -428,9 +400,8 @@ class _Plan:
         if table is None:
             table = self._steps[(kind, node, sign)] = []
             args = self.factor_args(node) if kind != "one" else None
-            for k, row in enumerate(self.moves):
-                t, status = row[(node, sign)]
-                if status != MOVE_OK:
+            for k, (t, status) in enumerate(self.model.moves(node, sign)):
+                if t is None:
                     table.append((status, None))
                 elif kind == "one":
                     table.append((t, self.leaf(kind)))
@@ -585,7 +556,7 @@ class _Plan:
         return states
 
     def _classify(self, prog: _Program, vals: list, margin: int) -> tuple[list, list]:
-        model, moves, dim = self.model, self.moves, self.model.dim
+        model, dim = self.model, self.model.dim
         exprs, capped, in_margin = prog.exprs, prog.capped, self._margin(margin)
         per_state, failures = [], []
         for k, s in enumerate(model.states):
@@ -603,7 +574,7 @@ class _Plan:
                     any_boundary = True
                 elif val is not None:
                     any_fail = True
-                    traces = "; ".join(_word_trace(model, moves, k, w) for w in words)
+                    traces = "; ".join(_word_trace(model, k, w) for w in words)
                     t = model.states[prog.targets[i]]
                     failures.append(
                         {
@@ -749,7 +720,7 @@ def _map_components(plan: _Plan) -> list:
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
         # The weight variant of the rank-one functional, and its node
         # variant, which is the node-1 factor.
-        d2 = [(k, plan.leaf("cz", l1, -(l2 + 1))) for k, (l1, l2) in enumerate(model.states)]
+        d2 = [(k, plan.leaf("cz", *_cz_args(s))) for k, s in enumerate(model.states)]
         d1, hat = plan.diagonal("f", 1), plan.ladder("one", 1, 1)
         jp, dp = plan.ladder("e", 1, 1), plan.ladder("eq", 1, 1)
         rows.append(("cz_weight*j+-e+1", (jp, d2), (dp,), (((1, 1),),)))
@@ -942,8 +913,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     order, and the JSON rendering is byte-stable across runs.
 
     The model's relation plan is built once, before the first q: its
-    move table and Cartan data, one leaf namespace, and every configured
-    family's program.  Every q binds the plan's
+    Cartan data, one leaf namespace, and every configured family's
+    program.  Every q binds the plan's
     leaves once (those that take no q once per run), and each family
     runs on integer triples only when its binding differs from that of
     every earlier q; on an exact match the earlier q's per-state results

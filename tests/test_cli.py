@@ -206,6 +206,41 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--type", "C"),
+            ("--n", "3"),
+            ("--lambda", "3"),
+            ("--cap", "21"),
+            ("--margin", "0"),
+            ("--q", "5"),
+            ("--families", "map"),
+        ],
+    )
+    def test_config_refuses_suite_flags(self, tmp_path, capsys, flag, value):
+        # The file alone decides the suite, so a flag beside it would be
+        # silently ignored; it is refused instead, before anything runs.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"type": "A", "n": 2, "lambda": 2}), encoding="utf-8")
+        target = tmp_path / "report.json"
+        argv = ["verify", "--config", str(cfg), flag, value, "--output", str(target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --config cannot be combined with {flag}\n"
+        assert not target.exists()
+
+    def test_config_combines_with_cz_and_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"type": "A", "n": 2, "lambda": 2, "q": ["2"], "families": ["cartan"]}),
+            encoding="utf-8",
+        )
+        target = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--cz", "--output", str(target)]) == 0
+        assert json.loads(target.read_text())["config"]["families"] == ["cartan", "map"]
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json", encoding="utf-8")

@@ -216,6 +216,60 @@ class TestMoves:
                 assert e_hat(m, node, 1, hw) is None
 
 
+TABLE_MODELS = [
+    model_a(3, 3),
+    model_a(4, 2),
+    model_c(1, 0, 8),
+    model_c(2, 2, 12),
+    model_c(3, 2, 9),
+]
+
+
+class TestMoveTable:
+    @pytest.mark.parametrize("model", TABLE_MODELS, ids=repr)
+    def test_entries_are_apply_move_by_ordinal(self, model):
+        spec = model.spec
+        for node in range(1, spec.nodes + 1):
+            for sign in (1, -1):
+                column = model.moves(node, sign)
+                assert len(column) == model.dim
+                for k, s in enumerate(model.states):
+                    t, status = apply_move(spec, s, node, sign)
+                    assert column[k] == (None if t is None else model.index[t], status)
+
+    def test_column_built_once(self):
+        m = model_c(2, 2, 12)
+        assert m.moves(2, 1) is m.moves(2, 1)
+        assert m.moves(2, 1) is not m.moves(2, -1)
+
+    @pytest.mark.parametrize("model", TABLE_MODELS, ids=repr)
+    def test_e_hat_refusals_survive_built_columns(self, model):
+        s, spec = model.states[0], model.spec
+        outside = ((spec.cap or spec.lam) + 1,) * spec.n
+        bad = [(0, 1, s), (spec.nodes + 1, 1, s), (1, 0, s), (1, 1, outside)]
+        for _ in range(2):
+            for node, sign, state in bad:
+                with pytest.raises(ValueError):
+                    e_hat(model, node, sign, state)
+            # build every valid column, then refuse the same calls again
+            for node in range(1, model.spec.nodes + 1):
+                for sign in (1, -1):
+                    e_hat(model, node, sign, s)
+
+    @pytest.mark.parametrize("model", TABLE_MODELS, ids=repr)
+    def test_graph_edges_in_source_node_order(self, model):
+        got = [(e["from"], e["to"], e["node"]) for e in graph_json_obj(model)["edges"]]
+        assert [(a, i) for a, _, i in got] == sorted({(a, i) for a, _, i in got})
+        expected = [
+            (k, model.index[t], node)
+            for k, s in enumerate(model.states)
+            for node in range(1, model.spec.nodes + 1)
+            for t in [apply_move(model.spec, s, node, -1)[0]]
+            if t is not None
+        ]
+        assert got == expected
+
+
 class TestWeights:
     def test_symmetric_state(self):
         m = model_a(2, 2)

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcrys.verify as verify
-from qcrys.crystal import MOVE_CAPPED, MOVE_OK, CrystalSpec, build_model, weight_h, weight_h2
+from qcrys.crystal import (
+    MOVE_CAPPED,
+    MOVE_OK,
+    CrystalSpec,
+    apply_move,
+    build_model,
+    weight_h,
+    weight_h2,
+)
 from qcrys.rep import (
     CZ_NODE,
     CZ_WEIGHT,
@@ -428,13 +436,15 @@ def _oracle_map(model, q):
     return ops
 
 
-def _word_end(moves, k, word):
-    """(end ordinal or None, stopped at the cap) of one walk of a word."""
-    for move in word:
-        k, status = moves[k][move]
+def _word_end(model, k, word):
+    """(end ordinal or None, stopped at the cap) of one walk of a word,
+    taken move by move with apply_move rather than the model's table."""
+    state = model.states[k]
+    for node, sign in word:
+        state, status = apply_move(model.spec, state, node, sign)
         if status != MOVE_OK:
             return None, status == MOVE_CAPPED
-    return k, False
+    return model.index[state], False
 
 
 def _node_values(plan, family, q):
@@ -446,8 +456,8 @@ def _node_values(plan, family, q):
 def _assert_matches_oracle(plan, family, q, oracle):
     """Compare every (component, state) residual of the compiled plan at q
     with the operator column, and its target and capped flag with walks of
-    the component's words over the move table."""
-    model, moves = plan.model, plan.moves
+    the component's words."""
+    model = plan.model
     prog, vals = _node_values(plan, family, q)
     assert prog.labels == list(oracle)
     nonzero = 0
@@ -466,7 +476,7 @@ def _assert_matches_oracle(plan, family, q, oracle):
                 assert val is not None and col == {target: val}, (label, k)
             else:
                 assert val is None, (label, k)
-            walks = [_word_end(moves, k, w) for w in words]
+            walks = [_word_end(model, k, w) for w in words]
             ends = {end for end, _ in walks if end is not None}
             assert len(ends) <= 1, (label, k)
             # The ladder bracket's diagonal term sits at the source.
@@ -511,19 +521,24 @@ class TestEngineAgainstOperators:
         # -(+-1) e_j: nonzero wherever the generator is.  The coefficient
         # H_i(t) - H_i(s) - sign*a_ij of every live node-j move drops by sign.
         model = build_model(cfg.spec())
-        moves, cartan, d, coeffs, brackets = _model_data(model)
+        cartan, d, coeffs, brackets = _model_data(model)
         wrong = [[a + 1 for a in row] for row in cartan]
+
+        def is_live(s, j, sign):
+            return apply_move(model.spec, s, j, sign)[1] == MOVE_OK
+
         coeffs = {
             (i, j, sign): [
-                c - sign if moves[k][(j, sign)][1] == MOVE_OK else c for k, c in enumerate(column)
+                c - sign if is_live(s, j, sign) else c for s, c in zip(model.states, column)
             ]
             for (i, j, sign), column in coeffs.items()
         }
-        monkeypatch.setattr(verify, "_model_data", lambda _: (moves, wrong, d, coeffs, brackets))
+        monkeypatch.setattr(verify, "_model_data", lambda _: (wrong, d, coeffs, brackets))
         plan = _Plan(model, ("cartan",))
         assert plan.cartan == wrong
         oracle = _oracle_cartan(model, q, plan)
-        live = sum(status == MOVE_OK for row in moves for _, status in row.values())
+        nodes = range(1, model.spec.nodes + 1)
+        live = sum(is_live(s, j, sign) for s in model.states for j in nodes for sign in (1, -1))
         nonzero = _assert_matches_oracle(plan, "cartan", q, oracle)
         assert nonzero == live * model.spec.nodes
 

@@ -16,10 +16,19 @@ this script once against the old checkout and once against the new one
 and comparing the two outputs with ``diff``.  The list covers every
 README command, every Baseline row of ROADMAP.md, the margin-0 type C
 configurations that carry FAIL records, suites with reciprocal q pairs,
-mixes of all relation families including ``serre-classical``, and
-generator exports whose entries are roots of deep q-integers.  The
-whole list takes a few minutes; the boson cutoff-40 tower check alone
-takes about a minute.
+mixes of all relation families including ``serre-classical``,
+generator exports whose entries are roots of deep q-integers, and crystal
+graphs and bare/classical ladder matrices of type C models.  The whole
+list takes a few minutes; the boson cutoff-40 tower check alone takes
+about a minute.
+
+``tools/report_identity.expected`` holds the output for the last
+accepted report bytes, and CI compares a fresh run against it:
+
+    python3 tools/report_identity.py | diff tools/report_identity.expected -
+
+A change that alters report bytes on purpose regenerates that file in
+its own diff.
 """
 
 from __future__ import annotations
@@ -88,7 +97,7 @@ CONFIGS = [
     ("bench-C3-3-13-b",
      "verify --type C --n 3 --lambda 3 --cap 13 --q 5/3,3/2,2/3,3/5 --output out"),
     ("bench-C3-3-13-c", "verify --type C --n 3 --lambda 3 --cap 13 --q 2/3,1,5/3,2 --output out"),
-    # exports, trivial carriers and refused input
+    # exports
     ("rep-C2-2-6-deformed-json",
      "rep --type C --n 2 --lambda 2 --cap 6 --which deformed --node 2 --q 3/5 --format json"
      " --output out"),
@@ -98,6 +107,20 @@ CONFIGS = [
      "rep --type A --n 2 --lambda 40 --which deformed --node 1 --q 3/4 --output out"),
     ("rep-C2-2-20-deformed-node2-q3/5",
      "rep --type C --n 2 --lambda 2 --cap 20 --which deformed --node 2 --q 3/5 --output out"),
+    # crystal graphs and bare/classical ladder matrices read off type C models
+    ("crystal-C3-3-21-json",
+     "crystal --type C --n 3 --lambda 3 --cap 21 --format json --output out"),
+    ("crystal-C2-2-8-dot", "crystal --type C --n 2 --lambda 2 --cap 8 --format dot --output out"),
+    ("crystal-A4-8-dot", "crystal --type A --n 4 --lambda 8 --format dot --output out"),
+    ("rep-C2-2-10-hat-node1",
+     "rep --type C --n 2 --lambda 2 --cap 10 --which hat --node 1 --output out"),
+    ("rep-C2-2-10-hat-node2",
+     "rep --type C --n 2 --lambda 2 --cap 10 --which hat --node 2 --output out"),
+    ("rep-C3-1-9-classical-node1",
+     "rep --type C --n 3 --lambda 1 --cap 9 --which classical --node 1 --output out"),
+    ("rep-C3-1-9-classical-node3",
+     "rep --type C --n 3 --lambda 1 --cap 9 --which classical --node 3 --output out"),
+    # trivial carriers and refused input
     ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
     ("trivial-C1-1-1", "verify --type C --n 1 --lambda 1 --cap 1 --margin 0 --output out"),
     ("refused-repeated-q", "verify --type A --n 2 --lambda 2 --q 2,4/2"),
