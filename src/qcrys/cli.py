@@ -131,9 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The symbolic sum's cost grows steeply with a (a = 40 takes seconds, a = 80
+# about a minute), so a larger a is refused up front instead of running for
+# hours.
+_MAX_IDENTITY_A = 100
+
+
 def _cmd_identity(args) -> int:
     if args.a < 1:
         print("identity: --a must be >= 1", file=sys.stderr)
+        return 2
+    if args.a > _MAX_IDENTITY_A:
+        print(f"identity: --a must be <= {_MAX_IDENTITY_A}", file=sys.stderr)
         return 2
     verdict = serre_identity_verdict(args.a, args.z)
     if verdict.symbolic:

@@ -291,7 +291,8 @@ def graph_json(model: CrystalModel) -> str:
 def graph_dot(model: CrystalModel) -> str:
     lines = ["digraph crystal {", "  node [shape=box];"]
     for k, state in enumerate(model.states):
-        h = ",".join(str(x) for x in weight_h(model, state))
+        # H = x/2 for each x of 2H, written as str(Fraction) would write it
+        h = ",".join(str(x // 2) if x % 2 == 0 else f"{x}/2" for x in weight_h2(model, state))
         l = ",".join(str(x) for x in state)
         lines.append(f'  s{k} [label="({l}) H=({h})"];')
     for a, b, i in _edges(model):

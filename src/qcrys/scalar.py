@@ -4,7 +4,9 @@ their identities, q-combinatorics, and radicals (sums of c*sqrt(m)).
 Everything in this module is exact rational arithmetic, over ``Fraction``
 or, inside radicals and for the point values of q-integers, over integer
 numerator/denominator pairs; no floating point appears anywhere in the
-package.
+package.  Nothing here divides a polynomial: a symbolic q-bracket is kept
+as a quotient num / (q - q^(-1))**k that is never divided out, and
+deciding an identity only multiplies to a common power of q - q^(-1).
 """
 
 from __future__ import annotations
@@ -52,38 +54,6 @@ def ensure_positive_q(q) -> Fraction:
     if q <= 0:
         raise ValueError("deformation parameter q must be a positive rational")
     return q
-
-
-def _udiv(num: dict[int, Fraction], den: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Exact division of univariate Laurent polynomials given as
-    exponent -> coefficient maps.  Raises ArithmeticError when the division
-    is not exact."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return {}
-    nmin = min(num)
-    dmin = min(den)
-    rem = {e - nmin: c for e, c in num.items()}
-    div = {e - dmin: c for e, c in den.items()}
-    ddeg = max(div)
-    dlead = div[ddeg]
-    quot: dict[int, Fraction] = {}
-    while rem:
-        rdeg = max(rem)
-        if rdeg < ddeg:
-            raise ArithmeticError("polynomial division is not exact")
-        f = rem[rdeg] / dlead
-        quot[rdeg - ddeg] = f
-        for e, c in div.items():
-            pos = rdeg - ddeg + e
-            val = rem.get(pos, Fraction(0)) - f * c
-            if val:
-                rem[pos] = val
-            else:
-                rem.pop(pos, None)
-    shift = nmin - dmin
-    return {e + shift: c for e, c in quot.items()}
 
 
 class Laurent:
@@ -254,42 +224,19 @@ class Laurent:
             acc[tuple(lst)] = c
         return Laurent(nvars, acc)
 
-    def divexact(self, other: "Laurent") -> "Laurent":
-        """Exact division by a divisor supported on a single variable.
-
-        Raises ArithmeticError when the division is not exact."""
-        if other.nvars != self.nvars:
-            raise ValueError("mixed variable counts")
-        support = {i for exps in other.terms for i, e in enumerate(exps) if e}
-        if len(support) > 1:
-            raise NotImplementedError("divisor must involve a single variable")
-        v = support.pop() if support else 0
-        den = {exps[v]: c for exps, c in other.terms.items()}
-        groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for exps, c in self.terms.items():
-            key = exps[:v] + exps[v + 1 :]
-            groups.setdefault(key, {})[exps[v]] = c
-        out: dict[tuple[int, ...], Fraction] = {}
-        for key, num in groups.items():
-            for e, c in _udiv(num, den).items():
-                out[key[:v] + (e,) + key[v:]] = c
-        return Laurent(self.nvars, out)
-
-
-def _qcomm(nvars: int) -> Laurent:
-    """The commutator denominator q - q^(-1)."""
-    return Laurent.var(nvars, 0, 1) - Laurent.var(nvars, 0, -1)
-
 
 class SymBracket:
     """Quotient  num / (q - q^(-1))**den_pow  of Laurent polynomials.
 
     A q-bracket of a symbolic argument, [z*N + c]_q with Q = q^N formal,
     is not itself a Laurent polynomial, but its numerator
-    q^c Q^z - q^(-c) Q^(-z) is.  Sums and products of such quotients reduce
-    back to honest Laurent polynomials whenever the division by
-    q - q^(-1) is exact; the constructor performs that reduction eagerly,
-    so zero tests and equality are exact for all q and all N at once.
+    q^c Q^z - q^(-c) Q^(-z) is.  The quotient is kept as given and never
+    divided out: ``+`` and ``-`` lift both numerators to the larger power
+    by multiplying by q - q^(-1), and ``*`` adds the powers.  Since
+    q - q^(-1) is not a zero divisor among Laurent polynomials, a quotient
+    is zero exactly when its numerator is, so zero tests and equality are
+    exact for all q and all N at once.  Equal values need not share a
+    representation, so quotients are unhashable.
     """
 
     __slots__ = ("num", "den_pow")
@@ -297,16 +244,6 @@ class SymBracket:
     def __init__(self, num: Laurent, den_pow: int = 0):
         if den_pow < 0:
             raise ValueError("denominator power must be non-negative")
-        if num.is_zero():
-            den_pow = 0
-        else:
-            comm = _qcomm(num.nvars)
-            while den_pow > 0:
-                try:
-                    num = num.divexact(comm)
-                except ArithmeticError:
-                    break
-                den_pow -= 1
         self.num = num
         self.den_pow = den_pow
 
@@ -329,7 +266,7 @@ class SymBracket:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        comm = _qcomm(self.nvars)
+        comm = Laurent.var(self.nvars, 0, 1) - Laurent.var(self.nvars, 0, -1)  # q - q^(-1)
         den = max(self.den_pow, other.den_pow)
         a = self.num * comm ** (den - self.den_pow)
         b = other.num * comm ** (den - other.den_pow)
@@ -368,22 +305,17 @@ class SymBracket:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        return hash((self.num, self.den_pow))
+    __hash__ = None
 
     def __repr__(self):
         return f"SymBracket({self.num!r}, den_pow={self.den_pow})"
 
-    def specialize(self, k: int) -> Laurent:
-        """Substitute Q := q**k (two-variable quotients only) and clear the
-        denominator exactly, returning a Laurent polynomial in q."""
+    def specialize(self, k: int) -> "SymBracket":
+        """Substitute Q := q**k (two-variable quotients only), giving the
+        one-variable quotient over the same power of q - q^(-1)."""
         if self.nvars != 2:
             raise ValueError("specialize applies to two-variable quotients")
-        num = self.num.collapse(1, k)
-        comm = _qcomm(1)
-        for _ in range(self.den_pow):
-            num = num.divexact(comm)
-        return num
+        return SymBracket(self.num.collapse(1, k), self.den_pow)
 
 
 # -- q-combinatorics ---------------------------------------------------------
@@ -487,6 +419,10 @@ def qbinom(m: int, k: int) -> Laurent:
     m, k = _integer(m), _integer(k)
     if m < 0 or k < 0 or k > m:
         raise ValueError("require 0 <= k <= m")
+    # Fill the cache row by row, so that no call recurses more than one row.
+    for row in range(m):
+        for j in range(max(0, k - m + row), min(k, row) + 1):
+            _qbinom(row, j)
     return _qbinom(m, k)
 
 

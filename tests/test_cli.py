@@ -45,6 +45,13 @@ class TestIdentityCommand:
             main(["identity", "--a", "x", "--z", "1"])
         assert exc.value.code == 2
 
+    def test_refuses_large_a_up_front(self, capsys):
+        for a in ("600", "101"):
+            assert main(["identity", "--a", a, "--z", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "identity: --a must be <= 100\n"
+
 
 class TestCrystalCommand:
     def test_dot_export(self, capsys):

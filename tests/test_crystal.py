@@ -368,3 +368,10 @@ class TestExport:
         d2 = graph_dot(build_model(CrystalSpec("C", 2, 2, 8)))
         assert d1 == d2
         assert 'label="(0,2) H=(-2,5/2)"' in d1
+        # Labels are written from 2H; weight_h is the Fraction reference.
+        for model in (m, model_a(3, 2)):
+            dot = graph_dot(model)
+            for k, s in enumerate(model.states):
+                h = ",".join(str(x) for x in weight_h(model, s))
+                l = ",".join(str(x) for x in s)
+                assert f'  s{k} [label="({l}) H=({h})"];' in dot

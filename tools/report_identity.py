@@ -17,10 +17,11 @@ and comparing the two outputs with ``diff``.  The list covers every
 README command, every Baseline row of ROADMAP.md, the margin-0 type C
 configurations that carry FAIL records, suites with reciprocal q pairs,
 mixes of all relation families including ``serre-classical``,
-generator exports whose entries are roots of deep q-integers, and crystal
-graphs and bare/classical ladder matrices of type C models.  The whole
-list takes a few minutes; the boson cutoff-40 tower check alone takes
-about a minute.
+generator exports whose entries are roots of deep q-integers, crystal
+graphs and bare/classical ladder matrices of type C models, and
+``identity`` verdicts that hold for all q, hold only at q = 1, or are
+refused.  The whole list takes a few minutes; the boson cutoff-40 tower
+check alone takes about a minute.
 
 ``tools/report_identity.expected`` holds the output for the last
 accepted report bytes, and CI compares a fresh run against it:
@@ -120,6 +121,15 @@ CONFIGS = [
      "rep --type C --n 3 --lambda 1 --cap 9 --which classical --node 1 --output out"),
     ("rep-C3-1-9-classical-node3",
      "rep --type C --n 3 --lambda 1 --cap 9 --which classical --node 3 --output out"),
+    # the alternating bracket identity: symbolic, q = 1 only, JSON, refused a
+    ("identity-2-m2", "identity --a 2 --z -2"),
+    ("identity-4-2", "identity --a 4 --z 2"),
+    ("identity-3-m2", "identity --a 3 --z -2"),
+    ("identity-2-1", "identity --a 2 --z 1"),
+    ("identity-4-2-json", "identity --a 4 --z 2 --json"),
+    ("identity-3-m2-json", "identity --a 3 --z -2 --json --output out"),
+    ("identity-refused-a0", "identity --a 0 --z 1"),
+    ("identity-refused-a101", "identity --a 101 --z 1"),
     # trivial carriers and refused input
     ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
     ("trivial-C1-1-1", "verify --type C --n 1 --lambda 1 --cap 1 --margin 0 --output out"),
