@@ -5,7 +5,8 @@ export in DOT and JSON form."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "CrystalSpec",
     "CrystalModel",
     "build_model",
+    "state_count",
     "move_delta",
     "apply_move",
     "e_hat",
@@ -61,9 +63,9 @@ def resolve_cap(algebra_type: str, lam: int, cap: int | None) -> int | None:
     return cap
 
 
-@dataclass(frozen=True)
-class CrystalSpec:
-    """Which symmetric state space to build.
+class CrystalSpec(namedtuple("CrystalSpec", "algebra_type n lam cap")):
+    """Which symmetric state space to build (immutable, compared and hashed
+    by value).
 
     ``lam`` is the single nonzero Dynkin label.  Type A carries sl(n) on
     tuples summing to lam; type C carries sp(2n) on tuples of total
@@ -71,28 +73,31 @@ class CrystalSpec:
     has no finite top, so a cap is required to materialize it).
     """
 
-    algebra_type: str
-    n: int
-    lam: int
-    cap: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.algebra_type not in (TYPE_A, TYPE_C):
-            raise ValueError(f"unknown algebra type {self.algebra_type!r}")
-        if self.lam < 0:
+    def __new__(cls, algebra_type: str, n: int, lam: int, cap: int | None = None):
+        if algebra_type not in (TYPE_A, TYPE_C):
+            raise ValueError(f"unknown algebra type {algebra_type!r}")
+        if lam < 0:
             raise ValueError("highest-weight label must be non-negative")
-        if self.algebra_type == TYPE_A:
-            if self.n < 2:
+        if algebra_type == TYPE_A:
+            if n < 2:
                 raise ValueError("type A needs n >= 2")
-            if self.cap is not None:
+            if cap is not None:
                 raise ValueError("type A state spaces take no cap")
         else:
-            if self.n < 1:
+            if n < 1:
                 raise ValueError("type C needs n >= 1")
-            if self.cap is None:
+            if cap is None:
                 raise ValueError("type C state spaces need a cap")
-            if self.cap < self.lam:
+            if cap < lam:
                 raise ValueError("cap must be at least the highest-weight label")
+        return super().__new__(cls, algebra_type, n, lam, cap)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make (and so _replace) would skip the checks.
+        return cls(*iterable)
 
     @property
     def nodes(self) -> int:
@@ -176,6 +181,30 @@ def build_model(spec: CrystalSpec) -> CrystalModel:
             states.extend(_compositions(total, spec.n))
         states.sort()
     return CrystalModel(spec, states)
+
+
+def state_count(spec: CrystalSpec) -> int:
+    """The number of states build_model(spec) enumerates, in closed form,
+    so a size can be judged before anything is built.
+
+    Type A has C(lam+n-1, n-1) compositions.  Type C sums C(t+n-1, n-1)
+    over the totals t <= cap of lam's parity: half the sum over every
+    t <= cap, which is C(cap+n, n), plus or minus half the alternating sum
+    of the same terms, which is the coefficient of x**cap in
+    1/((1-x)(1+x)**n) up to sign; partial fractions in 1+x give it in n
+    terms, so the work never grows with lam or cap.
+    """
+    n, lam, cap = spec.n, spec.lam, spec.cap
+    if spec.algebra_type == TYPE_A:
+        return math.comb(lam + n - 1, n - 1)
+    every = math.comb(cap + n, n)
+    # the sum over t <= cap of (-1)**(cap-t) * C(t+n-1, n-1)
+    alternating = (
+        (-1) ** cap + sum(2 ** (k - 1) * math.comb(cap + k - 1, k - 1) for k in range(1, n + 1))
+    ) // 2**n
+    if (cap - lam) % 2:
+        return (every - alternating) // 2
+    return (every + alternating) // 2
 
 
 def _check_node(spec: CrystalSpec, node: int) -> None:

@@ -5,8 +5,7 @@ finite truncation rather than of the relations themselves."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 
 __all__ = ["PASS", "FAIL", "BOUNDARY", "StateResult", "RelationReport"]
 
@@ -15,29 +14,26 @@ FAIL = "FAIL"
 BOUNDARY = "BOUNDARY"
 
 
-@dataclass(frozen=True)
-class StateResult:
-    """Outcome at one basis state.  ``residual_zero`` records the raw
-    algebra; ``klass`` additionally accounts for truncation: BOUNDARY states
-    are never asserted either way."""
+class StateResult(namedtuple("StateResult", "state residual_zero klass")):
+    """Outcome at one basis state (immutable).  ``residual_zero`` records
+    the raw algebra; ``klass`` additionally accounts for truncation:
+    BOUNDARY states are never asserted either way."""
 
-    state: tuple[int, ...]
-    residual_zero: bool
-    klass: str
+    __slots__ = ()
 
 
-@dataclass
 class RelationReport:
     """Exact residual record for one relation family on one carrier at one
-    deformation parameter.  PASS means the residual column is exactly zero
-    (no tolerances anywhere); FAIL carries the offending word and residual
-    entries in ``failures``."""
+    deformation parameter (a ``Fraction`` q).  PASS means the residual
+    column is exactly zero (no tolerances anywhere); FAIL carries the
+    offending word and residual entries in ``failures``."""
 
-    relation_id: str
-    carrier: dict
-    q: Fraction
-    per_state: list[StateResult] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, relation_id, carrier, q, per_state=None, failures=None):
+        self.relation_id = relation_id
+        self.carrier = carrier
+        self.q = q
+        self.per_state = [] if per_state is None else per_state
+        self.failures = [] if failures is None else failures
 
     @property
     def summary(self) -> dict[str, int]:

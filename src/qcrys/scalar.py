@@ -12,7 +12,7 @@ deciding an identity only multiplies to a common power of q - q^(-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -448,9 +448,8 @@ def qint_sym(c: int, z_coeff: int) -> SymBracket:
 # -- bracket identities ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    """Outcome of the alternating bracket identity check.
+class IdentityVerdict(namedtuple("IdentityVerdict", "symbolic at_q1")):
+    """Outcome of the alternating bracket identity check (immutable).
 
     ``symbolic`` means the sum is zero for all q and all N at once (zero as
     a two-variable quotient); ``at_q1`` means it is zero for all N after
@@ -458,8 +457,7 @@ class IdentityVerdict:
     form, while the deformed ones need the symbolic form.
     """
 
-    symbolic: bool
-    at_q1: bool
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -557,9 +555,19 @@ def half_bracket_product(h2: int, q) -> Fraction:
 # square.  A representative below _TRIAL_BOUND**2 is squarefree, because the
 # square of any prime it could still hold twice is larger.
 _TRIAL_BOUND = 1000
-_SMALL_PRIMES = tuple(
-    p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, math.isqrt(p) + 1))
-)
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below ``bound``, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p, is_prime in enumerate(sieve) if is_prime)
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 _SQUAREFREE_BELOW = _TRIAL_BOUND**2
 
 

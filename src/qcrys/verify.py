@@ -35,7 +35,7 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .crystal import (
@@ -254,8 +254,7 @@ def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
 _ZERO = Radical.zero()
 
 
-@dataclass
-class _Component:
+class _Component(namedtuple("_Component", "label terms words minus_diag", defaults=((), (), None))):
     """One identity inside a relation family, as a weighted sum of words.
 
     ``terms`` are (sign, scale, word) triples: the walk of the word (step
@@ -263,37 +262,28 @@ class _Component:
     any, then added (sign 1) or subtracted (sign -1).  A scale is one leaf
     id or a list of them by source ordinal, None where the coefficient is
     0 (the Cartan integers, all 0 on a correct model).  ``minus_diag``
-    lists per-state leaves subtracted at the source.  ``words`` are the
-    ladder moves of the words (application order), which name the
-    component's paths in FAIL traces.  Every word of a component shifts
-    the labels by one vector, so the residual at a state has at most one
-    target."""
+    lists per-state leaves subtracted at the source, or is None.
+    ``words`` are the ladder moves of the words (application order), which
+    name the component's paths in FAIL traces.  Every word of a component
+    shifts the labels by one vector, so the residual at a state has at most
+    one target."""
 
-    label: str
-    terms: tuple = ()
-    words: tuple[tuple[tuple[int, int], ...], ...] = ()
-    minus_diag: list | None = None
+    __slots__ = ()
 
 
-@dataclass
-class _Program:
+class _Program(
+    namedtuple("_Program", "labels words base leaves ops targets exprs residuals capped")
+):
     """One family compiled on one model.  Node ids below ``base`` are the
     plan's leaf ids (the family reads those in ``leaves``); op i, the flat
-    triple (code, a, b) at 3i in ``ops``, defines node base + i from
-    earlier nodes.  Per (component, state), component-major: the target
-    ordinal (-1 for none), the residual's node (-1 when no word survives)
-    and whether a word stopped at the cap.  ``residuals`` are the distinct
-    residual nodes."""
+    triple (code, a, b) at 3i in the array ``ops``, defines node base + i
+    from earlier nodes.  Per (component, state), component-major: the
+    target ordinal (-1 for none) in ``targets``, the residual's node (-1
+    when no word survives) in ``exprs`` and whether a word stopped at the
+    cap in the bytearray ``capped``.  ``residuals`` are the distinct
+    residual nodes; ``labels`` and ``words`` name each component."""
 
-    labels: list
-    words: list
-    base: int
-    leaves: list
-    ops: array
-    targets: array
-    exprs: array
-    residuals: array
-    capped: bytearray
+    __slots__ = ()
 
 
 def _run(ops: array, vals: list) -> list:
@@ -756,15 +746,18 @@ KNOWN_FAMILIES = tuple(_FAMILIES)
 # -- suite ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    algebra_type: str
-    n: int
-    lam: int
-    cap: int | None = None
-    margin: int = DEFAULT_MARGIN
-    q_list: tuple[Fraction, ...] = DEFAULT_Q_LIST
-    families: tuple[str, ...] = DEFAULT_FAMILIES
+class SuiteConfig(
+    namedtuple(
+        "SuiteConfig",
+        "algebra_type n lam cap margin q_list families",
+        defaults=(None, DEFAULT_MARGIN, DEFAULT_Q_LIST, DEFAULT_FAMILIES),
+    )
+):
+    """One verification suite (immutable): the crystal spec's fields, the
+    truncation margin, the q values (Fractions) and the relation families,
+    in report order.  ``_replace`` returns a changed copy."""
+
+    __slots__ = ()
 
     def spec(self) -> CrystalSpec:
         return CrystalSpec(self.algebra_type, self.n, self.lam, self.cap)
@@ -868,10 +861,12 @@ def load_config(data) -> SuiteConfig:
     return cfg
 
 
-@dataclass
 class SuiteResult:
-    config: SuiteConfig
-    reports: list[RelationReport] = field(default_factory=list)
+    """The reports of one suite run, in (q, family) order."""
+
+    def __init__(self, config: SuiteConfig, reports: list[RelationReport] | None = None):
+        self.config = config
+        self.reports = [] if reports is None else reports
 
     @property
     def exit_code(self) -> int:

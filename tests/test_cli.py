@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import qcrys
+import qcrys.cli as cli
+import qcrys.verify
 from qcrys.cli import main
 from qcrys.verify import load_config
 
@@ -86,6 +90,17 @@ class TestCrystalCommand:
         assert json.loads(target.read_text())["spec"]["n"] == 2
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".qcrys-")]
         assert leftovers == []
+
+    def test_output_mode_follows_umask(self, tmp_path, capsys):
+        target = tmp_path / "verdict.txt"
+        old = os.umask(0o022)
+        try:
+            for mask in (0o022, 0o077):
+                os.umask(mask)
+                assert main(["identity", "--a", "1", "--z", "1", "--output", str(target)]) == 0
+                assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+        finally:
+            os.umask(old)
 
     def test_invalid_spec_exit_2(self, capsys):
         assert main(["crystal", "--type", "C", "--n", "1", "--lambda", "5", "--cap", "3"]) == 2
@@ -302,6 +317,44 @@ class TestVerifyCommand:
         assert t1.read_bytes() == t2.read_bytes()
 
 
+def _refuse_build(*args):
+    raise AssertionError("build_model ran on a refused spec")
+
+
+class TestPreflight:
+    # C(59, 29), about 5.9e16 states: never built, the patched build_model
+    # would raise.
+    HUGE = ["--type", "A", "--n", "30", "--lambda", "30"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crystal", *HUGE],
+            ["rep", *HUGE, "--which", "hat", "--node", "1"],
+            ["verify", *HUGE],
+            ["verify", "--type", "C", "--n", "1", "--lambda", "0", "--cap", str(10**12)],
+        ],
+        ids=["crystal", "rep", "verify", "verify-huge-cap"],
+    )
+    def test_huge_space_refused_before_building(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_model", _refuse_build)
+        monkeypatch.setattr(qcrys.verify, "build_model", _refuse_build)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        if argv[1:] == self.HUGE:
+            assert f"has {math.comb(59, 29)} states" in captured.err
+
+    def test_limit_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MAX_STATES", 3)
+        assert main(["crystal", "--type", "A", "--n", "2", "--lambda", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["states"]) == 3
+        assert main(["crystal", "--type", "A", "--n", "2", "--lambda", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the state space has 4 states; qcrys builds at most 3\n"
+
+
 class TestBosonCommand:
     def test_vdj_pass(self, capsys):
         assert main(["boson", "--realization", "vdj", "--q", "3/2", "--cutoff", "6"]) == 0
@@ -356,3 +409,21 @@ def test_cli_import_does_not_load_sympy():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_path_stays_light():
+    # -S keeps site's own imports out, so only the qcrys import path counts.
+    src = str(Path(qcrys.__file__).parents[1])
+    heavy = ("dataclasses", "inspect", "typing", "tempfile")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import qcrys.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

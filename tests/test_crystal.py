@@ -20,6 +20,7 @@ from qcrys.crystal import (
     graph_json,
     graph_json_obj,
     resolve_cap,
+    state_count,
     weight_h,
     weight_h2,
     weight_n,
@@ -116,6 +117,19 @@ class TestBuildModel:
             if a + b <= 8 and (a + b) % 2 == 0
         )
         assert m.dim == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lam", [0, 1, 2, 3])
+    def test_state_count_matches_enumeration(self, n, lam):
+        for cap in range(lam, lam + 12):
+            assert state_count(CrystalSpec("C", n, lam, cap)) == model_c(n, lam, cap).dim
+        if n >= 2:
+            assert state_count(CrystalSpec("A", n, lam)) == model_a(n, lam).dim
+
+    def test_state_count_of_huge_spaces(self):
+        assert state_count(CrystalSpec("A", 30, 30)) == math.comb(59, 29)
+        # type C n = 1: one state per total of lam's parity
+        assert state_count(CrystalSpec("C", 1, 1, 10**12 + 1)) == 10**12 // 2 + 1
 
     def test_ordering_type_c_ascending(self):
         m = model_c(2, 0, 4)

@@ -419,6 +419,14 @@ class TestIntegerKernel:
 
 
 class TestSqrtRat:
+    def test_small_primes_match_trial_division(self):
+        from qcrys.scalar import _SMALL_PRIMES, _TRIAL_BOUND
+
+        trial = tuple(
+            p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, math.isqrt(p) + 1))
+        )
+        assert _SMALL_PRIMES == trial
+
     def test_perfect_square(self):
         assert sqrt_rat(F(4, 9)) == Radical({1: F(2, 3)})
 

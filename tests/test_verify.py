@@ -1,7 +1,6 @@
 import json
 import math
 from array import array
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -579,7 +578,7 @@ REUSE_CONFIGS = [
 @pytest.mark.parametrize("cfg", REUSE_CONFIGS, ids=_cfg_id)
 class TestBindingReuse:
     def _suite(self, cfg):
-        return run_suite(replace(cfg, families=KNOWN_FAMILIES))
+        return run_suite(cfg._replace(families=KNOWN_FAMILIES))
 
     def test_reports_match_fresh_plans(self, cfg):
         suite = self._suite(cfg)
