@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .rep import (
     op_hat,
 )
 from .scalar import serre_identity_verdict
-from .verify import ConfigError, load_config, run_suite
+from .verify import KNOWN_FAMILIES, ConfigError, load_config, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -69,16 +70,24 @@ def _write_output(path: str | None, text: str) -> None:
 # verify walks every relation word from every state: C(3,3,31), 3128 states,
 # verifies in under 1 s, and C(3,3,59), 19,375 states, in about 12 s and
 # 130 MB at the default four q.  A larger space is refused before anything
-# is built.
+# is built, and so is a larger Fock space for boson.  Above rank 4 the cost
+# per state grows with the rank squared (2 * nodes move columns of n-label
+# states, nodes**2 relation components), so a state counts (nodes / 4)**2.
 _MAX_STATES = 20_000
 
 
 def _preflight(spec: CrystalSpec) -> CrystalSpec:
     """``spec``, unless its state space (counted in closed form) has more
-    than _MAX_STATES states."""
+    than _MAX_STATES states, plain or weighted by rank."""
     count = state_count(spec)
     if count > _MAX_STATES:
         raise ValueError(f"the state space has {count} states; qcrys builds at most {_MAX_STATES}")
+    weighted = -(-count * max(spec.nodes, 4) ** 2 // 16)  # rounded up
+    if weighted > _MAX_STATES:
+        raise ValueError(
+            f"the state space has {count} states on {spec.nodes} nodes, which count as "
+            f"{weighted} at rank 4; qcrys builds at most {_MAX_STATES}"
+        )
     return spec
 
 
@@ -138,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--families",
         default=None,
-        help="comma list from cartan,ladder,serre,serre-classical,map",
+        help=f"comma list from {','.join(KNOWN_FAMILIES)}",
     )
     p_ver.add_argument(
         "--cz",
@@ -272,6 +281,9 @@ def _cmd_boson(args) -> int:
     if args.cutoff < 0:
         print("boson: --cutoff must be non-negative", file=sys.stderr)
         return 2
+    count = math.comb(args.cutoff + 3, 3)  # three modes, total occupation <= cutoff
+    if count > _MAX_STATES:
+        raise ValueError(f"the Fock space has {count} states; qcrys builds at most {_MAX_STATES}")
     space = FockSpace(args.cutoff)
     build = vdj_so3 if args.realization == "vdj" else standard_so3
     gens = build(space, args.q)

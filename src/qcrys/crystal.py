@@ -8,6 +8,7 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 __all__ = [
     "TYPE_A",
@@ -154,15 +155,18 @@ class CrystalModel:
         return f"CrystalModel({self.spec!r}, dim={self.dim})"
 
 
-def _compositions(total: int, parts: int):
+def _compositions(total: int, parts: int) -> list:
     """All tuples of ``parts`` non-negative integers summing to ``total``,
-    in descending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    in descending lexicographic order: stars and bars, with ``parts - 1``
+    bars among ``total + parts - 1`` slots, whose ascending order is the
+    ascending order of the tuples."""
+    slots = total + parts - 1
+    out = []
+    for bars in combinations(range(slots), parts - 1):
+        edges = (-1, *bars, slots)
+        out.append(tuple(edges[i + 1] - edges[i] - 1 for i in range(parts)))
+    out.reverse()
+    return out
 
 
 def build_model(spec: CrystalSpec) -> CrystalModel:

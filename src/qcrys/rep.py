@@ -235,30 +235,30 @@ def _e_classical_entry(model: CrystalModel, node: int, a: int, b: int) -> Radica
     return v * Fraction(1, 2) if _is_long_node(model, node) else v
 
 
-def _e_deformed_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
-    """Deformed generator entry at factor arguments (a, b), both nonzero on
-    a live move: the cached roots sqrt([a]_q) and sqrt([b]_q), times
-    1/(q + 1/q) = ab/(a^2 + b^2) at q = a/b on the long node, as one
+def _root_product(a: int, b: int, q: Fraction, ratio: bool, long_scale: int) -> Radical:
+    """The cached roots sqrt([a]_q) sqrt([b]_q), or sqrt([a]_q/a) sqrt([b]_q/b)
+    with ``ratio`` (small, real radicands), times long_scale/(q + 1/q) =
+    long_scale*nd/(n^2 + d^2) at q = n/d unless long_scale is 0, as one
     single-term product."""
     n, d = q.numerator, q.denominator
-    m, c, e = _term(_qint_root(a, n, d, False))
-    if _is_long_node(model, node):
-        c, e = c * n * d, e * (n * n + d * d)
-    return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, False))))
+    m, c, e = _term(_qint_root(a, n, d, ratio))
+    if long_scale:
+        c, e = long_scale * c * n * d, e * (n * n + d * d)
+    return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, ratio))))
+
+
+def _e_deformed_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
+    """Deformed generator entry at factor arguments (a, b), nonzero on a live
+    move: sqrt([a]_q [b]_q), times 1/(q + 1/q) on the long node."""
+    return _root_product(a, b, q, False, _is_long_node(model, node))
 
 
 def _deform_entry(a: int, b: int, q: Fraction, long_node: bool = False) -> Radical:
     """Deforming-factor entry at factor arguments (a, b): 1 where a*b = 0,
-    else the cached roots sqrt([a]_q/a) and sqrt([b]_q/b), split so that
-    radicands stay small and real, times 2/(q + 1/q) = 2ab/(a^2 + b^2) at
-    q = a/b on the long node, as one single-term product."""
+    else sqrt([a]_q [b]_q / (ab)), times 2/(q + 1/q) on the long node."""
     if a * b == 0:
         return Radical.one()
-    n, d = q.numerator, q.denominator
-    m, c, e = _term(_qint_root(a, n, d, True))
-    if long_node:
-        c, e = 2 * c * n * d, e * (n * n + d * d)
-    return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, True))))
+    return _root_product(a, b, q, True, 2 * long_node)
 
 
 def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:

@@ -4,7 +4,6 @@ finite truncation rather than of the relations themselves."""
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 __all__ = ["PASS", "FAIL", "BOUNDARY", "StateResult", "RelationReport"]
@@ -39,12 +38,7 @@ class RelationReport:
     def summary(self) -> dict[str, int]:
         counts = {"pass": 0, "fail": 0, "boundary": 0}
         for r in self.per_state:
-            if r.klass == PASS:
-                counts["pass"] += 1
-            elif r.klass == FAIL:
-                counts["fail"] += 1
-            else:
-                counts["boundary"] += 1
+            counts[r.klass.lower()] += 1
         return counts
 
     @property
@@ -59,9 +53,6 @@ class RelationReport:
             "summary": self.summary,
             "failures": self.failures,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def one_line(self) -> str:
         s = self.summary

@@ -1,15 +1,16 @@
 """The relation-verification engine: writes the Cartan, ladder, Serre, and
-dressing-map relations as weighted sums of exact operator words on a
+dressing-map relations as signed sums of exact operator words on a
 crystal model, evaluates each relation state by state, and classifies
 each state PASS / FAIL / BOUNDARY, where BOUNDARY marks verdicts that
 would only reflect the finite cap truncating the type C state space.
 
-Every operator in a word is monomial (a ladder generator or a diagonal),
-so a word applied to a basis state is a single walk, and all words of one
-relation component reach the same target: its residual at a state is one
-exact number.  Where a walk goes, where it stops (a dead move, or the
-type C cap, which decides BOUNDARY) and which entries it multiplies do
-not depend on q.  The model owns the move table (CrystalModel.moves),
+A word is a product of ladder and diagonal steps (the Cartan integers,
+[H_i] brackets, Serre binomials and deforming factors are diagonals).
+Every step is monomial, so a word applied to a basis state is a single
+walk, and all words of one relation component reach the same target: its
+residual at a state is one exact number.  Where a walk goes, where it
+stops (a dead move, or the type C cap, which decides BOUNDARY) and which
+entries it multiplies do not depend on q.  The model owns the move table (CrystalModel.moves),
 which the plan reads by ordinal like every other consumer, and each
 model gets one plan, built once: its Cartan data read off the integer
 doubled eigenvalues 2H_i, one namespace of entry keys with step tables
@@ -209,11 +210,12 @@ def _model_data(model: CrystalModel) -> tuple:
 #
 # Every operator a relation word uses is monomial: each state has at most
 # one target.  A symbolic step table lists, per source ordinal k, the pair
-# (target ordinal, leaf id) of one operator, where a leaf names an entry by
-# its kind and the integers its value is computed from, so equal entries
-# share one leaf.  Where a ladder move is dead or capped the pair is (move
-# status, None), so a walk knows why it stopped.  Walking every word once
-# per model turns a family into a straight-line program over its leaves;
+# (target ordinal, leaf id) of one operator, where a leaf names a value by
+# its kind and the integers it is computed from, so equal values share one
+# leaf.  Where a ladder move is dead or capped the pair is (move status,
+# None), so a walk knows why it stopped; a diagonal's zero entry is (k,
+# None), a zero term that still ends at k.  Walking every word once per
+# model turns a family into a straight-line program over its leaves;
 # evaluating it at q binds each leaf once and runs the program.
 
 _MUL, _ADD, _SUB, _NEG = range(4)
@@ -226,15 +228,12 @@ _LEAF_VALUES = {
     "eq": lambda model, q, node, a, b: _e_deformed_entry(model, node, a, b, q),
     "f": lambda model, q, node, a, b: _deform_entry(a, b, q, _is_long_node(model, node)),
     "finv": lambda m, q, node, a, b: _deform_entry(a, b, q, _is_long_node(m, node)).inverse(),
-    "cz": lambda _, q, a, b: _deform_entry(a, b, q),
-    "one": lambda _, q: Radical.one(),
     "int": lambda _, q, c: Radical.from_rational(c),
     "bracket": lambda _, q, k, d: _bracket(k, d, q),
     "binom": lambda _, q, m, v, d: _binom(m, v, d, q),
-    "comb": lambda _, q, m, v: Radical.from_rational((-1) ** v * math.comb(m, v)),
 }
 
-_Q_FREE = frozenset(("e", "one", "int", "comb"))
+_Q_FREE = frozenset(("e", "int"))
 
 
 def _bracket(k: int, d: int, q: Fraction) -> Radical:
@@ -254,19 +253,15 @@ def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
 _ZERO = Radical.zero()
 
 
-class _Component(namedtuple("_Component", "label terms words minus_diag", defaults=((), (), None))):
-    """One identity inside a relation family, as a weighted sum of words.
+class _Component(namedtuple("_Component", "label terms words", defaults=((), ()))):
+    """One identity inside a relation family, as a signed sum of words.
 
-    ``terms`` are (sign, scale, word) triples: the walk of the word (step
-    tables in application order) is multiplied by the ``scale`` leaf, if
-    any, then added (sign 1) or subtracted (sign -1).  A scale is one leaf
-    id or a list of them by source ordinal, None where the coefficient is
-    0 (the Cartan integers, all 0 on a correct model).  ``minus_diag``
-    lists per-state leaves subtracted at the source, or is None.
-    ``words`` are the ladder moves of the words (application order), which
-    name the component's paths in FAIL traces.  Every word of a component
-    shifts the labels by one vector, so the residual at a state has at most
-    one target."""
+    ``terms`` are (sign, word) pairs: the walk of the word, a tuple of
+    ladder and diagonal step tables in application order, is added (sign
+    1) or subtracted (sign -1).  ``words`` are the ladder moves of the
+    words (application order), which name the component's paths in FAIL
+    traces.  Every word of a component shifts the labels by one vector, so
+    the residual at a state has at most one target."""
 
     __slots__ = ()
 
@@ -382,31 +377,28 @@ class _Plan:
             args = self._args[node] = [_factor_args(self.model, node, s) for s in self.model.states]
         return args
 
-    def ladder(self, kind: str, node: int, sign: int) -> list:
+    def ladder(self, kind, node: int, sign: int) -> list:
         """Step table of a ladder generator.  Its leaves are keyed by the
         factor arguments read on the raising source or the lowering target,
-        so raising and lowering share keys; kind "one" is the bare move."""
+        so raising and lowering share keys; kind None is the bare move,
+        whose entries are the integer 1."""
         table = self._steps.get((kind, node, sign))
         if table is None:
             table = self._steps[(kind, node, sign)] = []
-            args = self.factor_args(node) if kind != "one" else None
+            args = self.factor_args(node) if kind else None
             for k, (t, status) in enumerate(self.model.moves(node, sign)):
                 if t is None:
                     table.append((status, None))
-                elif kind == "one":
-                    table.append((t, self.leaf(kind)))
+                elif kind is None:
+                    table.append((t, self.leaf("int", 1)))
                 else:
                     table.append((t, self.leaf(kind, node, *args[k if sign > 0 else t])))
         return table
 
-    def diagonal(self, kind: str, node: int) -> list:
-        """Step table of a deforming factor (kind "f") or its inverse ("finv")."""
-        table = self._steps.get((kind, node, 0))
-        if table is None:
-            table = self._steps[(kind, node, 0)] = [
-                (k, self.leaf(kind, node, *ab)) for k, ab in enumerate(self.factor_args(node))
-            ]
-        return table
+    def diagonal(self, keys) -> list:
+        """Step table of the diagonal whose entry at ordinal k is the leaf
+        ``keys[k]``, or 0 where that key is None."""
+        return [(k, None if key is None else self.leaf(*key)) for k, key in enumerate(keys)]
 
     def _compile(self, family: str) -> _Program:
         """Walk every word of every component from every state over the
@@ -429,35 +421,28 @@ class _Plan:
         for comp in components:
             for k in range(dim):
                 target, acc, cap = None, None, False
-                for sign, scale, word in comp.terms:
+                for sign, word in comp.terms:
                     t, val = k, None
                     for table in word:
                         t, leaf = table[t]
                         if leaf is None:
-                            cap = cap or t == MOVE_CAPPED
                             break
                         # later steps multiply on the left
                         val = leaf if val is None else op(_MUL, leaf, val)
+                    if leaf is None and t.__class__ is str:  # a dead or capped move
+                        cap = cap or t == MOVE_CAPPED
+                        continue
+                    if target is None:
+                        target = t
+                    elif t != target:
+                        raise VerificationError(f"{comp.label}: words reach two targets")
+                    if leaf is None:  # a zero diagonal entry
+                        continue
+                    if acc is None:
+                        # a negation reads its operand twice, so every b is a node
+                        acc = val if sign > 0 else op(_NEG, val, val)
                     else:
-                        if target is None:
-                            target = t
-                        elif t != target:
-                            raise VerificationError(f"{comp.label}: words reach two targets")
-                        if scale is not None:
-                            s = scale[k] if isinstance(scale, list) else scale
-                            if s is None:
-                                continue
-                            val = op(_MUL, val, s)
-                        if acc is None:
-                            # a negation reads its operand twice, so every b is a node
-                            acc = val if sign > 0 else op(_NEG, val, val)
-                        else:
-                            acc = op(_ADD if sign > 0 else _SUB, acc, val)
-                if comp.minus_diag is not None:
-                    if target not in (None, k):
-                        raise VerificationError(f"{comp.label}: diagonal term off the word target")
-                    target, d = k, comp.minus_diag[k]
-                    acc = op(_NEG, d, d) if acc is None else op(_SUB, acc, d)
+                        acc = op(_ADD if sign > 0 else _SUB, acc, val)
                 targets.append(-1 if target is None else target)
                 exprs.append(-1 if acc is None else acc)
                 capped.append(cap)
@@ -588,8 +573,8 @@ class _Plan:
 
 
 def _cartan_components(plan: _Plan) -> list:
-    a = plan.cartan
-    nodes = plan.model.spec.nodes
+    a, model = plan.cartan, plan.model
+    nodes = model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
         for j in range(i + 1, nodes + 1):
@@ -598,15 +583,14 @@ def _cartan_components(plan: _Plan) -> list:
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * a[i - 1][j - 1]
-                column = plan._coeffs[(i, j, sign)]
-                coeffs = [plan.leaf("int", c) if c else None for c in column]
-                components.append(
-                    _Component(
-                        f"[h{i},e{tag}{j}]-({shift})e{tag}{j}",
-                        ((1, coeffs, (plan.ladder("eq", j, sign),)),),
-                        (((j, sign),),),
-                    )
-                )
+                # coefficients by source, read at the move's (one-source) target
+                coeffs = [None] * model.dim
+                for (t, _), c in zip(model.moves(j, sign), plan._coeffs[(i, j, sign)]):
+                    if c and t is not None:
+                        coeffs[t] = ("int", c)
+                word = (plan.ladder("eq", j, sign), plan.diagonal(coeffs))
+                label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
+                components.append(_Component(label, ((1, word),), (((j, sign),),)))
     return components
 
 
@@ -629,14 +613,16 @@ def _ladder_components(plan: _Plan) -> list:
         for j in range(1, nodes + 1):
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             terms = tuple(
-                (sign, None, tuple(plan.ladder("eq", *move) for move in word))
+                (sign, tuple(plan.ladder("eq", *move) for move in word))
                 for sign, word in zip((1, -1), words)
             )
             label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
-            # [H_i] in base q^d is [d H_i]_q / [d]_q, exact and regular at q = 1.
-            d = plan.d[i - 1]
-            diag = [plan.leaf("bracket", hd, d) for hd in plan._brackets[i - 1]] if i == j else None
-            components.append(_Component(label, terms, words, diag))
+            if i == j:
+                # [H_i] in base q^d is [d H_i]_q / [d]_q, exact and regular at q = 1.
+                d = plan.d[i - 1]
+                brackets = plan.diagonal([("bracket", hd, d) for hd in plan._brackets[i - 1]])
+                terms += ((-1, (brackets,)),)
+            components.append(_Component(label, terms, words))
     return components
 
 
@@ -661,18 +647,19 @@ def _serre_components(plan: _Plan, deformed: bool) -> list:
             m = 1 - a[i - 1][j - 1]
             if m < 1:
                 raise VerificationError("off-diagonal Cartan entry must be <= 0")
-            # The end binomials are 1; the inner ones exceed 1 at every q > 0.
-            coeffs = [(1, None)]
+            # The end binomials are 1; the inner ones, (-1)^v times a binomial
+            # that exceeds 1 at every q > 0, are trailing constant diagonals.
+            tails = [(1, ())]
             for v in range(1, m):
-                key = ("binom", m, v, d[i - 1]) if deformed else ("comb", m, v)
-                coeffs.append((1, plan.leaf(*key)))
-            coeffs.append(((-1) ** m, None))
+                key = ("binom", m, v, d[i - 1]) if deformed else ("int", (-1) ** v * math.comb(m, v))
+                tails.append((1, (plan.diagonal([key] * plan.model.dim),)))
+            tails.append(((-1) ** m, ()))
             for sign, tag in ((1, "+"), (-1, "-")):
                 x, y = (i, sign), (j, sign)
                 words = tuple((x,) * v + (y,) + (x,) * (m - v) for v in range(m + 1))
                 terms = tuple(
-                    (s, scale, tuple(plan.ladder(kind, *mv) for mv in word))
-                    for (s, scale), word in zip(coeffs, words)
+                    (s, tuple(plan.ladder(kind, *mv) for mv in word) + tail)
+                    for (s, tail), word in zip(tails, words)
                 )
                 base = f"q^{d[i - 1]}" if deformed else "1"
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"
@@ -695,7 +682,9 @@ def _map_components(plan: _Plan) -> list:
     model = plan.model
     rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
-        fac, inv = plan.diagonal("f", node), plan.diagonal("finv", node)
+        args = plan.factor_args(node)
+        fac = plan.diagonal([("f", node, *ab) for ab in args])
+        inv = plan.diagonal([("finv", node, *ab) for ab in args])
         ep, em = plan.ladder("e", node, 1), plan.ladder("e", node, -1)
         dp, dm = plan.ladder("eq", node, 1), plan.ladder("eq", node, -1)
         up, down = (((node, 1),),), (((node, -1),),)
@@ -708,15 +697,14 @@ def _map_components(plan: _Plan) -> list:
             ]
         )
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
-        # The weight variant of the rank-one functional, and its node
-        # variant, which is the node-1 factor.
-        d2 = [(k, plan.leaf("cz", *_cz_args(s))) for k, s in enumerate(model.states)]
-        d1, hat = plan.diagonal("f", 1), plan.ladder("one", 1, 1)
-        jp, dp = plan.ladder("e", 1, 1), plan.ladder("eq", 1, 1)
+        # The weight variant of the rank-one functional (a deforming factor
+        # at other arguments), and its node variant, the only node's factor.
+        d2 = plan.diagonal([("f", 1, *_cz_args(s)) for s in model.states])
+        hat, jp, dp = plan.ladder(None, 1, 1), plan.ladder("e", 1, 1), plan.ladder("eq", 1, 1)
         rows.append(("cz_weight*j+-e+1", (jp, d2), (dp,), (((1, 1),),)))
-        rows.append(("cz_weight(image)-cz_node(source)", (hat, d2), (d1, hat), (((1, 1),),)))
+        rows.append(("cz_weight(image)-cz_node(source)", (hat, d2), (fac, hat), (((1, 1),),)))
     return [
-        _Component(label, ((1, None, plus), (-1, None, minus)), words)
+        _Component(label, ((1, plus), (-1, minus)), words)
         for label, plus, minus, words in rows
     ]
 

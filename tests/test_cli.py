@@ -321,6 +321,10 @@ def _refuse_build(*args):
     raise AssertionError("build_model ran on a refused spec")
 
 
+def _refuse_fock(*args):
+    raise AssertionError("FockSpace was built for a refused cutoff")
+
+
 class TestPreflight:
     # C(59, 29), about 5.9e16 states: never built, the patched build_model
     # would raise.
@@ -354,8 +358,71 @@ class TestPreflight:
         err = capsys.readouterr().err
         assert err == "error: the state space has 4 states; qcrys builds at most 3\n"
 
+    # Few states on many nodes: each state counts (nodes / 4)**2 times.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crystal", "--type", "A", "--n", "1200", "--lambda", "1"],
+            ["verify", "--type", "C", "--n", "1500", "--lambda", "0", "--cap", "0"],
+            ["crystal", "--type", "A", "--n", "900", "--lambda", "1"],
+            ["verify", "--type", "A", "--n", "120", "--lambda", "1", "--q", "2"],
+            ["crystal", "--type", "A", "--n", "70", "--lambda", "1"],
+        ],
+        ids=["crystal-A1200", "verify-C1500", "crystal-A900", "verify-A120", "crystal-A70"],
+    )
+    def test_high_rank_refused_before_building(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_model", _refuse_build)
+        monkeypatch.setattr(qcrys.verify, "build_model", _refuse_build)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "nodes, which count as" in captured.err
+
+    def test_rank_rule_is_inclusive(self, monkeypatch, capsys):
+        # A(6,1): 6 states on 5 nodes count as ceil(6 * 25 / 16) = 10.
+        argv = ["crystal", "--type", "A", "--n", "6", "--lambda", "1"]
+        monkeypatch.setattr(cli, "_MAX_STATES", 10)
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["states"]) == 6
+        monkeypatch.setattr(cli, "_MAX_STATES", 9)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the state space has 6 states on 5 nodes, which count as 10 at rank 4; "
+            "qcrys builds at most 9\n"
+        )
+
+    def test_rank_five_and_above_allowed(self, capsys):
+        # A(69,1) counts as ceil(69 * 68**2 / 16) = 19,941, just inside.
+        assert main(["crystal", "--type", "A", "--n", "69", "--lambda", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["states"]) == 69
+        assert main(["verify", "--type", "A", "--n", "7", "--lambda", "2", "--q", "2"]) == 0
+        assert "fail=0" in capsys.readouterr().out
+
 
 class TestBosonCommand:
+    def test_fock_space_limit_is_inclusive(self, monkeypatch, capsys):
+        # cutoff 2: C(5, 3) = 10 states
+        argv = ["boson", "--realization", "vdj", "--q", "3/2", "--cutoff", "2"]
+        monkeypatch.setattr(cli, "_MAX_STATES", 10)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_MAX_STATES", 9)
+        monkeypatch.setattr(cli, "FockSpace", _refuse_fock)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the Fock space has 10 states; qcrys builds at most 9\n"
+
+    def test_large_cutoff_refused_before_building(self, monkeypatch, capsys):
+        # C(51, 3) = 20,825 states; cutoff 47 has C(50, 3) = 19,600.
+        monkeypatch.setattr(cli, "FockSpace", _refuse_fock)
+        assert main(["boson", "--realization", "paper", "--q", "2", "--cutoff", "48"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_vdj_pass(self, capsys):
         assert main(["boson", "--realization", "vdj", "--q", "3/2", "--cutoff", "6"]) == 0
         assert "fail=0" in capsys.readouterr().out

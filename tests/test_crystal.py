@@ -135,6 +135,19 @@ class TestBuildModel:
         m = model_c(2, 0, 4)
         assert m.states == tuple(sorted(m.states))
 
+    def test_ordering_type_a_descending(self):
+        m = model_a(4, 3)
+        assert m.states == tuple(sorted(m.states, reverse=True))
+        assert len(set(m.states)) == m.dim and all(sum(s) == 3 for s in m.states)
+
+    def test_enumeration_does_not_recurse_on_rank(self):
+        # deeper than the interpreter's default recursion limit
+        n = 1500
+        m = model_a(n, 1)
+        assert m.states[0] == (1,) + (0,) * (n - 1)
+        assert m.states[-1] == (0,) * (n - 1) + (1,)
+        assert model_c(n, 0, 0).states == ((0,) * n,)
+
 
 class TestMoves:
     def test_three_state_string(self):
