@@ -14,12 +14,14 @@ entries it multiplies do not depend on q.  The model owns the move table (Crysta
 which the plan reads by ordinal like every other consumer, and each
 model gets one plan, built once: its Cartan data read off the integer
 doubled eigenvalues 2H_i, one namespace of entry keys with step tables
-shared by every family, and each requested family compiled into a
-straight-line program over those keys, after which the step tables are
-dropped.  Per q the plan only binds, runs and classifies: each q binds
-every key once, and the programs run on integer triples (m, n, d) for
-(n/d)*sqrt(m): sums and products of single terms stay triples, and only
-multi-term values or sums of two radicands go through Radical.
+shared by every family, and each requested family compiled, after which
+the step tables are dropped.  A surviving word is the monomial of its
+sorted entry keys with the word's sign, so words that differ only in
+factor order cancel at compile time, for every q, and a residual is a
+signed sum of distinct products.  Per q the plan only binds, runs and
+classifies: each q binds every key once to a single term, products run
+on integer triples (m, n, d) for (n/d)*sqrt(m), and each residual folds
+into a Radical.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -64,12 +66,11 @@ from .rep import (
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
 from .scalar import (
     Radical,
+    _accumulate,
     _lowest,
     _mul_term,
     _qbinom_pair,
     _qint_pair,
-    _radical,
-    _sum,
     _term,
     _wrap,
     ensure_positive_q,
@@ -215,10 +216,9 @@ def _model_data(model: CrystalModel) -> tuple:
 # leaf.  Where a ladder move is dead or capped the pair is (move status,
 # None), so a walk knows why it stopped; a diagonal's zero entry is (k,
 # None), a zero term that still ends at k.  Walking every word once per
-# model turns a family into a straight-line program over its leaves;
-# evaluating it at q binds each leaf once and runs the program.
-
-_MUL, _ADD, _SUB, _NEG = range(4)
+# model turns a family into products of its leaves and, per residual, a
+# signed sum of those products; evaluating it at q binds each leaf once,
+# runs the products and folds the sums.
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
 # come from the same functions that build the rep matrices.  The kinds in
@@ -249,7 +249,7 @@ def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
     return _wrap({1: (-n if v % 2 else n, den)})
 
 
-# The value every cancelled sum of single terms evaluates to.
+# The value of every product with a zero factor.
 _ZERO = Radical.zero()
 
 
@@ -267,64 +267,53 @@ class _Component(namedtuple("_Component", "label terms words", defaults=((), ())
 
 
 class _Program(
-    namedtuple("_Program", "labels words base leaves ops targets exprs residuals capped")
+    namedtuple("_Program", "labels words base leaves ops targets exprs sums capped")
 ):
     """One family compiled on one model.  Node ids below ``base`` are the
-    plan's leaf ids (the family reads those in ``leaves``); op i, the flat
-    triple (code, a, b) at 3i in the array ``ops``, defines node base + i
-    from earlier nodes.  Per (component, state), component-major: the
-    target ordinal (-1 for none) in ``targets``, the residual's node (-1
-    when no word survives) in ``exprs`` and whether a word stopped at the
-    cap in the bytearray ``capped``.  ``residuals`` are the distinct
-    residual nodes; ``labels`` and ``words`` name each component."""
+    plan's leaf ids (the family reads those in ``leaves``); product i, the
+    triple (free, a, b) at 3i in the array ``ops``, is node base + i = node
+    a * leaf b, and ``free`` flags the last read of a (1) and b (2).  The
+    distinct residuals are ``sums``, tuples of (node, nonzero int) pairs in
+    ascending node order.  Per (component, state), component-major: the
+    target ordinal (-1 for none) in ``targets``, the index in ``sums`` (-1
+    when none survives) in ``exprs`` and a capped word in ``capped``."""
 
     __slots__ = ()
 
 
 def _run(ops: array, vals: list) -> list:
-    """Append the value of every op to ``vals`` (the leaf values).  Single
-    terms run on integer triples through scalar's single-term kernel:
-    products with _mul_term, sums and differences of one radicand with
-    _sum, a cancelled sum as the shared zero.  Anything else (multi-term
-    values, a sum of two radicands that may share a square class) runs on
-    Radicals."""
+    """Append the value of every product to ``vals`` (the leaf values, each
+    an integer triple or the zero Radical): triples multiply in scalar's
+    single-term kernel, and a zero factor gives the shared zero."""
     push = vals.append
     it = iter(ops)
-    for code, a, b in zip(it, it, it):
-        x = vals[a]
-        kind = code & 3
-        if kind == _NEG:
-            push((x[0], -x[1], x[2]) if x.__class__ is tuple else -x)
-        else:
-            y = vals[b]
-            single = x.__class__ is tuple and y.__class__ is tuple
-            if single and kind == _MUL:
-                push(_mul_term(*x, *y))
-            elif single and x[0] == y[0]:
-                n, d = _sum(x[1], x[2], y[1] if kind == _ADD else -y[1], y[2])
-                push((x[0], n, d) if n else _ZERO)
-            elif kind == _MUL:
-                push(_term(_radical(x) * _radical(y)))
-            elif kind == _ADD:
-                push(_term(_radical(x) + _radical(y)))
-            else:
-                push(_term(_radical(x) - _radical(y)))
-        if code > 3:
-            if code & 4:
-                vals[a] = None
-            if code & 8:
-                vals[b] = None
+    for free, a, b in zip(it, it, it):
+        x, y = vals[a], vals[b]
+        push(_mul_term(*x, *y) if x.__class__ is tuple and y.__class__ is tuple else _ZERO)
+        if free & 1:
+            vals[a] = None
+        if free & 2:
+            vals[b] = None
     return vals
 
 
 def _evaluate(prog: _Program, values: list) -> list:
-    """Node values of ``prog`` over a copy of the plan's leaf values, where
-    every residual node holds a nonzero Radical or None and spent nodes
-    hold None."""
+    """The value of every residual of ``prog``, a nonzero Radical or None:
+    its terms fold in order through scalar's _accumulate, and a square
+    class that cancels is dropped at once, as Radical addition drops it."""
     vals = _run(prog.ops, values[: prog.base])
-    for e in prog.residuals:
-        vals[e] = _radical(vals[e]) or None
-    return vals
+    out = []
+    for terms in prog.sums:
+        acc = {}
+        for node, c in terms:
+            x = vals[node]
+            if x.__class__ is tuple:  # else zero
+                m, n, d = x
+                _accumulate(acc, m, *((c * n, d) if c in (1, -1) else _lowest(c * n, d)))
+                if not acc.get(m, (0,))[0]:  # cancelled, or merged into another spelling
+                    acc = {k: nd for k, nd in acc.items() if nd[0]}
+        out.append(_wrap(acc) if acc else None)
+    return out
 
 
 def _word_trace(model: CrystalModel, k: int, word) -> str:
@@ -401,34 +390,38 @@ class _Plan:
         return [(k, None if key is None else self.leaf(*key)) for k, key in enumerate(keys)]
 
     def _compile(self, family: str) -> _Program:
-        """Walk every word of every component from every state over the
-        step tables, interning products and sums into one program."""
+        """Walk every word of every component from every state over the step
+        tables into signed monomials of sorted leaf ids, so equal ones cancel
+        here for every q, and intern each product and each residual."""
         dim = self.model.dim
         components = _FAMILIES[family][1](self)
         base = len(self.keys)
         ops = array("i")
-        nodes = {}
+        nodes, sums = {}, {}
 
-        def op(code: int, a: int, b: int) -> int:
-            key = (a << 32 | b) << 2 | code
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = base + len(ops) // 3
-                ops.extend((code, a, b))
+        def product(monomial: tuple) -> int:
+            node = monomial[0]
+            for leaf in monomial[1:]:
+                key = node << 32 | leaf
+                prefix, node = node, nodes.get(key)
+                if node is None:
+                    node = nodes[key] = base + len(ops) // 3
+                    ops.extend((0, prefix, leaf))
             return node
 
         targets, exprs, capped = array("i"), array("i"), bytearray()
+        push_target, push_expr, push_cap = targets.append, exprs.append, capped.append
         for comp in components:
             for k in range(dim):
-                target, acc, cap = None, None, False
+                # nothing is allocated for a slot until a word survives
+                target, monomials, cap = None, None, False
                 for sign, word in comp.terms:
-                    t, val = k, None
+                    t, mono = k, ()
                     for table in word:
                         t, leaf = table[t]
                         if leaf is None:
                             break
-                        # later steps multiply on the left
-                        val = leaf if val is None else op(_MUL, leaf, val)
+                        mono += (leaf,)
                     if leaf is None and t.__class__ is str:  # a dead or capped move
                         cap = cap or t == MOVE_CAPPED
                         continue
@@ -438,39 +431,45 @@ class _Plan:
                         raise VerificationError(f"{comp.label}: words reach two targets")
                     if leaf is None:  # a zero diagonal entry
                         continue
-                    if acc is None:
-                        # a negation reads its operand twice, so every b is a node
-                        acc = val if sign > 0 else op(_NEG, val, val)
-                    else:
-                        acc = op(_ADD if sign > 0 else _SUB, acc, val)
-                targets.append(-1 if target is None else target)
-                exprs.append(-1 if acc is None else acc)
-                capped.append(cap)
+                    mono = tuple(sorted(mono))
+                    monomials = monomials or {}
+                    monomials[mono] = monomials.get(mono, 0) + sign
+                terms = monomials and tuple(
+                    sorted((product(m), c) for m, c in monomials.items() if c)
+                )
+                push_target(-1 if target is None else target)
+                push_expr(sums.setdefault(terms, len(sums)) if terms else -1)
+                push_cap(cap)
         nodes.clear()
-        residuals = array("i", sorted(set(exprs) - {-1}))
-        # Flag the last read of every node that is not a residual (4: operand
-        # a, 8: operand b), so a run drops each value as soon as it is spent.
+        sums = list(sums)
+        # Flag the last read of every product operand that no residual reads
+        # (1: operand a, 2: operand b), so a run drops each spent value.
         read = bytearray(base + len(ops) // 3)
-        for e in residuals:
-            read[e] = 1
+        for terms in sums:
+            for node, _ in terms:
+                read[node] = 1
         for i in range(len(ops) - 3, -1, -3):
             a, b = ops[i + 1], ops[i + 2]
             if not read[a]:
                 read[a] = 1
-                ops[i] |= 4
+                ops[i] |= 1
             if not read[b]:
                 read[b] = 1
-                ops[i] |= 8
+                ops[i] |= 2
         leaves = [g for g in range(base) if read[g]]
         labels, words = [c.label for c in components], [c.words for c in components]
-        return _Program(labels, words, base, leaves, ops, targets, exprs, residuals, capped)
+        return _Program(labels, words, base, leaves, ops, targets, exprs, sums, capped)
 
     def _leaf(self, key: tuple):
-        """The value of the leaf ``key`` at the q of the last binding."""
+        """The value of the leaf ``key`` at the q of the last binding: a
+        triple or the zero Radical, as programs only multiply single terms."""
         leaf = self.ids[key]
         val = self._values[leaf]
         if val is None:
-            val = self._values[leaf] = _term(_LEAF_VALUES[key[0]](self.model, self._q, *key[1:]))
+            val = _term(_LEAF_VALUES[key[0]](self.model, self._q, *key[1:]))
+            if val.__class__ is not tuple and val:
+                raise VerificationError(f"leaf {key} at q = {self._q} is not one term: {val!r}")
+            self._values[leaf] = val
         return val
 
     def bind(self, prog: _Program, q: Fraction) -> list:
@@ -498,7 +497,7 @@ class _Plan:
                 break
         else:
             vals = _evaluate(prog, self._values)
-            if any(vals[e] is not None for e in prog.residuals):
+            if any(v is not None for v in vals):
                 per_state, failures = self._classify(prog, vals, margin)
             else:
                 per_state, failures = self._clean_states(family, prog, margin), []

@@ -33,11 +33,7 @@ from qcrys.rep import (
 from qcrys.report import BOUNDARY, FAIL, PASS
 from qcrys.scalar import Radical, _radical, _term, qbinom, qint_at
 from qcrys.verify import (
-    _ADD,
     _FAMILY_RUNNERS,
-    _MUL,
-    _NEG,
-    _SUB,
     KNOWN_FAMILIES,
     ConfigError,
     SuiteConfig,
@@ -45,6 +41,7 @@ from qcrys.verify import (
     _evaluate,
     _model_data,
     _Plan,
+    _Program,
     _run,
     cartan_matrix,
     check_cartan,
@@ -681,53 +678,123 @@ def test_one_leaf_namespace_per_plan(monkeypatch, cfg):
     assert fixed and len(fixed) == len(set(fixed))
 
 
-# Runner differential: _run on integer triples against Radical arithmetic.
-# The radicands include two spellings of one square class (two primes
-# above the trial bound, times a square), whose sum only merges through
-# Radical's class check, and the small coefficient pool makes sums cancel.
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+def test_programs_are_canonical(cfg):
+    # Each product is a sorted leaf tuple built once, each residual a
+    # signed sum of distinct products in ascending order, interned whole.
+    plan = _Plan(build_model(cfg.spec()), KNOWN_FAMILIES)
+    for family, prog in plan.programs.items():
+        monomials = {}
+        for i in range(0, len(prog.ops), 3):
+            a, b = prog.ops[i + 1], prog.ops[i + 2]
+            prefix = monomials.get(a, (a,))
+            assert b < prog.base and max(prefix) <= b, family
+            monomials[prog.base + i // 3] = prefix + (b,)
+        assert len(set(monomials.values())) == len(monomials), family
+        for terms in prog.sums:
+            nodes = [node for node, _ in terms]
+            assert terms and nodes == sorted(set(nodes)), family
+            assert all(c.__class__ is int and c for _, c in terms), family
+        assert len(set(prog.sums)) == len(prog.sums), family
+        assert set(prog.exprs) - {-1} == set(range(len(prog.sums))), family
+
+
+def test_leaf_with_two_terms_is_refused(monkeypatch):
+    # Programs only multiply single terms, so a multi-term entry value
+    # would be read as zero; binding refuses it instead.
+    monkeypatch.setitem(verify._LEAF_VALUES, "bracket", lambda *_: Radical({2: 1, 3: 1}))
+    with pytest.raises(VerificationError, match="not one term"):
+        check_ladder(model_a(3, 2), F(2))
+
+
+def _program(base, ops, sums):
+    """A hand-built program over ``base`` leaves: products (a, b) without
+    last-read flags and residuals as (node, coefficient) tuples."""
+    flat = array("i", [x for a, b in ops for x in (0, a, b)])
+    return _Program([], [], base, list(range(base)), flat, array("i"), array("i"), sums, b"")
+
+
+def test_repeated_monomial_coefficient_in_lowest_terms():
+    # 2 * (1/2)sqrt(6) is sqrt(6), and 3 * (1/6)sqrt(5) is (1/2)sqrt(5):
+    # the coefficient is folded in before the term is stored.
+    prog = _program(3, [(0, 1)], [((3, 2),), ((2, 3),), ((0, -2), (3, 1))])
+    got = _evaluate(prog, [(2, 1, 2), (3, 1, 1), (5, 1, 6)])
+    assert [v.json_map() for v in got] == [{"6": "1"}, {"5": "1/2"}, {"2": "-1", "6": "1/2"}]
+
+
+# Runner differential: products on integer triples and signed sums against
+# Radical arithmetic.  The radicands include two spellings of one square
+# class (two primes above the trial bound, times a square), whose sum only
+# merges through Radical's class check, and the small coefficient pools
+# make sums cancel.
 _RUN_RADICANDS = (1, -1, 2, -3, 6, 1009 * 1013, 1009 * 1013 * 1019**2, -1009 * 1031)
-_run_leaves = st.dictionaries(
-    st.sampled_from(_RUN_RADICANDS),
-    st.sampled_from((F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(3, 5))),
-    max_size=3,
-).map(lambda terms: _term(Radical(terms)))
+_run_leaves = st.one_of(
+    st.just(Radical.zero()),
+    st.builds(
+        lambda m, c: _term(Radical({m: c})),
+        st.sampled_from(_RUN_RADICANDS),
+        st.sampled_from((F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(3, 5))),
+    ),
+)
 
 
 def test_runner_cancels_and_merges():
-    merged = 1009 * 1013
-    leaves = [(6, 1, 2), (merged, 1, 1), (merged * 1019**2, 1, 1019), (6, -1, 2)]
-    ops = [(_SUB, 0, 0), (_ADD, 0, 3), (_ADD, 1, 2), (_MUL, 4, 1), (_NEG, 4, 4)]
-    vals = _run(array("i", [x for op in ops for x in op]), list(leaves))
-    assert vals[4] is vals[5] and not vals[4]  # both cancelled sums: one shared zero
-    assert vals[6] == (merged, 2, 1)  # sqrt(m) + sqrt(1019^2 m) / 1019 = 2 sqrt(m)
-    assert not vals[7] and not vals[8]
-
-
-def _reference_run(ops, leaves):
-    vals = [_radical(v) for v in leaves]
-    for code, a, b in ops:
-        x, y = vals[a], vals[b]
-        vals.append({_MUL: x * y, _ADD: x + y, _SUB: x - y, _NEG: -x}[code])
-    return vals
+    short = 1009 * 1013
+    long = short * 1019**2  # the same square class
+    leaves = [(6, 1, 2), (short, 1, 1), (short, -1, 1), (long, 1, 1019), (6, -1, 2)]
+    leaves.append(Radical.zero())
+    sums = [
+        ((0, 1), (4, 1)),  # cancels
+        ((1, 1), (3, 1)),  # sqrt(s) + sqrt(1019^2 s) / 1019 = 2 sqrt(s)
+        ((1, -1), (3, 2)),  # merges into the spelling already held
+        ((1, 1), (2, 1), (3, 1)),  # the class cancels first: the long spelling stays
+        ((6, 1), (7, 1)),  # products that cancel
+        ((8, 1),),  # sqrt(s) * sqrt(1019^2 s) / 1019 = s
+        ((9, 1),),  # a zero factor
+    ]
+    prog = _program(6, [(0, 1), (1, 4), (1, 3), (0, 5)], sums)
+    vals = _run(prog.ops, list(leaves))
+    assert vals[6:9] == [(6 * short, 1, 2), (6 * short, -1, 2), (1, short, 1)]
+    assert vals[9] is verify._ZERO
+    got = [v and v.json_map() for v in _evaluate(prog, leaves)]
+    assert got == [
+        None,
+        {str(short): "2"},
+        {str(short): "1"},
+        {str(long): "1/1019"},
+        None,
+        {"1": str(short)},
+        None,
+    ]
 
 
 @given(leaves=st.lists(_run_leaves, min_size=1, max_size=5), data=st.data())
 @settings(deadline=None, max_examples=300)
 def test_runner_matches_radical_reference(leaves, data):
+    base = len(leaves)
     ops = []
-    for i in range(data.draw(st.integers(1, 12))):
-        top = len(leaves) + i - 1
-        code = data.draw(st.sampled_from((_MUL, _ADD, _SUB, _NEG)))
-        a = data.draw(st.integers(0, top))
-        b = a if code == _NEG else data.draw(st.integers(0, top))
-        ops.append((code, a, b))
-    got = _run(array("i", [x for op in ops for x in op]), list(leaves))
-    want = _reference_run(ops, leaves)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    for i in range(data.draw(st.integers(0, 8))):
+        ops.append((data.draw(st.integers(0, base + i - 1)), data.draw(st.integers(0, base - 1))))
+    top = base + len(ops) - 1
+    coeffs, sums = st.sampled_from((1, -1, 2, -2, 3)), []
+    for _ in range(data.draw(st.integers(1, 4))):
+        nodes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5, unique=True))
+        sums.append(tuple((node, data.draw(coeffs)) for node in sorted(nodes)))
+    prog = _program(base, ops, sums)
+    want = [_radical(v) for v in leaves]
+    for a, b in ops:
+        want.append(want[a] * want[b])
+    vals = _run(prog.ops, list(leaves))
+    assert len(vals) == len(want)
+    for g, w in zip(vals, want):
         assert _radical(g).json_map() == w.json_map()
-        # single terms stay integer triples, so the fast paths keep firing
-        assert (g.__class__ is tuple) == (len(w._terms) == 1)
+        # single terms stay integer triples, so products keep the fast path
+        assert (g.__class__ is tuple) == bool(w)
+    for got, terms in zip(_evaluate(prog, leaves), sums):
+        total = Radical.zero()
+        for node, c in terms:
+            total = total + want[node] * c
+        assert (got.json_map() if got is not None else None) == (total.json_map() or None)
 
 
 class TestLoadConfig:

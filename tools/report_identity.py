@@ -93,6 +93,11 @@ CONFIGS = [
     ("fam-C2-2-12-classical-mix",
      "verify --type C --n 2 --lambda 2 --cap 12 --margin 0 --q 3/5,5/3"
      " --families serre-classical,ladder,serre --output out"),
+    ("fam-C4-2-12-all-recip",
+     f"verify --type C --n 4 --lambda 2 --cap 12 --margin 0 --q 3/5,5/3 --families {ALL_FAMILIES}"
+     " --output out"),
+    ("fam-A5-4-all-recip",
+     f"verify --type A --n 5 --lambda 4 --q 3/5,5/3 --families {ALL_FAMILIES} --output out"),
     # the benchmark's suite shape: four q of the sp2n_suite pool
     ("bench-C3-3-13-a", "verify --type C --n 3 --lambda 3 --cap 13 --q 1,2,1/2,3/5 --output out"),
     ("bench-C3-3-13-b",
