@@ -1,17 +1,18 @@
 """Exact scalar arithmetic: Laurent polynomials, symbolic q-brackets and
 their identities, q-combinatorics, and radicals (sums of c*sqrt(m)).
 
-Everything in this module is exact rational arithmetic, over ``Fraction``
-or, inside radicals and for the point values of q-integers, over integer
-numerator/denominator pairs; no floating point appears anywhere in the
-package.  Nothing here divides a polynomial: a symbolic q-bracket is kept
-as a quotient num / (q - q^(-1))**k that is never divided out, and
-deciding an identity only multiplies to a common power of q - q^(-1).
+Everything in this module is exact integer arithmetic (Laurent coefficients,
+q-binomial rows, numerator/denominator pairs of radicals and q-integer point
+values) with ``Fraction`` only at the edges, and no floating point appears
+anywhere in the package.  Nothing here divides a polynomial: a symbolic
+q-bracket is kept as a quotient num / (q - q^(-1))**k that is never divided
+out, and deciding an identity only multiplies to a common power of q - q^(-1).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -44,13 +45,9 @@ def _pair(x) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_pair(x))
-
-
 def ensure_positive_q(q) -> Fraction:
     """Validate and normalize a deformation parameter."""
-    q = _frac(q)
+    q = q if isinstance(q, Fraction) else Fraction(*_pair(q))
     if q <= 0:
         raise ValueError("deformation parameter q must be a positive rational")
     return q
@@ -61,25 +58,32 @@ class Laurent:
 
     Variable 0 is the deformation parameter q throughout the package;
     higher variables stand for formal powers such as Q = q^N.  Terms map
-    exponent tuples to nonzero rational coefficients, so equality is
-    structural and exact.  Instances are treated as immutable.
+    exponent tuples to nonzero coefficients, so equality is structural and
+    exact.  A coefficient is an ``int`` whenever it is integral and a
+    ``Fraction`` only when it is not.  Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _frac(c)
-                if not c:
-                    continue
-                key = tuple(_integer(e) for e in exps)
-                if len(key) != nvars:
-                    raise ValueError("exponent tuple has wrong arity")
-                clean[key] = c
-        self.terms = clean
+        self.terms = {}
+        for exps, c in (terms or {}).items():
+            n, d = _pair(c)
+            key = tuple(_integer(e) for e in exps)
+            if len(key) != nvars:
+                raise ValueError("exponent tuple has wrong arity")
+            if n:
+                self.terms[key] = n if d == 1 else c
+
+    @classmethod
+    def _make(cls, nvars: int, acc: dict) -> "Laurent":
+        """A Laurent over a term map from the ring operations, validated no
+        further: zero coefficients are dropped and integral ones made ints."""
+        obj = object.__new__(cls)
+        obj.nvars = nvars
+        obj.terms = {e: c.numerator if c.denominator == 1 else c for e, c in acc.items() if c}
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -89,7 +93,7 @@ class Laurent:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Laurent":
-        return cls(nvars, {(0,) * nvars: _frac(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars: int) -> "Laurent":
@@ -99,11 +103,7 @@ class Laurent:
     def var(cls, nvars: int, index: int, power: int = 1) -> "Laurent":
         exps = [0] * nvars
         exps[index] = power
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps, coeff=1) -> "Laurent":
-        return cls(nvars, {tuple(exps): _frac(coeff)})
+        return cls(nvars, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -122,13 +122,13 @@ class Laurent:
             return NotImplemented
         acc = dict(self.terms)
         for exps, c in other.terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + c
-        return Laurent(self.nvars, acc)
+            acc[exps] = acc.get(exps, 0) + c
+        return Laurent._make(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Laurent._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,18 +140,15 @@ class Laurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            return Laurent(self.nvars, {e: c * s for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Laurent(self.nvars, acc)
+                key = tuple(map(operator.add, e1, e2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return Laurent._make(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -185,7 +182,7 @@ class Laurent:
 
     def eval(self, point) -> Fraction:
         """Exact value at a tuple of rational coordinates."""
-        vals = tuple(_frac(p) for p in point)
+        vals = tuple(Fraction(*_pair(p)) for p in point)
         if len(vals) != self.nvars:
             raise ValueError("evaluation point has wrong arity")
         total = Fraction(0)
@@ -201,14 +198,14 @@ class Laurent:
         remove variable ``src``."""
         if src == dst:
             raise ValueError("source and destination variables coincide")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             lst = list(exps)
             lst[dst] += power * lst[src]
             del lst[src]
             key = tuple(lst)
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return Laurent(self.nvars - 1, acc)
+            acc[key] = acc.get(key, 0) + c
+        return Laurent._make(self.nvars - 1, acc)
 
     def lift(self, nvars: int, positions) -> "Laurent":
         """Re-embed into a ring with ``nvars`` variables, sending old
@@ -216,13 +213,14 @@ class Laurent:
         positions = tuple(positions)
         if len(positions) != self.nvars:
             raise ValueError("positions must list every old variable")
-        acc = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             lst = [0] * nvars
-            for i, e in enumerate(exps):
-                lst[positions[i]] += e
-            acc[tuple(lst)] = c
-        return Laurent(nvars, acc)
+            for i, e in zip(positions, exps):
+                lst[i] += e
+            key = tuple(lst)
+            acc[key] = acc.get(key, 0) + c
+        return Laurent._make(nvars, acc)
 
 
 class SymBracket:
@@ -287,8 +285,6 @@ class SymBracket:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymBracket(self.num * other, self.den_pow)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -329,15 +325,6 @@ def _integer(x) -> int:
     raise TypeError(f"expected an integer, got {x!r}")
 
 
-@lru_cache(maxsize=None)
-def _qint_terms(x: int) -> tuple[tuple[int, int], ...]:
-    if x == 0:
-        return ()
-    if x < 0:
-        return tuple((e, -c) for e, c in _qint_terms(-x))
-    return tuple((x - 1 - 2 * k, 1) for k in range(x))
-
-
 def qint(x: int) -> Laurent:
     """The symmetric q-integer [x]_q as an explicit exponent sum.
 
@@ -345,7 +332,9 @@ def qint(x: int) -> Laurent:
     [-x]_q = -[x]_q.  Because the sum is explicit the value is regular at
     q = 1, where it equals x.
     """
-    return Laurent(1, {(e,): c for e, c in _qint_terms(_integer(x))})
+    x = _integer(x)
+    sign = -1 if x < 0 else 1
+    return Laurent._make(1, {(e,): sign for e in range(1 - abs(x), abs(x), 2)})
 
 
 # -- point values on integers --------------------------------------------------
@@ -400,30 +389,41 @@ def _qbinom_pair(m: int, k: int, a: int, b: int) -> tuple[int, int]:
     return _lowest(num, den)
 
 
-@lru_cache(maxsize=None)
-def _qbinom(m: int, k: int) -> Laurent:
-    if k == 0 or k == m:
-        return Laurent.one(1)
-    up = Laurent.var(1, 0, k) * _qbinom(m - 1, k)
-    down = Laurent.var(1, 0, k - m) * _qbinom(m - 1, k - 1)
-    return up + down
+@lru_cache(maxsize=8)
+def _gauss_row(m: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Columns 0..width of row m of the Gaussian binomials in t = q^2:
+    entry k lists the integer coefficients of [m;k]_t, of degree k(m - k),
+    by ascending power of t.  Filled from row 0 with the q-Pascal rule
+    [r;k] = [r-1;k-1] + t^k [r-1;k], keeping only the previous row."""
+    row: list[list[int]] = [[1]]
+    for r in range(1, m + 1):
+        row.append([])  # [r-1;r] = 0
+        new = [[1]]
+        for k in range(1, min(r, width) + 1):
+            poly = row[k - 1] + [0] * (r - k)  # degree (k-1)(r-k) -> k(r-k)
+            poly[k:] = map(operator.add, poly[k:], row[k])
+            new.append(poly)
+        row = new
+    return tuple(map(tuple, row))
 
 
 def qbinom(m: int, k: int) -> Laurent:
-    """Balanced Gaussian binomial [m choose k]_q.
+    """Balanced Gaussian binomial [m choose k]_q, with integer coefficients.
 
-    Computed with the q-Pascal recurrence
-    [m;k] = q^k [m-1;k] + q^(k-m) [m-1;k-1]; the value at q = 1 is the
-    ordinary binomial coefficient.
+    Read off the integer row m of :func:`_gauss_row` (columns up to
+    min(k, m - k), since [m;k] = [m;m-k]) as q^(-k(m-k)) [m;k]_(q^2); the
+    value at q = 1 is the ordinary binomial coefficient.
     """
     m, k = _integer(m), _integer(k)
     if m < 0 or k < 0 or k > m:
         raise ValueError("require 0 <= k <= m")
-    # Fill the cache row by row, so that no call recurses more than one row.
-    for row in range(m):
-        for j in range(max(0, k - m + row), min(k, row) + 1):
-            _qbinom(row, j)
-    return _qbinom(m, k)
+    return _balanced(m, k, _gauss_row(m, min(k, m - k)))
+
+
+def _balanced(m: int, k: int, row) -> Laurent:
+    """[m;k]_q from a row of :func:`_gauss_row` holding column min(k, m - k)."""
+    shift = k * (m - k)
+    return Laurent._make(1, {(2 * i - shift,): c for i, c in enumerate(row[min(k, m - k)])})
 
 
 def sym_bracket(nvars: int, c: int, zvec) -> SymBracket:
@@ -432,8 +432,8 @@ def sym_bracket(nvars: int, c: int, zvec) -> SymBracket:
     c, zvec = _integer(c), tuple(_integer(z) for z in zvec)
     if len(zvec) != nvars - 1:
         raise ValueError("one z per formal variable required")
-    plus = Laurent.monomial(nvars, (c,) + zvec)
-    minus = Laurent.monomial(nvars, tuple(-e for e in (c,) + zvec))
+    plus = Laurent(nvars, {(c,) + zvec: 1})
+    minus = Laurent(nvars, {tuple(-e for e in (c,) + zvec): 1})
     return SymBracket(plus - minus, 1)
 
 
@@ -466,17 +466,16 @@ class IdentityVerdict(namedtuple("IdentityVerdict", "symbolic at_q1")):
 
 def serre_identity_sum(a: int, z: int) -> SymBracket:
     """The alternating sum  sum_n (-1)^n [1+a; n]_q [N - n*z]_q  as an exact
-    two-variable quotient."""
+    two-variable quotient; every bracket is over q - q^(-1), so the
+    numerators are summed directly."""
     if a < 1:
         raise ValueError("require a >= 1")
-    total = SymBracket(Laurent.zero(2))
+    num = Laurent.zero(2)
+    row = _gauss_row(1 + a, (1 + a) // 2)
     for n in range(a + 2):
-        coeff = qbinom(1 + a, n).lift(2, (0,))
-        term = qint_sym(-n * z, 1) * coeff
-        if n % 2:
-            term = -term
-        total = total + term
-    return total
+        term = qint_sym(-n * z, 1).num * _balanced(1 + a, n, row).lift(2, (0,))
+        num = num - term if n % 2 else num + term
+    return SymBracket(num, 1)
 
 
 def serre_identity_verdict(a: int, z: int) -> IdentityVerdict:

@@ -70,6 +70,26 @@ class TestLaurent:
     def test_integral_fraction_exponent_is_an_integer(self):
         assert Laurent(1, {(F(2),): 1}) == Laurent.var(1, 0, 2)
 
+    def test_integral_coefficient_is_an_int(self):
+        p = Laurent(1, {(0,): F(3)})
+        assert p == Laurent.const(1, 3)
+        assert hash(p) == hash(Laurent.const(1, 3))
+        assert type(p.terms[(0,)]) is int
+
+    def test_non_integral_coefficient_stays_a_fraction(self):
+        p = lp({-2: 3, 1: F(1, 2)})
+        assert type(p.terms[(1,)]) is Fraction
+        assert type(p.terms[(-2,)]) is int
+        # Ring results that turn integral are stored as int again.
+        assert type((p + p).terms[(1,)]) is int
+        assert type((p * 2).terms[(1,)]) is int
+        assert type((p * p).terms[(2,)]) is Fraction
+
+    def test_lift_adds_terms_that_meet(self):
+        p = Laurent(2, {(1, 0): 2, (0, 1): 3, (1, -1): 1})
+        assert p.lift(1, (0, 0)) == lp({1: 5, 0: 1})
+        assert p.lift(2, (0, 0)) == Laurent(2, {(1, 0): 5, (0, 0): 1})
+
 
 class TestQint:
     def test_zero(self):
@@ -81,6 +101,10 @@ class TestQint:
     def test_minus_three_antisymmetry(self):
         assert qint(-3) == lp({2: -1, 0: -1, -2: -1})
         assert qint(-3) == -qint(3)
+
+    def test_integer_coefficients(self):
+        for x in range(-20, 21):
+            assert all(type(c) is int for c in qint(x).terms.values())
 
     def test_regular_at_q1(self):
         for x in range(-20, 21):
@@ -118,6 +142,23 @@ class TestQbinom:
     def test_q1_is_binomial(self, m):
         for k in range(m + 1):
             assert qbinom(m, k).eval((F(1),)) == math.comb(m, k)
+
+    def test_matches_recursive_definition(self):
+        # Independent reference: [m;k] = q^k [m-1;k] + q^(k-m) [m-1;k-1],
+        # built with Laurent products by powers of q.
+        ref = {(0, 0): Laurent.one(1)}
+        for m in range(1, 17):
+            for k in range(m + 1):
+                up = Laurent.var(1, 0, k) * ref[m - 1, k] if k < m else Laurent.zero(1)
+                down = Laurent.var(1, 0, k - m) * ref[m - 1, k - 1] if k else Laurent.zero(1)
+                ref[m, k] = up + down
+        for (m, k), value in ref.items():
+            assert qbinom(m, k) == value, (m, k)
+
+    @pytest.mark.parametrize("m", [0, 7, 16, 41])
+    def test_integer_coefficients(self, m):
+        for k in range(m + 1):
+            assert all(type(c) is int for c in qbinom(m, k).terms.values())
 
     @pytest.mark.parametrize("m,k", [(5, 2), (6, 3), (7, 1)])
     def test_symmetry(self, m, k):
@@ -218,6 +259,12 @@ class TestSerreIdentity:
     @pytest.mark.parametrize("a,z", [(1, 1), (2, -2), (3, -2)])
     def test_consumed_instances_hold(self, a, z):
         assert check_serre_identity(a, z)
+
+    @pytest.mark.parametrize("a,z", [(1, 0), (3, -2), (6, 5), (12, 1)])
+    def test_integer_coefficients(self, a, z):
+        num = serre_identity_sum(a, z).num
+        assert num.terms
+        assert all(type(c) is int for c in num.terms.values())
 
     def test_symbolic_instances(self):
         assert serre_identity_verdict(1, 1).symbolic

@@ -20,8 +20,8 @@ mixes of all relation families including ``serre-classical``,
 generator exports whose entries are roots of deep q-integers, crystal
 graphs and bare/classical ladder matrices of type C models, and
 ``identity`` verdicts that hold for all q, hold only at q = 1, or are
-refused.  The whole list takes a few minutes; the boson cutoff-40 tower
-check alone takes about a minute.
+refused, up to the largest accepted ``--a``.  The whole list takes a few
+minutes; the boson cutoff-40 tower check alone takes about a minute.
 
 ``tools/report_identity.expected`` holds the output for the last
 accepted report bytes, and CI compares a fresh run against it:
@@ -131,9 +131,11 @@ CONFIGS = [
     ("identity-4-2", "identity --a 4 --z 2"),
     ("identity-3-m2", "identity --a 3 --z -2"),
     ("identity-2-1", "identity --a 2 --z 1"),
+    ("identity-60-m2", "identity --a 60 --z -2"),
     ("identity-4-2-json", "identity --a 4 --z 2 --json"),
     ("identity-3-m2-json", "identity --a 3 --z -2 --json --output out"),
     ("identity-refused-a0", "identity --a 0 --z 1"),
+    ("identity-100-1-json", "identity --a 100 --z 1 --json"),
     ("identity-refused-a101", "identity --a 101 --z 1"),
     # trivial carriers and refused input
     ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
