@@ -229,12 +229,12 @@ class SymBracket:
     A q-bracket of a symbolic argument, [z*N + c]_q with Q = q^N formal,
     is not itself a Laurent polynomial, but its numerator
     q^c Q^z - q^(-c) Q^(-z) is.  The quotient is kept as given and never
-    divided out: ``+`` and ``-`` lift both numerators to the larger power
-    by multiplying by q - q^(-1), and ``*`` adds the powers.  Since
-    q - q^(-1) is not a zero divisor among Laurent polynomials, a quotient
-    is zero exactly when its numerator is, so zero tests and equality are
-    exact for all q and all N at once.  Equal values need not share a
-    representation, so quotients are unhashable.
+    divided out: ``+`` and ``-`` lift the numerator of the lower power to
+    the larger one by multiplying by q - q^(-1), and ``*`` adds the
+    powers.  Since q - q^(-1) is not a zero divisor among Laurent
+    polynomials, a quotient is zero exactly when its numerator is, so zero
+    tests and equality are exact for all q and all N at once.  Equal
+    values need not share a representation, so quotients are unhashable.
     """
 
     __slots__ = ("num", "den_pow")
@@ -264,11 +264,11 @@ class SymBracket:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        comm = Laurent.var(self.nvars, 0, 1) - Laurent.var(self.nvars, 0, -1)  # q - q^(-1)
-        den = max(self.den_pow, other.den_pow)
-        a = self.num * comm ** (den - self.den_pow)
-        b = other.num * comm ** (den - other.den_pow)
-        return SymBracket(a + b, den)
+        a, b, lift = self.num, other.num, other.den_pow - self.den_pow
+        if lift:  # only the numerator of the lower power is lifted
+            comm = Laurent.var(self.nvars, 0, 1) - Laurent.var(self.nvars, 0, -1)  # q - q^(-1)
+            a, b = (a * comm**lift, b) if lift > 0 else (a, b * comm**-lift)
+        return SymBracket(a + b, max(self.den_pow, other.den_pow))
 
     __radd__ = __add__
 

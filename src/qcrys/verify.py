@@ -10,18 +10,20 @@ Every step is monomial, so a word applied to a basis state is a single
 walk, and all words of one relation component reach the same target: its
 residual at a state is one exact number.  Where a walk goes, where it
 stops (a dead move, or the type C cap, which decides BOUNDARY) and which
-entries it multiplies do not depend on q.  The model owns the move table (CrystalModel.moves),
-which the plan reads by ordinal like every other consumer, and each
-model gets one plan, built once: its Cartan data read off the integer
-doubled eigenvalues 2H_i, one namespace of entry keys with step tables
-shared by every family, and each requested family compiled, after which
-the step tables are dropped.  A surviving word is the monomial of its
-sorted entry keys with the word's sign, so words that differ only in
-factor order cancel at compile time, for every q, and a residual is a
-signed sum of distinct products.  Per q the plan only binds, runs and
-classifies: each q binds every key once to a single term, products run
-on integer triples (m, n, d) for (n/d)*sqrt(m), and each residual folds
-into a Radical.
+entries it multiplies do not depend on q.  Each model gets one plan,
+built once: its Cartan data read off the integer doubled eigenvalues
+2H_i, one namespace of entry keys with step tables over the model's move
+table (CrystalModel.moves) shared by every family, and each requested
+family compiled, after which the step tables are dropped.  A component
+is walked only from the states where some word is not dead at its first
+ladder move.  A surviving word is the monomial of its sorted entry keys
+with the word's sign, so words that differ only in factor order cancel
+at compile time, for every q; a residual is a signed sum of distinct
+products, and only the (component, state) slots whose residual survives
+are kept.  Per q the plan only binds, runs and classifies: each q binds
+every key once to a single term, products run on integer triples
+(m, n, d) for (n/d)*sqrt(m), each residual folds into a Radical, and one
+pass over the kept slots and the per-state cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -209,16 +211,15 @@ def _model_data(model: CrystalModel) -> tuple:
 
 # -- compiled relation plans ---------------------------------------------------
 #
-# Every operator a relation word uses is monomial: each state has at most
-# one target.  A symbolic step table lists, per source ordinal k, the pair
-# (target ordinal, leaf id) of one operator, where a leaf names a value by
+# A symbolic step table lists, per source ordinal k, the pair (target
+# ordinal, leaf id) of one monomial operator, where a leaf names a value by
 # its kind and the integers it is computed from, so equal values share one
 # leaf.  Where a ladder move is dead or capped the pair is (move status,
 # None), so a walk knows why it stopped; a diagonal's zero entry is (k,
-# None), a zero term that still ends at k.  Walking every word once per
-# model turns a family into products of its leaves and, per residual, a
-# signed sum of those products; evaluating it at q binds each leaf once,
-# runs the products and folds the sums.
+# None), a zero term that still ends at k.  Compiling turns a family into
+# products of its leaves and, per surviving residual, a signed sum of
+# those products; evaluating it at q binds each leaf once, runs the
+# products and folds the sums.
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
 # come from the same functions that build the rep matrices.  The kinds in
@@ -266,17 +267,17 @@ class _Component(namedtuple("_Component", "label terms words", defaults=((), ())
     __slots__ = ()
 
 
-class _Program(
-    namedtuple("_Program", "labels words base leaves ops targets exprs sums capped")
-):
+class _Program(namedtuple("_Program", "labels words base leaves ops sums slots capped")):
     """One family compiled on one model.  Node ids below ``base`` are the
     plan's leaf ids (the family reads those in ``leaves``); product i, the
     triple (free, a, b) at 3i in the array ``ops``, is node base + i = node
     a * leaf b, and ``free`` flags the last read of a (1) and b (2).  The
     distinct residuals are ``sums``, tuples of (node, nonzero int) pairs in
-    ascending node order.  Per (component, state), component-major: the
-    target ordinal (-1 for none) in ``targets``, the index in ``sums`` (-1
-    when none survives) in ``exprs`` and a capped word in ``capped``."""
+    ascending node order.  Only a (component, state) slot whose residual
+    survives compiling is stored: ``slots`` is a flat array of (state,
+    component, target ordinal, index in ``sums``, capped word) quintuples,
+    in component order, then state order.  ``capped`` flags, per state, a
+    word of any component that stopped at the cap there."""
 
     __slots__ = ()
 
@@ -330,15 +331,15 @@ def _word_trace(model: CrystalModel, k: int, word) -> str:
 class _Plan:
     """The relation families of one model, compiled over one leaf
     namespace.  Construction builds the Cartan data, the symbolic step
-    tables and the program of every family in ``families``,
-    then drops the step tables and factor arguments, which only compiling
-    reads; the leaf namespace stays for binding.  Per q a family is only
-    bound, run and classified.  Leaf values are kept for one q at a time,
-    node values only while one family at one q is evaluated.  Each
-    evaluated outcome (per-state results and FAIL records) is kept with
-    the leaf binding it came from, so a later q whose binding of the
-    family's leaves is equal reuses it: every leaf value is an integer
-    triple or the zero Radical, so == compares how values are written."""
+    tables and the program of every family in ``families``, then drops
+    the step tables and factor arguments, which only compiling reads; the
+    leaf namespace stays for binding.  Per q a family is only bound, run
+    and classified.  Leaf values are kept for one q at a time, node values
+    only while one family at one q is evaluated.  Each evaluated outcome
+    (per-state results and FAIL records) is kept with the leaf binding it
+    came from, so a later q whose binding of the family's leaves is equal
+    reuses it: every leaf value is an integer triple or the zero Radical,
+    so == compares how values are written."""
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
@@ -346,12 +347,15 @@ class _Plan:
         self.keys = []  # leaf id -> key
         self.ids = {}  # key -> leaf id
         self._steps, self._args = {}, {}
+        # Ladder step tables live until compiling ends, so their ids are keys:
+        # id -> the source ordinals where the move is live or capped.
+        self._sources = {}
+        self._diagonals = {}  # leaf tuple -> step table, while one family compiles
         self.programs = {family: self._compile(family) for family in families}
-        del self._steps, self._args, self._coeffs, self._brackets
+        del self._steps, self._args, self._sources, self._diagonals, self._coeffs, self._brackets
         self._q, self._values = None, [None] * len(self.keys)
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
-        self._clean = {}  # (family, margin) -> per_state when no residual survives
-        self._in_margin = {}  # margin -> per-ordinal flags
+        self._clean = {}  # (family, margin) -> per_state when every residual vanishes
 
     def leaf(self, *key) -> int:
         leaf = self.ids.get(key)
@@ -382,18 +386,37 @@ class _Plan:
                     table.append((t, self.leaf("int", 1)))
                 else:
                     table.append((t, self.leaf(kind, node, *args[k if sign > 0 else t])))
+            live = (k for k, (t, _) in enumerate(table) if t != MOVE_DEAD)
+            self._sources[id(table)] = array("i", live)
         return table
 
     def diagonal(self, keys) -> list:
         """Step table of the diagonal whose entry at ordinal k is the leaf
-        ``keys[k]``, or 0 where that key is None."""
-        return [(k, None if key is None else self.leaf(*key)) for k, key in enumerate(keys)]
+        ``keys[k]``, or 0 where that key is None; one table per distinct
+        tuple of leaves while a family compiles (all None for a Cartan
+        coefficient)."""
+        leaves = tuple(None if key is None else self.leaf(*key) for key in keys)
+        if leaves not in self._diagonals:
+            self._diagonals[leaves] = list(enumerate(leaves))
+        return self._diagonals[leaves]
+
+    def _starts(self, comp: _Component):
+        """The ordinals a component is walked from: where some word is not
+        dead at its first ladder move (elsewhere every walk ends at once, with
+        no target and no cap), or all when a word has diagonal steps only."""
+        starts = set()
+        for _, word in comp.terms:
+            sources = next((self._sources[id(t)] for t in word if id(t) in self._sources), None)
+            if sources is None:
+                return range(self.model.dim)
+            starts.update(sources)
+        return sorted(starts)
 
     def _compile(self, family: str) -> _Program:
-        """Walk every word of every component from every state over the step
+        """Walk every word of every component from its starts over the step
         tables into signed monomials of sorted leaf ids, so equal ones cancel
-        here for every q, and intern each product and each residual."""
-        dim = self.model.dim
+        here for every q, and intern each product and each residual; keep a
+        slot only where a residual survives."""
         components = _FAMILIES[family][1](self)
         base = len(self.keys)
         ops = array("i")
@@ -409,10 +432,9 @@ class _Plan:
                     ops.extend((0, prefix, leaf))
             return node
 
-        targets, exprs, capped = array("i"), array("i"), bytearray()
-        push_target, push_expr, push_cap = targets.append, exprs.append, capped.append
-        for comp in components:
-            for k in range(dim):
+        slots, capped = array("i"), bytearray(self.model.dim)
+        for c, comp in enumerate(components):
+            for k in self._starts(comp):
                 # nothing is allocated for a slot until a word survives
                 target, monomials, cap = None, None, False
                 for sign, word in comp.terms:
@@ -434,12 +456,13 @@ class _Plan:
                     mono = tuple(sorted(mono))
                     monomials = monomials or {}
                     monomials[mono] = monomials.get(mono, 0) + sign
+                capped[k] |= cap
                 terms = monomials and tuple(
-                    sorted((product(m), c) for m, c in monomials.items() if c)
+                    sorted((product(m), n) for m, n in monomials.items() if n)
                 )
-                push_target(-1 if target is None else target)
-                push_expr(sums.setdefault(terms, len(sums)) if terms else -1)
-                push_cap(cap)
+                if terms:
+                    slots.extend((k, c, target, sums.setdefault(terms, len(sums)), cap))
+        self._diagonals.clear()
         nodes.clear()
         sums = list(sums)
         # Flag the last read of every product operand that no residual reads
@@ -458,7 +481,7 @@ class _Plan:
                 ops[i] |= 2
         leaves = [g for g in range(base) if read[g]]
         labels, words = [c.label for c in components], [c.words for c in components]
-        return _Program(labels, words, base, leaves, ops, targets, exprs, sums, capped)
+        return _Program(labels, words, base, leaves, ops, sums, slots, capped)
 
     def _leaf(self, key: tuple):
         """The value of the leaf ``key`` at the q of the last binding: a
@@ -497,69 +520,43 @@ class _Plan:
                 break
         else:
             vals = _evaluate(prog, self._values)
-            if any(v is not None for v in vals):
-                per_state, failures = self._classify(prog, vals, margin)
-            else:
-                per_state, failures = self._clean_states(family, prog, margin), []
+            per_state, failures = self._classify(family, prog, vals, margin)
             seen.append((binding, per_state, failures))
         relation_id = _FAMILIES[family][0]
         return RelationReport(
             relation_id, self.model.spec.describe(), q, list(per_state), copy.deepcopy(failures)
         )
 
-    def _margin(self, margin: int) -> list:
-        flags = self._in_margin.get(margin)
-        if flags is None:
-            model = self.model
-            flags = self._in_margin[margin] = [
-                boundary_class(model, s, margin) == CAP_MARGIN for s in model.states
-            ]
-        return flags
-
-    def _clean_states(self, family: str, prog: _Program, margin: int) -> list:
-        """Per-state results when every residual vanishes: BOUNDARY where a
-        word stopped at the cap inside the margin, PASS elsewhere."""
-        key = (family, margin)
-        states = self._clean.get(key)
-        if states is None:
-            dim, capped, in_margin = self.model.dim, prog.capped, self._margin(margin)
-            states = self._clean[key] = [
-                StateResult(s, True, BOUNDARY if in_margin[k] and any(capped[k::dim]) else PASS)
-                for k, s in enumerate(self.model.states)
-            ]
-        return states
-
-    def _classify(self, prog: _Program, vals: list, margin: int) -> tuple[list, list]:
-        model, dim = self.model, self.model.dim
-        exprs, capped, in_margin = prog.exprs, prog.capped, self._margin(margin)
-        per_state, failures = [], []
-        for k, s in enumerate(model.states):
-            any_boundary = False
-            any_fail = False
-            all_zero = True
-            for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
-                i = c * dim + k
-                e = exprs[i]
-                val = vals[e] if e >= 0 else None
-                if val is not None:
-                    all_zero = False
-                # A capped word excuses the state only inside the margin.
-                if in_margin[k] and capped[i]:
-                    any_boundary = True
-                elif val is not None:
-                    any_fail = True
-                    traces = "; ".join(_word_trace(model, k, w) for w in words)
-                    t = model.states[prog.targets[i]]
-                    failures.append(
-                        {
-                            "state": list(s),
-                            "word": f"{label} [{traces}] -> {list(t)}",
-                            "residual": val.json_map(),
-                        }
-                    )
-            klass = FAIL if any_fail else (BOUNDARY if any_boundary else PASS)
-            per_state.append(StateResult(s, all_zero, klass))
-        return per_state, failures
+    def _classify(self, family: str, prog: _Program, vals: list, margin: int) -> tuple:
+        """Per-state results and FAIL records from the residual values.  With
+        no nonzero residual a state is BOUNDARY where a word stopped at the
+        cap inside the margin, PASS elsewhere (kept per family and margin);
+        a nonzero residual is a FAIL unless its own slot is so capped."""
+        model = self.model
+        clean = self._clean.get((family, margin))
+        if clean is None:
+            clean = self._clean[(family, margin)] = []
+            for s, cap in zip(model.states, prog.capped):
+                boundary = cap and boundary_class(model, s, margin) == CAP_MARGIN
+                clean.append(StateResult(s, True, BOUNDARY if boundary else PASS))
+        if not any(vals):
+            return clean, []
+        per_state, failures = list(clean), []
+        it = iter(prog.slots)
+        for k, c, t, e, cap in zip(it, it, it, it, it):
+            if vals[e] is None:
+                continue
+            s, _, klass = per_state[k]
+            # A capped word excuses the residual only inside the margin.
+            if not cap or clean[k].klass != BOUNDARY:
+                klass = FAIL
+                traces = "; ".join(_word_trace(model, k, w) for w in prog.words[c])
+                word = f"{prog.labels[c]} [{traces}] -> {list(model.states[t])}"
+                record = {"state": list(s), "word": word, "residual": vals[e].json_map()}
+                failures.append((k, c, record))
+            per_state[k] = StateResult(s, False, klass)
+        # FAIL records go in state order, then component order.
+        return per_state, [record for *_, record in sorted(failures, key=lambda f: f[:2])]
 
 
 # -- relation families ---------------------------------------------------------

@@ -220,6 +220,24 @@ class TestQintSym:
         assert sym.specialize(k) != val + qint(1)
         assert sym.specialize(k) + qint(1) != val
 
+    def test_equal_powers_add_without_products(self, monkeypatch):
+        # Quotients of one power add their numerators: no lift by
+        # (q - q^(-1))^0, and no Laurent product at all.
+        a = qint_sym(3, 1) * qint_sym(-1, 2)
+        b = qint_sym(2, -1) * qint_sym(4, 1)
+        assert a.den_pow == b.den_pow == 2
+        want = a.num + b.num
+        calls = []
+        mul = Laurent.__mul__
+        monkeypatch.setattr(Laurent, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        total = a + b
+        difference = a - b
+        assert calls == []
+        assert (total.num, total.den_pow) == (want, 2)
+        assert difference.den_pow == 2 and difference.num == a.num - b.num
+        # a lower power is still lifted
+        assert (a + qint_sym(1, 1)).den_pow == 2 and calls
+
     def test_shifted_specialization(self):
         assert qint_sym(-2, 1).specialize(3) == qint(1)
 

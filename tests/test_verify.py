@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import qcrys.verify as verify
 from qcrys.crystal import (
     MOVE_CAPPED,
+    MOVE_DEAD,
     MOVE_OK,
     CrystalSpec,
     apply_move,
@@ -449,36 +450,53 @@ def _node_values(plan, family, q):
     return prog, _evaluate(prog, plan._values)
 
 
+def _slots(prog):
+    """The stored slots of a program: (component, state) -> (target, index
+    in sums, capped word), checked to be in component, then state, order."""
+    it = iter(prog.slots)
+    quintuples = list(zip(it, it, it, it, it))
+    assert [(c, k) for k, c, *_ in quintuples] == sorted({(c, k) for k, c, *_ in quintuples})
+    return {(c, k): (t, e, cap) for k, c, t, e, cap in quintuples}
+
+
 def _assert_matches_oracle(plan, family, q, oracle):
     """Compare every (component, state) residual of the compiled plan at q
-    with the operator column, and its target and capped flag with walks of
-    the component's words."""
+    with the operator column, where a slot that is not stored must have an
+    empty column, and the target and capped flag of every stored slot, and
+    the capped flag of every state, with walks of the components' words."""
     model = plan.model
     prog, vals = _node_values(plan, family, q)
     assert prog.labels == list(oracle)
+    slots = _slots(prog)
+    capped = [False] * model.dim
     nonzero = 0
     for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
         columns = {}
         for (s, t), v in oracle[label].entries.items():
             columns.setdefault(s, {})[t] = v
         for k in range(model.dim):
-            i = c * model.dim + k
             col = columns.get(k, {})
             assert len(col) <= 1, f"{label}: several targets from state {k}"
-            target, e = prog.targets[i], prog.exprs[i]
-            val = vals[e] if e >= 0 else None
+            walks = [_word_end(model, k, w) for w in words]
+            ends = {end for end, _ in walks if end is not None}
+            assert len(ends) <= 1, (label, k)
+            walk_cap = any(cap for _, cap in walks)
+            capped[k] = capped[k] or walk_cap
+            if (c, k) not in slots:
+                assert not col, (label, k)
+                continue
+            target, e, cap = slots[(c, k)]
+            val = vals[e]
             if col:
                 nonzero += 1
                 assert val is not None and col == {target: val}, (label, k)
             else:
                 assert val is None, (label, k)
-            walks = [_word_end(model, k, w) for w in words]
-            ends = {end for end, _ in walks if end is not None}
-            assert len(ends) <= 1, (label, k)
             # The ladder bracket's diagonal term sits at the source.
             want = k if "-[H" in label else (ends.pop() if ends else -1)
             assert target == want, (label, k)
-            assert bool(prog.capped[i]) == any(cap for _, cap in walks), (label, k)
+            assert bool(cap) == walk_cap, (label, k)
+    assert list(map(bool, prog.capped)) == capped
     return nonzero
 
 
@@ -696,7 +714,48 @@ def test_programs_are_canonical(cfg):
             assert terms and nodes == sorted(set(nodes)), family
             assert all(c.__class__ is int and c for _, c in terms), family
         assert len(set(prog.sums)) == len(prog.sums), family
-        assert set(prog.exprs) - {-1} == set(range(len(prog.sums))), family
+        assert set(prog.slots[3::5]) == set(range(len(prog.sums))), family
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SuiteConfig("C", 3, 3, cap=13),
+        SuiteConfig("A", 2, 6),
+        SuiteConfig("A", 4, 3),
+        SuiteConfig("C", 2, 2, cap=12),
+        SuiteConfig("C", 1, 1, cap=9),
+    ],
+    ids=_cfg_id,
+)
+def test_walks_start_where_a_first_move_is_not_dead(monkeypatch, cfg):
+    # A component is walked exactly from the states where some word is not
+    # dead at its first ladder move (live or capped, by apply_move), and
+    # from every state for the ladder relation's [H_i], a word of one
+    # diagonal step.  From any other state each walk ends at once.
+    model = build_model(cfg.spec())
+    walked, starts = [], _Plan._starts
+
+    def recording(plan, comp):
+        walked.append((comp.label, list(starts(plan, comp))))
+        return walked[-1][1]
+
+    monkeypatch.setattr(_Plan, "_starts", recording)
+    plan = _Plan(model, KNOWN_FAMILIES)
+    want = []
+    for prog in plan.programs.values():
+        for label, words in zip(prog.labels, prog.words):
+            if "-[H" in label:
+                want.append((label, list(range(model.dim))))
+                continue
+            live = [
+                k
+                for k, s in enumerate(model.states)
+                if any(apply_move(model.spec, s, *word[0])[1] != MOVE_DEAD for word in words)
+            ]
+            want.append((label, live))
+    assert walked == want
+    assert any(ks for _, ks in want) and not all(len(ks) == model.dim for _, ks in want)
 
 
 def test_leaf_with_two_terms_is_refused(monkeypatch):
@@ -711,7 +770,7 @@ def _program(base, ops, sums):
     """A hand-built program over ``base`` leaves: products (a, b) without
     last-read flags and residuals as (node, coefficient) tuples."""
     flat = array("i", [x for a, b in ops for x in (0, a, b)])
-    return _Program([], [], base, list(range(base)), flat, array("i"), array("i"), sums, b"")
+    return _Program([], [], base, list(range(base)), flat, sums, array("i"), b"")
 
 
 def test_repeated_monomial_coefficient_in_lowest_terms():

@@ -16,8 +16,9 @@ this script once against the old checkout and once against the new one
 and comparing the two outputs with ``diff``.  The list covers every
 README command, every Baseline row of ROADMAP.md, the margin-0 type C
 configurations that carry FAIL records, suites with reciprocal q pairs,
-mixes of all relation families including ``serre-classical``,
-generator exports whose entries are roots of deep q-integers, crystal
+mixes of all relation families including ``serre-classical``, ranks
+where relation components far outnumber the live (component, state)
+pairs, generator exports whose entries are roots of deep q-integers, crystal
 graphs and bare/classical ladder matrices of type C models, and
 ``identity`` verdicts that hold for all q, hold only at q = 1, or are
 refused, up to the largest accepted ``--a``.  The whole list takes a few
@@ -103,6 +104,10 @@ CONFIGS = [
     ("bench-C3-3-13-b",
      "verify --type C --n 3 --lambda 3 --cap 13 --q 5/3,3/2,2/3,3/5 --output out"),
     ("bench-C3-3-13-c", "verify --type C --n 3 --lambda 3 --cap 13 --q 2/3,1,5/3,2 --output out"),
+    # far more components than live slots, and the order of many FAIL records
+    ("sparse-A40-1", "verify --type A --n 40 --lambda 1 --q 2,3/5 --output out"),
+    ("sparse-fail-C5-1-7",
+     "verify --type C --n 5 --lambda 1 --cap 7 --margin 0 --q 2,3/5 --output out"),
     # exports
     ("rep-C2-2-6-deformed-json",
      "rep --type C --n 2 --lambda 2 --cap 6 --which deformed --node 2 --q 3/5 --format json"
