@@ -17,7 +17,7 @@ from .crystal import (
     CrystalSpec,
     build_model,
     graph_dot,
-    graph_json,
+    graph_json_obj,
     resolve_cap,
     state_count,
 )
@@ -44,12 +44,12 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write atomically (write-then-rename) so no partial file survives an
-    error; without a path, print to stdout.  The file gets the mode a plain
-    open() would give it (0666 less the umask)."""
+def _write_output(path: str | None, chunks) -> None:
+    """Write the text chunks atomically (write-then-rename) so no partial
+    file survives an error; without a path, write them to stdout.  The
+    file gets the mode a plain open() would give it (0666 less the umask)."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     # O_EXCL never opens an existing file, and 64 random bits make a clash
@@ -58,12 +58,19 @@ def _write_output(path: str | None, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_chunks(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=2) + "\\n", chunk
+    by chunk, so a large export is never held whole."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    yield "\n"
 
 
 # The crystal, rep and verify commands build the whole state space, and
@@ -204,14 +211,14 @@ def _cmd_identity(args) -> int:
         )
     else:
         text = f"identity a={args.a} z={args.z}: {status} ({mode})\n"
-    _write_output(args.output, text)
+    _write_output(args.output, [text])
     return 0 if verdict.holds else 1
 
 
 def _cmd_crystal(args) -> int:
     model = build_model(_spec_from_args(args))
-    text = graph_dot(model) if args.format == "dot" else graph_json(model)
-    _write_output(args.output, text)
+    chunks = [graph_dot(model)] if args.format == "dot" else _json_chunks(graph_json_obj(model))
+    _write_output(args.output, chunks)
     return 0
 
 
@@ -231,7 +238,7 @@ def _cmd_rep(args) -> int:
     build = builders[args.which]
     ops = {"plus": build(1), "minus": build(-1)}
     if args.format == "csv":
-        text = matrix_csv(ops)
+        chunks = [matrix_csv(ops)]
     else:
         obj = {
             "spec": model.spec.describe(),
@@ -241,8 +248,8 @@ def _cmd_rep(args) -> int:
             "plus": matrix_json_entries(ops["plus"]),
             "minus": matrix_json_entries(ops["minus"]),
         }
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _write_output(args.output, text)
+        chunks = _json_chunks(obj)
+    _write_output(args.output, chunks)
     return 0
 
 
@@ -273,7 +280,7 @@ def _cmd_verify(args) -> int:
         f"boundary={totals['boundary']}"
     )
     if args.output is not None:
-        _write_output(args.output, result.to_json())
+        _write_output(args.output, [result.to_json()])
     return result.exit_code
 
 
@@ -303,7 +310,7 @@ def _cmd_boson(args) -> int:
             )
             + "\n"
         )
-        _write_output(args.output, text)
+        _write_output(args.output, [text])
     return 0 if all(r.all_clear for r in reports) else 1
 
 

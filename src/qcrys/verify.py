@@ -4,7 +4,7 @@ crystal model, evaluates each relation state by state, and classifies
 each state PASS / FAIL / BOUNDARY, where BOUNDARY marks verdicts that
 would only reflect the finite cap truncating the type C state space.
 
-A word is a product of ladder and diagonal steps (the Cartan integers,
+A word is a product of ladder and diagonal steps (the Cartan coefficients,
 [H_i] brackets, Serre binomials and deforming factors are diagonals).
 Every step is monomial, so a word applied to a basis state is a single
 walk, and all words of one relation component reach the same target: its
@@ -164,30 +164,25 @@ def _half(x2: int, what: str) -> int:
 
 def _model_data(model: CrystalModel) -> tuple:
     """The q-independent integers of the relation families on one model,
-    read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states
-    along the model's moves: the measured Cartan matrix, the symmetrizers,
-    the Cartan coefficients keyed (i, j, sign), per source ordinal
-    H_i(target) - H_i(source) - sign*a_ij on a live node-j move and 0
-    elsewhere, and per node i the [H_i] bracket arguments d_i*H_i by
-    ordinal.  Inconsistent weight shifts, a measured matrix other than the
-    reference one, and an odd doubled value where one is halved are
-    engine errors."""
+    read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states:
+    the Cartan matrix, measured on the live raising moves (a live lowering
+    move s -> t is the raising move t -> s read backwards), the
+    symmetrizers, 2H_i by ordinal, and per node i the [H_i] bracket
+    arguments d_i*H_i by ordinal.  Inconsistent weight shifts, a measured
+    matrix other than the reference one, and an odd doubled value where one
+    is halved are engine errors."""
     spec, nodes = model.spec, model.spec.nodes
     h2 = [weight_h2(model, s) for s in model.states]
-    what = "Cartan eigenvalue shift"
-    shifts = {}  # (j, sign) -> per ordinal, the H shift of the live move or None
-    for j in range(1, nodes + 1):
-        for sign in (1, -1):
-            shifts[(j, sign)] = [
-                None if t is None else tuple(_half(h2[t][i] - hs[i], what) for i in range(nodes))
-                for hs, (t, _) in zip(h2, model.moves(j, sign))
-            ]
     expected = expected_cartan(spec)
     cartan = [row[:] for row in expected]
     for j in range(1, nodes + 1):
+        measured = {
+            tuple(_half(h2[t][i] - hs[i], "Cartan eigenvalue shift") for i in range(nodes))
+            for hs, (t, _) in zip(h2, model.moves(j, 1))
+            if t is not None
+        }
         # Where no state admits the move (trivial representations), the
         # reference column stands.
-        measured = set(shifts[(j, 1)]) - {None}
         if len(measured) > 1:
             raise VerificationError(f"inconsistent weight shifts for node {j}")
         for shift in measured:
@@ -198,15 +193,10 @@ def _model_data(model: CrystalModel) -> tuple:
             f"measured Cartan matrix {cartan} differs from expected {expected}"
         )
     d = symmetrizers(spec, cartan)
-    coeffs = {
-        (i + 1, j, sign): [0 if x is None else x[i] - sign * cartan[i][j - 1] for x in column]
-        for (j, sign), column in shifts.items()
-        for i in range(nodes)
-    }
     brackets = [
         [_half(hs[i] * d[i], "scaled Cartan eigenvalue") for hs in h2] for i in range(nodes)
     ]
-    return cartan, d, coeffs, brackets
+    return cartan, d, h2, brackets
 
 
 # -- compiled relation plans ---------------------------------------------------
@@ -254,7 +244,7 @@ def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
 _ZERO = Radical.zero()
 
 
-class _Component(namedtuple("_Component", "label terms words", defaults=((), ()))):
+class _Component(namedtuple("_Component", "label terms words")):
     """One identity inside a relation family, as a signed sum of words.
 
     ``terms`` are (sign, word) pairs: the walk of the word, a tuple of
@@ -343,7 +333,7 @@ class _Plan:
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
-        self.cartan, self.d, self._coeffs, self._brackets = _model_data(model)
+        self.cartan, self.d, self._h2, self._brackets = _model_data(model)
         self.keys = []  # leaf id -> key
         self.ids = {}  # key -> leaf id
         self._steps, self._args = {}, {}
@@ -352,7 +342,7 @@ class _Plan:
         self._sources = {}
         self._diagonals = {}  # leaf tuple -> step table, while one family compiles
         self.programs = {family: self._compile(family) for family in families}
-        del self._steps, self._args, self._sources, self._diagonals, self._coeffs, self._brackets
+        del self._steps, self._args, self._sources, self._diagonals, self._h2, self._brackets
         self._q, self._values = None, [None] * len(self.keys)
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
         self._clean = {}  # (family, margin) -> per_state when every residual vanishes
@@ -393,8 +383,8 @@ class _Plan:
     def diagonal(self, keys) -> list:
         """Step table of the diagonal whose entry at ordinal k is the leaf
         ``keys[k]``, or 0 where that key is None; one table per distinct
-        tuple of leaves while a family compiles (all None for a Cartan
-        coefficient)."""
+        tuple of leaves while a family compiles (all None for the Cartan
+        components whose coefficients vanish)."""
         leaves = tuple(None if key is None else self.leaf(*key) for key in keys)
         if leaves not in self._diagonals:
             self._diagonals[leaves] = list(enumerate(leaves))
@@ -569,36 +559,38 @@ class _Plan:
 
 
 def _cartan_components(plan: _Plan) -> list:
-    a, model = plan.cartan, plan.model
-    nodes = model.spec.nodes
+    a, h2, dim = plan.cartan, plan._h2, plan.model.dim
+    nodes = plan.model.spec.nodes
+    zero = plan.diagonal([None] * dim)  # shared by the components with no coefficient
     components = []
-    for i in range(1, nodes + 1):
-        for j in range(i + 1, nodes + 1):
-            components.append(_Component(f"[h{i},h{j}]"))
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * a[i - 1][j - 1]
-                # coefficients by source, read at the move's (one-source) target
-                coeffs = [None] * model.dim
-                for (t, _), c in zip(model.moves(j, sign), plan._coeffs[(i, j, sign)]):
-                    if c and t is not None:
-                        coeffs[t] = ("int", c)
-                word = (plan.ladder("eq", j, sign), plan.diagonal(coeffs))
+                ladder = plan.ladder("eq", j, sign)
+                # H_i(t) - H_i(s) - shift per live move s -> t, keyed by its target (a
+                # move has one source); _model_data checked every raising shift even.
+                coeffs = {}
+                for k in plan._sources[id(ladder)]:
+                    t = ladder[k][0]
+                    if t.__class__ is not str:  # live, not capped
+                        c = (h2[t][i - 1] - h2[k][i - 1]) // 2 - shift
+                        if c:
+                            coeffs[t] = ("int", c)
+                diagonal = plan.diagonal([coeffs.get(t) for t in range(dim)]) if coeffs else zero
                 label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
-                components.append(_Component(label, ((1, word),), (((j, sign),),)))
+                components.append(_Component(label, ((1, (ladder, diagonal)),), (((j, sign),),)))
     return components
 
 
 def check_cartan(
     model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
-    """[h_i, h_j] = 0 and [h_i, e_j^+-] = +-a e_j^+- with the Cartan
-    integers recomputed from the crystal weight shifts.  With H_i diagonal
-    the residual entry (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), an
-    integer multiple of the generator entry read from the weights (the
-    integers are built once per model), so [h_i, h_j] vanishes identically
-    and is recorded without words."""
+    """[h_i, e_j^+-] = +-a_ij e_j^+- with the Cartan integers recomputed
+    from the crystal weight shifts.  With H_i diagonal the residual entry
+    (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), one integer read from
+    the weights at the move times the generator entry.  [h_i, h_j] = 0
+    holds by construction, as the H_i are diagonal, and is not checked."""
     return (plan or _Plan(model, ("cartan",))).report("cartan", q, margin)
 
 

@@ -12,6 +12,7 @@ import qcrys
 import qcrys.cli as cli
 import qcrys.verify
 from qcrys.cli import main
+from qcrys.crystal import CrystalSpec, build_model, graph_json
 from qcrys.verify import load_config
 
 
@@ -91,6 +92,26 @@ class TestCrystalCommand:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".qcrys-")]
         assert leftovers == []
 
+    def test_json_stream_writes_the_rendered_bytes(self, tmp_path, capsys):
+        # The export is written chunk by chunk, to stdout or to the file;
+        # either way its bytes are those of the whole rendered text.
+        args = ["crystal", "--type", "C", "--n", "2", "--lambda", "1", "--cap", "7"]
+        want = graph_json(build_model(CrystalSpec("C", 2, 1, 7)))
+        assert main(args) == 0
+        assert capsys.readouterr().out == want
+        assert main(args + ["--output", str(tmp_path / "graph.json")]) == 0
+        assert (tmp_path / "graph.json").read_text() == want
+
+    def test_failed_stream_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "{"
+            raise RuntimeError("the encoder failed")
+
+        target = tmp_path / "graph.json"
+        with pytest.raises(RuntimeError, match="the encoder failed"):
+            cli._write_output(str(target), chunks())
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_mode_follows_umask(self, tmp_path, capsys):
         target = tmp_path / "verdict.txt"
         old = os.umask(0o022)
@@ -138,6 +159,15 @@ class TestRepCommand:
         deformed = capsys.readouterr().out
         assert json.loads(classical)["plus"] == json.loads(deformed)["plus"]
         assert json.loads(classical)["minus"] == json.loads(deformed)["minus"]
+
+    def test_json_stream_writes_the_rendered_bytes(self, tmp_path, capsys):
+        args = ["rep", "--type", "C", "--n", "2", "--lambda", "1", "--cap", "7"]
+        args += ["--which", "deformed", "--node", "2", "--q", "3/5"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert main(args + ["--output", str(tmp_path / "rep.json")]) == 0
+        assert (tmp_path / "rep.json").read_text() == out
 
     def test_long_node_csv_has_imaginary_radical(self, capsys):
         assert (

@@ -352,9 +352,6 @@ def _oracle_cartan(model, q, data):
     hs = {i: op_h(model, i) for i in range(1, nodes + 1)}
     ops = {}
     for i in range(1, nodes + 1):
-        for j in range(i + 1, nodes + 1):
-            ops[f"[h{i},h{j}]"] = commutator(hs[i], hs[j])
-    for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * data.cartan[i - 1][j - 1]
@@ -535,26 +532,54 @@ class TestEngineAgainstOperators:
         # -(+-1) e_j: nonzero wherever the generator is.  The coefficient
         # H_i(t) - H_i(s) - sign*a_ij of every live node-j move drops by sign.
         model = build_model(cfg.spec())
-        cartan, d, coeffs, brackets = _model_data(model)
+        cartan, d, h2, brackets = _model_data(model)
         wrong = [[a + 1 for a in row] for row in cartan]
-
-        def is_live(s, j, sign):
-            return apply_move(model.spec, s, j, sign)[1] == MOVE_OK
-
-        coeffs = {
-            (i, j, sign): [
-                c - sign if is_live(s, j, sign) else c for s, c in zip(model.states, column)
-            ]
-            for (i, j, sign), column in coeffs.items()
-        }
-        monkeypatch.setattr(verify, "_model_data", lambda _: (wrong, d, coeffs, brackets))
+        monkeypatch.setattr(verify, "_model_data", lambda _: (wrong, d, h2, brackets))
         plan = _Plan(model, ("cartan",))
         assert plan.cartan == wrong
         oracle = _oracle_cartan(model, q, plan)
         nodes = range(1, model.spec.nodes + 1)
-        live = sum(is_live(s, j, sign) for s in model.states for j in nodes for sign in (1, -1))
+        live = sum(
+            apply_move(model.spec, s, j, sign)[1] == MOVE_OK
+            for s in model.states
+            for j in nodes
+            for sign in (1, -1)
+        )
         nonzero = _assert_matches_oracle(plan, "cartan", q, oracle)
         assert nonzero == live * model.spec.nodes
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+def test_cartan_operators_commute(cfg):
+    # The Cartan family has no [h_i, h_j] components: the H_i are diagonal,
+    # so they commute by construction.
+    model = build_model(cfg.spec())
+    nodes = model.spec.nodes
+    for i in range(1, nodes + 1):
+        for j in range(i + 1, nodes + 1):
+            assert commutator(op_h(model, i), op_h(model, j)).is_zero(), (i, j)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SuiteConfig("A", 40, 1), SuiteConfig("A", 4, 3), SuiteConfig("C", 3, 3, cap=13)],
+    ids=_cfg_id,
+)
+def test_cartan_family_builds_one_zero_diagonal(monkeypatch, cfg):
+    # Every coefficient of a correct model vanishes at its move, so the
+    # family shares one all-zero diagonal and keeps no slot.
+    calls, diagonal = [], _Plan.diagonal
+
+    def counting(plan, keys):
+        calls.append(set(keys))
+        return diagonal(plan, keys)
+
+    monkeypatch.setattr(_Plan, "diagonal", counting)
+    plan = _Plan(build_model(cfg.spec()), ("cartan",))
+    assert calls in ([], [{None}])
+    prog = plan.programs["cartan"]
+    assert len(prog.labels) == 2 * plan.model.spec.nodes**2
+    assert len(prog.slots) == 0 and prog.sums == []
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)

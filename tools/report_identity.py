@@ -18,11 +18,13 @@ README command, every Baseline row of ROADMAP.md, the margin-0 type C
 configurations that carry FAIL records, suites with reciprocal q pairs,
 mixes of all relation families including ``serre-classical``, ranks
 where relation components far outnumber the live (component, state)
-pairs, generator exports whose entries are roots of deep q-integers, crystal
-graphs and bare/classical ladder matrices of type C models, and
-``identity`` verdicts that hold for all q, hold only at q = 1, or are
-refused, up to the largest accepted ``--a``.  The whole list takes a few
-minutes; the boson cutoff-40 tower check alone takes about a minute.
+pairs, up to the highest rank the preflight admits, generator exports
+whose entries are roots of deep q-integers, crystal graphs (one of them
+megabytes long, on standard output) and bare/classical ladder matrices
+of type C models, and ``identity`` verdicts that hold for all q, hold
+only at q = 1, or are refused, up to the largest accepted ``--a``.  The
+whole list takes a few minutes; the boson cutoff-40 tower check alone
+takes about a minute.
 
 ``tools/report_identity.expected`` holds the output for the last
 accepted report bytes, and CI compares a fresh run against it:
@@ -108,6 +110,8 @@ CONFIGS = [
     ("sparse-A40-1", "verify --type A --n 40 --lambda 1 --q 2,3/5 --output out"),
     ("sparse-fail-C5-1-7",
      "verify --type C --n 5 --lambda 1 --cap 7 --margin 0 --q 2,3/5 --output out"),
+    # the highest rank the preflight admits: 9,248 [h_i,e_j^+-] components
+    ("sparse-A69-1", "verify --type A --n 69 --lambda 1 --q 2,3/5 --output out"),
     # exports
     ("rep-C2-2-6-deformed-json",
      "rep --type C --n 2 --lambda 2 --cap 6 --which deformed --node 2 --q 3/5 --format json"
@@ -122,6 +126,8 @@ CONFIGS = [
     ("crystal-C3-3-21-json",
      "crystal --type C --n 3 --lambda 3 --cap 21 --format json --output out"),
     ("crystal-C2-2-8-dot", "crystal --type C --n 2 --lambda 2 --cap 8 --format dot --output out"),
+    # a 5.35 MB graph streamed to standard output
+    ("crystal-C4-2-28-json-stdout", "crystal --type C --n 4 --lambda 2 --cap 28 --format json"),
     ("crystal-A4-8-dot", "crystal --type A --n 4 --lambda 8 --format dot --output out"),
     ("rep-C2-2-10-hat-node1",
      "rep --type C --n 2 --lambda 2 --cap 10 --which hat --node 1 --output out"),
