@@ -534,17 +534,16 @@ class TestEngineAgainstOperators:
         model = build_model(cfg.spec())
         cartan, d, h2, brackets = _model_data(model)
         wrong = [[a + 1 for a in row] for row in cartan]
+
+        def is_live(s, j, sign):
+            return apply_move(model.spec, s, j, sign)[1] == MOVE_OK
+
         monkeypatch.setattr(verify, "_model_data", lambda _: (wrong, d, h2, brackets))
         plan = _Plan(model, ("cartan",))
         assert plan.cartan == wrong
         oracle = _oracle_cartan(model, q, plan)
         nodes = range(1, model.spec.nodes + 1)
-        live = sum(
-            apply_move(model.spec, s, j, sign)[1] == MOVE_OK
-            for s in model.states
-            for j in nodes
-            for sign in (1, -1)
-        )
+        live = sum(is_live(s, j, sign) for s in model.states for j in nodes for sign in (1, -1))
         nonzero = _assert_matches_oracle(plan, "cartan", q, oracle)
         assert nonzero == live * model.spec.nodes
 
