@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .boson import FockSpace, check_so3, check_so3_towers, standard_so3, vdj_so3
 from .crystal import (
@@ -48,6 +49,8 @@ def _write_output(path: str | None, chunks) -> None:
     """Write the text chunks atomically (write-then-rename) so no partial
     file survives an error; without a path, write them to stdout.  The
     file gets the mode a plain open() would give it (0666 less the umask)."""
+    it = iter(chunks)  # joined 4096 per write; join returns a lone chunk uncopied
+    chunks = map("".join, iter(lambda: list(islice(it, 4096)), []))
     if path is None:
         sys.stdout.writelines(chunks)
         return
@@ -77,9 +80,11 @@ def _json_chunks(obj):
 # verify walks every relation word from every state: C(3,3,31), 3128 states,
 # verifies in under 1 s, and C(3,3,59), 19,375 states, in about 12 s and
 # 130 MB at the default four q.  A larger space is refused before anything
-# is built, and so is a larger Fock space for boson.  Above rank 4 the cost
-# per state grows with the rank squared (2 * nodes move columns of n-label
-# states, nodes**2 relation components), so a state counts (nodes / 4)**2.
+# is built, and so is a larger Fock space for boson.  Above rank 4 a state
+# counts (nodes / 4)**2: the relation families have O(nodes) components, but
+# the 2 * nodes move columns of n-label states are 3/4 of a profiled A(140,1)
+# suite.  A(69,1), the largest admitted rank-one type A, takes 0.17 s and
+# 19 MB; in-process A(100,1) takes 0.3 s and 22 MB, A(140,1) 0.5 s and 30 MB.
 _MAX_STATES = 20_000
 
 

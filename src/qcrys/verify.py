@@ -14,16 +14,23 @@ entries it multiplies do not depend on q.  Each model gets one plan,
 built once: its Cartan data read off the integer doubled eigenvalues
 2H_i, one namespace of entry keys with step tables over the model's move
 table (CrystalModel.moves) shared by every family, and each requested
-family compiled, after which the step tables are dropped.  A component
-is walked only from the states where some word is not dead at its first
-ladder move.  A surviving word is the monomial of its sorted entry keys
-with the word's sign, so words that differ only in factor order cancel
-at compile time, for every q; a residual is a signed sum of distinct
-products, and only the (component, state) slots whose residual survives
-are kept.  Per q the plan only binds, runs and classifies: each q binds
-every key once to a single term, products run on integer triples
-(m, n, d) for (n/d)*sqrt(m), each residual folds into a Radical, and one
-pass over the kept slots and the per-state cap flags classifies.
+family compiled, after which the step tables are dropped.  Only the
+components that can hold a slot are built: ladder ones for nodes
+|i - j| <= 1, Serre ones for |i - j| = 1, and the Cartan [h_i, e_j^+-]
+for i == j (it keeps the cap flags) or a nonzero coefficient (none, on a
+model _model_data accepts).  Nodes further apart move and read disjoint
+labels (move_delta, rep._factor_args), so their words are equal monomials
+that cancel for every q, and stop at the cap only where the long node's
+raising move does.  A component is walked only from the states where
+some word is not dead at its first ladder move.  A surviving word is the
+monomial of its sorted entry keys with the word's sign, so words that
+differ only in factor order cancel at compile time, for every q; a
+residual is a signed sum of distinct products, and only the (component,
+state) slots whose residual survives are kept.  Per q the plan only
+binds, runs and classifies: each q binds every key once to a single
+term, products run on integer triples (m, n, d) for (n/d)*sqrt(m), each
+residual folds into a Radical, and one pass over the kept slots and the
+per-state cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -561,7 +568,7 @@ class _Plan:
 def _cartan_components(plan: _Plan) -> list:
     a, h2, dim = plan.cartan, plan._h2, plan.model.dim
     nodes = plan.model.spec.nodes
-    zero = plan.diagonal([None] * dim)  # shared by the components with no coefficient
+    zero = plan.diagonal([None] * dim)  # shared by the (j, j) components with no coefficient
     components = []
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
@@ -577,9 +584,10 @@ def _cartan_components(plan: _Plan) -> list:
                         c = (h2[t][i - 1] - h2[k][i - 1]) // 2 - shift
                         if c:
                             coeffs[t] = ("int", c)
-                diagonal = plan.diagonal([coeffs.get(t) for t in range(dim)]) if coeffs else zero
-                label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
-                components.append(_Component(label, ((1, (ladder, diagonal)),), (((j, sign),),)))
+                if coeffs or i == j:  # (j, j) keeps the cap flags of the move
+                    diag = plan.diagonal([coeffs.get(t) for t in range(dim)]) if coeffs else zero
+                    label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
+                    components.append(_Component(label, ((1, (ladder, diag)),), (((j, sign),),)))
     return components
 
 
@@ -589,8 +597,9 @@ def check_cartan(
     """[h_i, e_j^+-] = +-a_ij e_j^+- with the Cartan integers recomputed
     from the crystal weight shifts.  With H_i diagonal the residual entry
     (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), one integer read from
-    the weights at the move times the generator entry.  [h_i, h_j] = 0
-    holds by construction, as the H_i are diagonal, and is not checked."""
+    the weights at the move times the generator entry; for i != j a
+    component is built only where one is nonzero.  [h_i, h_j] = 0 holds by
+    construction, as the H_i are diagonal, and is not checked."""
     return (plan or _Plan(model, ("cartan",))).report("cartan", q, margin)
 
 
@@ -598,7 +607,7 @@ def _ladder_components(plan: _Plan) -> list:
     nodes = plan.model.spec.nodes
     components = []
     for i in range(1, nodes + 1):
-        for j in range(1, nodes + 1):
+        for j in range(max(1, i - 1), min(nodes, i + 1) + 1):
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             terms = tuple(
                 (sign, tuple(plan.ladder("eq", *move) for move in word))
@@ -617,9 +626,9 @@ def _ladder_components(plan: _Plan) -> list:
 def check_ladder(
     model: CrystalModel, q, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
-    """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i) (so the long type C
-    node uses base q^2, where the half-integer H_n still gives an exact
-    rational bracket)."""
+    """[e_i^+, e_j^-] = delta_ij [H_i] in base q^(d_i), for |i - j| <= 1 (the
+    long type C node uses base q^2, where the half-integer H_n still gives
+    an exact rational bracket; farther nodes commute by locality)."""
     return (plan or _Plan(model, ("ladder",))).report("ladder", q, margin)
 
 
@@ -629,12 +638,8 @@ def _serre_components(plan: _Plan, deformed: bool) -> list:
     kind = "eq" if deformed else "e"
     components = []
     for i in range(1, nodes + 1):
-        for j in range(1, nodes + 1):
-            if i == j:
-                continue
+        for j in [j for j in (i - 1, i + 1) if 1 <= j <= nodes]:
             m = 1 - a[i - 1][j - 1]
-            if m < 1:
-                raise VerificationError("off-diagonal Cartan entry must be <= 0")
             # The end binomials are 1; the inner ones, (-1)^v times a binomial
             # that exceeds 1 at every q > 0, are trailing constant diagonals.
             tails = [(1, ())]
@@ -658,8 +663,9 @@ def _serre_components(plan: _Plan, deformed: bool) -> list:
 def check_serre(
     model: CrystalModel, q, deformed: bool = True, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
-    """Serre relations for every ordered node pair, built from the
-    measured Cartan matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
+    """Serre relations for every ordered pair of adjacent nodes (others
+    commute by locality, module docstring), built from the measured Cartan
+    matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
     with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
     ordinary binomial (classical).  Each term is one word."""
     family = "serre" if deformed else "serre-classical"
@@ -871,27 +877,16 @@ _FAMILY_RUNNERS = {
     "cartan": lambda model, q, margin, plan: check_cartan(model, q, margin, plan=plan),
     "ladder": lambda model, q, margin, plan: check_ladder(model, q, margin, plan=plan),
     "serre": lambda model, q, margin, plan: check_serre(model, q, True, margin, plan=plan),
-    "serre-classical": lambda model, q, margin, plan: check_serre(
-        model, q, False, margin, plan=plan
-    ),
+    "serre-classical": lambda m, q, margin, plan: check_serre(m, q, False, margin, plan=plan),
     "map": lambda model, q, margin, plan: check_map(model, q, margin, plan=plan),
 }
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
-    """Run every configured relation family at every configured q,
-    deterministically: report order is (q, family) in the configured
-    order, and the JSON rendering is byte-stable across runs.
-
-    The model's relation plan is built once, before the first q: its
-    Cartan data, one leaf namespace, and every configured family's
-    program.  Every q binds the plan's
-    leaves once (those that take no q once per run), and each family
-    runs on integer triples only when its binding differs from that of
-    every earlier q; on an exact match the earlier q's per-state results
-    and FAIL records are reused under the new q label.  The balanced
-    q-brackets bind equal leaves at q and 1/q, and serre-classical runs
-    once per suite; the comparison finds this, it is never assumed."""
+    """Run every configured relation family at every configured q, in
+    (q, family) order, with byte-stable JSON.  One plan serves every q; a
+    family whose binding at q equals an earlier q's reuses that q's results
+    under the new q label (the comparison finds such q, never assumes)."""
     model = build_model(config.spec())
     plan = _Plan(model, config.families)
     reports = [

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,6 +112,18 @@ class TestCrystalCommand:
         with pytest.raises(RuntimeError, match="the encoder failed"):
             cli._write_output(str(target), chunks())
         assert list(tmp_path.iterdir()) == []
+
+    def test_stream_writes_joined_batches(self, monkeypatch):
+        # One write per 4096 chunks, and a lone text is written as is.
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=writes.extend))
+        text = "x" * 100
+        cli._write_output(None, [text])
+        assert len(writes) == 1 and writes[0] is text
+        writes.clear()
+        cli._write_output(None, (str(i % 10) for i in range(10_000)))
+        assert [len(w) for w in writes] == [4096, 4096, 1808]
+        assert "".join(writes) == "".join(str(i % 10) for i in range(10_000))
 
     def test_output_mode_follows_umask(self, tmp_path, capsys):
         target = tmp_path / "verdict.txt"

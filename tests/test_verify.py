@@ -11,8 +11,10 @@ from qcrys.crystal import (
     MOVE_CAPPED,
     MOVE_DEAD,
     MOVE_OK,
+    CAP_MARGIN,
     CrystalSpec,
     apply_move,
+    boundary_class,
     build_model,
     weight_h,
     weight_h2,
@@ -344,7 +346,13 @@ ORACLE_CONFIGS = [
     SuiteConfig("A", 3, 3),
     SuiteConfig("A", 2, 3),  # rank one: carries the cz components of map
     SuiteConfig("C", 2, 2, cap=12, margin=0),
+    # three nodes: nodes 1 and 3 are the non-adjacent pair the engine skips
+    SuiteConfig("A", 4, 2),
+    SuiteConfig("C", 3, 2, cap=8, margin=0),
 ]
+
+# Each oracle maps every component label of its family, over all node
+# pairs, to (the relation as one operator, the ladder moves of its words).
 
 
 def _oracle_cartan(model, q, data):
@@ -356,7 +364,8 @@ def _oracle_cartan(model, q, data):
             for sign, tag in ((1, "+"), (-1, "-")):
                 shift = sign * data.cartan[i - 1][j - 1]
                 e = op_e_deformed(model, j, sign, q)
-                ops[f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"] = commutator(hs[i], e) - e * shift
+                label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
+                ops[label] = commutator(hs[i], e) - e * shift, (((j, sign),),)
     return ops
 
 
@@ -366,8 +375,9 @@ def _oracle_ladder(model, q, data):
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             comm = commutator(op_e_deformed(model, i, 1, q), op_e_deformed(model, j, -1, q))
+            words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             if i != j:
-                ops[f"[e+{i},e-{j}]"] = comm
+                ops[f"[e+{i},e-{j}]"] = comm, words
                 continue
             d = data.d[i - 1]
             bracket = LinOp.diagonal(
@@ -376,7 +386,7 @@ def _oracle_ladder(model, q, data):
                 )
                 for s in model.states
             )
-            ops[f"[e+{i},e-{j}]-[H{i}]_qi"] = comm - bracket
+            ops[f"[e+{i},e-{j}]-[H{i}]_qi"] = comm - bracket, words
     return ops
 
 
@@ -404,7 +414,9 @@ def _oracle_serre(model, q, data, deformed):
                     coeff = qbinom(m, v).eval((qi,)) if deformed else math.comb(m, v)
                     total = total + (powers[m - v] @ y @ powers[v]) * ((-1) ** v * coeff)
                 base = f"q^{data.d[i - 1]}" if deformed else "1"
-                ops[f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"] = total
+                xs, ys = ((i, sign),), ((j, sign),)  # in application order, as powers[v] first
+                words = tuple(xs * v + ys + xs * (m - v) for v in range(m + 1))
+                ops[f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"] = total, words
     return ops
 
 
@@ -415,18 +427,20 @@ def _oracle_map(model, q):
         fi = deform_factor_inv(model, node, q)
         ep, em = op_e_classical(model, node, 1), op_e_classical(model, node, -1)
         dp, dm = op_e_deformed(model, node, 1, q), op_e_deformed(model, node, -1, q)
-        ops[f"E+{node}*F-e+{node}"] = ep @ f - dp
-        ops[f"F*E-{node}-e-{node}"] = f @ em - dm
-        ops[f"e+{node}*Finv-E+{node}"] = dp @ fi - ep
-        ops[f"Finv*e-{node}-E-{node}"] = fi @ dm - em
+        up, down = (((node, 1),),), (((node, -1),),)
+        ops[f"E+{node}*F-e+{node}"] = ep @ f - dp, up
+        ops[f"F*E-{node}-e-{node}"] = f @ em - dm, down
+        ops[f"e+{node}*Finv-E+{node}"] = dp @ fi - ep, up
+        ops[f"Finv*e-{node}-E-{node}"] = fi @ dm - em, down
     if model.spec.algebra_type == "A" and model.spec.n == 2:
         d2 = cz_factor(model, q, CZ_WEIGHT)
         d1 = cz_factor(model, q, CZ_NODE)
         hat = op_hat(model, 1, 1)
+        up = (((1, 1),),)
         ops["cz_weight*j+-e+1"] = d2 @ op_e_classical(model, 1, 1) - op_e_deformed(
             model, 1, 1, q
-        )
-        ops["cz_weight(image)-cz_node(source)"] = d2 @ hat - hat @ d1
+        ), up
+        ops["cz_weight(image)-cz_node(source)"] = d2 @ hat - hat @ d1, up
     return ops
 
 
@@ -460,16 +474,26 @@ def _assert_matches_oracle(plan, family, q, oracle):
     """Compare every (component, state) residual of the compiled plan at q
     with the operator column, where a slot that is not stored must have an
     empty column, and the target and capped flag of every stored slot, and
-    the capped flag of every state, with walks of the components' words."""
+    the capped flag of every state, with walks of the components' words.
+    The engine builds some of the oracle's components, in the oracle's
+    order; each one it leaves out must be the zero operator, and none of its
+    words may stop at the cap where the program flags no cap."""
     model = plan.model
     prog, vals = _node_values(plan, family, q)
-    assert prog.labels == list(oracle)
+    built = set(prog.labels)
+    assert prog.labels == [label for label in oracle if label in built]
+    for label, (op, words) in oracle.items():
+        if label not in built:
+            assert op.is_zero(), label
+            for k in range(model.dim):
+                assert prog.capped[k] or not any(_word_end(model, k, w)[1] for w in words)
     slots = _slots(prog)
     capped = [False] * model.dim
     nonzero = 0
     for c, (label, words) in enumerate(zip(prog.labels, prog.words)):
+        assert oracle[label][1] == words, label
         columns = {}
-        for (s, t), v in oracle[label].entries.items():
+        for (s, t), v in oracle[label][0].entries.items():
             columns.setdefault(s, {})[t] = v
         for k in range(model.dim):
             col = columns.get(k, {})
@@ -566,7 +590,8 @@ def test_cartan_operators_commute(cfg):
 )
 def test_cartan_family_builds_one_zero_diagonal(monkeypatch, cfg):
     # Every coefficient of a correct model vanishes at its move, so the
-    # family shares one all-zero diagonal and keeps no slot.
+    # family builds only the (j, j, +-) components, which share one all-zero
+    # diagonal and keep no slot.
     calls, diagonal = [], _Plan.diagonal
 
     def counting(plan, keys):
@@ -577,8 +602,94 @@ def test_cartan_family_builds_one_zero_diagonal(monkeypatch, cfg):
     plan = _Plan(build_model(cfg.spec()), ("cartan",))
     assert calls in ([], [{None}])
     prog = plan.programs["cartan"]
-    assert len(prog.labels) == 2 * plan.model.spec.nodes**2
+    assert len(prog.labels) == 2 * plan.model.spec.nodes
     assert len(prog.slots) == 0 and prog.sums == []
+
+
+@pytest.mark.parametrize(
+    "cfg, counts",
+    [
+        (SuiteConfig("A", 68, 1), (134, 199, 264, 268)),
+        (SuiteConfig("C", 3, 3, 13), (6, 7, 8, 12)),
+    ],
+    ids=["A68-1", "C3-3"],
+)
+def test_default_families_build_linear_component_counts(cfg, counts):
+    # Ladder and Serre components only for adjacent nodes (|i - j| <= 1 and
+    # = 1), Cartan components only for (j, j, +-): O(nodes) per family.
+    plan = _Plan(build_model(cfg.spec()), cfg.families)
+    assert tuple(len(plan.programs[f].labels) for f in cfg.families) == counts
+
+
+# Randomised differential audit: run_suite against the LinOp oracles on
+# drawn specs, margins and q, classes and FAIL records included.
+AUDIT_Q = (F(1), F(2), F(1, 2), F(3, 5), F(5, 3), F(3, 2))
+
+
+@st.composite
+def audit_configs(draw):
+    if draw(st.booleans()):
+        spec = ("A", draw(st.integers(2, 4)), draw(st.integers(0, 4)), None)
+    else:
+        lam = draw(st.integers(0, 3))
+        spec = ("C", draw(st.integers(1, 3)), lam, draw(st.integers(lam, lam + 8)))
+    margin, q = draw(st.integers(0, 6)), draw(st.sampled_from(AUDIT_Q))
+    return SuiteConfig(*spec, margin=margin, q_list=(q,), families=KNOWN_FAMILIES)
+
+
+def _trace(model, k, word):
+    """The FAIL-record text of one walk of a word, move by move."""
+    state, bits = model.states[k], [str(model.states[k])]
+    for move in word:
+        state, status = apply_move(model.spec, state, *move)
+        if status != MOVE_OK:
+            bits.append("cap" if status == MOVE_CAPPED else "0")
+            break
+        bits.append(str(state))
+    return "->".join(bits)
+
+
+def _oracle_outcome(model, margin, oracle):
+    """(residual_zero, class) per state and the FAIL records of one family,
+    from its operators: a state is BOUNDARY where some word stops at the
+    cap inside the margin, and a nonzero column is a FAIL unless a word of
+    its own component stops at the cap from a BOUNDARY state."""
+    dim = model.dim
+    caps = {
+        label: [any(_word_end(model, k, w)[1] for w in words) for k in range(dim)]
+        for label, (_, words) in oracle.items()
+    }
+    edge = [boundary_class(model, s, margin) == CAP_MARGIN for s in model.states]
+    boundary = [edge[k] and any(cap[k] for cap in caps.values()) for k in range(dim)]
+    ok, klass = [True] * dim, [BOUNDARY if b else PASS for b in boundary]
+    failures = []
+    for label, (op, words) in oracle.items():
+        for (k, t), v in sorted(op.entries.items()):
+            ok[k] = False
+            if caps[label][k] and boundary[k]:
+                continue
+            klass[k] = FAIL
+            traces = "; ".join(_trace(model, k, w) for w in words)
+            word = f"{label} [{traces}] -> {list(model.states[t])}"
+            record = {"state": list(model.states[k]), "word": word, "residual": v.json_map()}
+            failures.append((k, record))
+    # in state order, then component order (the sort is stable)
+    return list(zip(ok, klass)), [record for _, record in sorted(failures, key=lambda f: f[0])]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=audit_configs())
+def test_suite_matches_operators_on_random_specs(cfg):
+    suite = run_suite(cfg)
+    model = build_model(cfg.spec())
+    data = _Plan(model, ())
+    q = cfg.q_list[0]
+    assert len(suite.reports) == len(cfg.families)
+    for family, report in zip(cfg.families, suite.reports):
+        oracle = _ORACLES[family](model, q, data)
+        per_state, failures = _oracle_outcome(model, cfg.margin, oracle)
+        assert [(r.residual_zero, r.klass) for r in report.per_state] == per_state, family
+        assert report.failures == failures, family
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)

@@ -16,9 +16,9 @@ this script once against the old checkout and once against the new one
 and comparing the two outputs with ``diff``.  The list covers every
 README command, every Baseline row of ROADMAP.md, the margin-0 type C
 configurations that carry FAIL records, suites with reciprocal q pairs,
-mixes of all relation families including ``serre-classical``, ranks
-where relation components far outnumber the live (component, state)
-pairs, up to the highest rank the preflight admits, generator exports
+mixes of all relation families including ``serre-classical``, high
+ranks with many non-adjacent node pairs, up to the highest rank the
+preflight admits, generator exports
 whose entries are roots of deep q-integers, crystal graphs (one of them
 megabytes long, on standard output) and bare/classical ladder matrices
 of type C models, and ``identity`` verdicts that hold for all q, hold
@@ -106,11 +106,11 @@ CONFIGS = [
     ("bench-C3-3-13-b",
      "verify --type C --n 3 --lambda 3 --cap 13 --q 5/3,3/2,2/3,3/5 --output out"),
     ("bench-C3-3-13-c", "verify --type C --n 3 --lambda 3 --cap 13 --q 2/3,1,5/3,2 --output out"),
-    # far more components than live slots, and the order of many FAIL records
+    # many non-adjacent node pairs, and the order of many FAIL records
     ("sparse-A40-1", "verify --type A --n 40 --lambda 1 --q 2,3/5 --output out"),
     ("sparse-fail-C5-1-7",
      "verify --type C --n 5 --lambda 1 --cap 7 --margin 0 --q 2,3/5 --output out"),
-    # the highest rank the preflight admits: 9,248 [h_i,e_j^+-] components
+    # the highest rank the preflight admits: 68 nodes
     ("sparse-A69-1", "verify --type A --n 69 --lambda 1 --q 2,3/5 --output out"),
     # exports
     ("rep-C2-2-6-deformed-json",
