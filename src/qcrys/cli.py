@@ -81,10 +81,9 @@ def _json_chunks(obj):
 # verifies in under 1 s, and C(3,3,59), 19,375 states, in about 12 s and
 # 130 MB at the default four q.  A larger space is refused before anything
 # is built, and so is a larger Fock space for boson.  Above rank 4 a state
-# counts (nodes / 4)**2: the relation families have O(nodes) components, but
-# the 2 * nodes move columns of n-label states are 3/4 of a profiled A(140,1)
-# suite.  A(69,1), the largest admitted rank-one type A, takes 0.17 s and
-# 19 MB; in-process A(100,1) takes 0.3 s and 22 MB, A(140,1) 0.5 s and 30 MB.
+# counts (nodes / 4)**2, as the plan's move columns, factor diagonals and
+# walks grow as nodes * states.  A(69,1), the largest admitted rank-one type
+# A, takes 0.12 s and 20 MB; in-process A(140,1) takes 0.24 s and 29 MB.
 _MAX_STATES = 20_000
 
 

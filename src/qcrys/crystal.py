@@ -9,6 +9,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 __all__ = [
     "TYPE_A",
@@ -131,16 +132,24 @@ class CrystalModel:
     def moves(self, node: int, sign: int) -> tuple:
         """The ladder move (node, sign) on every state, by source ordinal:
         (target ordinal, MOVE_OK), or (None, MOVE_DEAD / MOVE_CAPPED) as
-        apply_move decides.  Each column is built on first use from one
-        move_delta and kept.  A move that succeeds always lands inside the
-        model, so word walks never leave the table."""
+        apply_move decides.  Each column is built on first use from only
+        the labels move_delta changes (node - 1 and node, or the last on
+        the long node) and kept.  A move that succeeds always lands inside
+        the model, so word walks never leave the table."""
         column = self._moves.get((node, sign))
         if column is None:
-            spec, index = self.spec, self.index
-            delta, column = move_delta(spec, node, sign), []
+            spec, index, column = self.spec, self.index, []
+            long_node = spec.algebra_type == TYPE_C and node == spec.n
+            lo, hi = (spec.n - 1, spec.n) if long_node else (node - 1, node + 1)
+            shift = move_delta(spec, node, sign)[lo:hi]
             for s in self.states:
-                t, status = _shift(spec, s, delta)
-                column.append((None if t is None else index[t], status))
+                new = tuple(map(add, s[lo:hi], shift))
+                if min(new) < 0:
+                    column.append((None, MOVE_DEAD))
+                elif long_node and sum(s) + shift[0] > spec.cap:  # a short move keeps the total
+                    column.append((None, MOVE_CAPPED))
+                else:
+                    column.append((index[s[:lo] + new + s[hi:]], MOVE_OK))
             column = self._moves[(node, sign)] = tuple(column)
         return column
 
@@ -211,16 +220,12 @@ def state_count(spec: CrystalSpec) -> int:
     return (every + alternating) // 2
 
 
-def _check_node(spec: CrystalSpec, node: int) -> None:
-    if not 1 <= node <= spec.nodes:
-        raise ValueError(f"node {node} out of range 1..{spec.nodes}")
-
-
 def move_delta(spec: CrystalSpec, node: int, sign: int) -> tuple[int, ...]:
     """Label shift of the ladder move: nodes below n exchange one box
     between adjacent labels; the type C long node shifts the last label
     by two."""
-    _check_node(spec, node)
+    if not 1 <= node <= spec.nodes:
+        raise ValueError(f"node {node} out of range 1..{spec.nodes}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     delta = [0] * spec.n
@@ -239,12 +244,7 @@ def apply_move(spec: CrystalSpec, state, node: int, sign: int):
     would turn negative, which also kills the move on the untruncated
     space); MOVE_CAPPED marks a move blocked only by the type C cap.
     """
-    return _shift(spec, state, move_delta(spec, node, sign))
-
-
-def _shift(spec: CrystalSpec, state, delta: tuple[int, ...]):
-    """apply_move with the move given by its label shift."""
-    new = tuple(a + b for a, b in zip(state, delta))
+    new = tuple(a + b for a, b in zip(state, move_delta(spec, node, sign)))
     if min(new) < 0:
         return None, MOVE_DEAD
     if spec.algebra_type == TYPE_C and sum(new) > spec.cap:

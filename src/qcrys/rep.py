@@ -229,10 +229,10 @@ def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     return LinOp(model.dim, entries)
 
 
-def _e_classical_entry(model: CrystalModel, node: int, a: int, b: int) -> Radical:
-    """Classical generator entry at factor arguments (a, b)."""
+def _e_classical_entry(a: int, b: int, long_node: bool) -> Radical:
+    """Classical generator entry at factor arguments (a, b), halved on the long node."""
     v = sqrt_rat(a) * sqrt_rat(b)
-    return v * Fraction(1, 2) if _is_long_node(model, node) else v
+    return v * Fraction(1, 2) if long_node else v
 
 
 def _root_product(a: int, b: int, q: Fraction, ratio: bool, long_scale: int) -> Radical:
@@ -247,10 +247,10 @@ def _root_product(a: int, b: int, q: Fraction, ratio: bool, long_scale: int) -> 
     return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, ratio))))
 
 
-def _e_deformed_entry(model: CrystalModel, node: int, a: int, b: int, q: Fraction) -> Radical:
+def _e_deformed_entry(a: int, b: int, q: Fraction, long_node: bool) -> Radical:
     """Deformed generator entry at factor arguments (a, b), nonzero on a live
     move: sqrt([a]_q [b]_q), times 1/(q + 1/q) on the long node."""
-    return _root_product(a, b, q, False, _is_long_node(model, node))
+    return _root_product(a, b, q, False, long_node)
 
 
 def _deform_entry(a: int, b: int, q: Fraction, long_node: bool = False) -> Radical:
@@ -266,7 +266,8 @@ def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:
     with sqrt((N_i+1) N_{i+1}), or (1/2) sqrt((N_n+1)(-N_n-2)) on the type C
     long node.  The long-node radicand is negative, so those entries are
     imaginary and carried exactly by the radical branch rule."""
-    return _dressed_ladder(model, node, sign, lambda a, b: _e_classical_entry(model, node, a, b))
+    long_node = _is_long_node(model, node)
+    return _dressed_ladder(model, node, sign, lambda a, b: _e_classical_entry(a, b, long_node))
 
 
 def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
@@ -274,8 +275,8 @@ def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
     classical dressing becomes the bracket [x]_q, and the long-node
     prefactor 1/2 becomes 1/(q + q^(-1)).  At q = 1 this coincides with
     op_e_classical entry for entry."""
-    q = ensure_positive_q(q)
-    return _dressed_ladder(model, node, sign, lambda a, b: _e_deformed_entry(model, node, a, b, q))
+    q, long_node = ensure_positive_q(q), _is_long_node(model, node)
+    return _dressed_ladder(model, node, sign, lambda a, b: _e_deformed_entry(a, b, q, long_node))
 
 
 def deform_factor(model: CrystalModel, node: int, q) -> LinOp:

@@ -14,31 +14,34 @@ entries it multiplies do not depend on q.  Each model gets one plan,
 built once: its Cartan data read off the integer doubled eigenvalues
 2H_i, one namespace of entry keys with step tables over the model's move
 table (CrystalModel.moves) shared by every family, and each requested
-family compiled, after which the step tables are dropped.  Only the
-components that can hold a slot are built: ladder ones for nodes
-|i - j| <= 1, Serre ones for |i - j| = 1, and the Cartan [h_i, e_j^+-]
-for i == j (it keeps the cap flags) or a nonzero coefficient (none, on a
-model _model_data accepts).  Nodes further apart move and read disjoint
-labels (move_delta, rep._factor_args), so their words are equal monomials
-that cancel for every q, and stop at the cap only where the long node's
-raising move does.  A component is walked only from the states where
-some word is not dead at its first ladder move.  A surviving word is the
-monomial of its sorted entry keys with the word's sign, so words that
-differ only in factor order cancel at compile time, for every q; a
-residual is a signed sum of distinct products, and only the (component,
-state) slots whose residual survives are kept.  Per q the plan only
-binds, runs and classifies: each q binds every key once to a single
-term, products run on integer triples (m, n, d) for (n/d)*sqrt(m), each
-residual folds into a Radical, and one pass over the kept slots and the
-per-state cap flags classifies.
+family compiled, after which the step tables are dropped.  A key names
+what its value is computed from: a generator or factor entry depends on
+its two factor arguments and the long node flag, not on the node, so
+equal entries of different nodes are one key.  Only the components that
+can hold a slot are built: ladder ones for nodes |i - j| <= 1, Serre ones
+for |i - j| = 1, and the Cartan [h_i, e_j^+-] for i == j (it keeps the
+cap flags) or a nonzero coefficient, one integer read at one live move
+of node j (none, on a model _model_data accepts).  Nodes further apart
+move and read disjoint labels (move_delta, rep._factor_args), so their
+words are equal monomials that cancel for every q, and stop at the cap
+only where the long node's raising move does.  A component is walked
+only from the states where some word is not dead at its first ladder
+move.  A surviving word is the monomial of its sorted entry keys with
+the word's sign, so words that differ only in factor order cancel at
+compile time, for every q; a residual is a signed sum of distinct
+products, and only the (component, state) slots whose residual survives
+are kept.  Per q the plan only binds, runs and classifies: each q binds
+every key once to a single term, products run on integer triples
+(m, n, d) for (n/d)*sqrt(m), each residual folds into a Radical, and one
+pass over the kept slots and the per-state cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
 reuses that q's per-state results and FAIL records.  The balanced
-q-brackets bind equal keys at q and 1/q, and serre-classical binds no q,
-so it runs once per suite.  Sparse operator products (LinOp) are not
-used here; the tests rebuild every relation with them as the
-reference."""
+q-brackets bind equal keys at q and 1/q, and the keys of serre-classical
+take no q, so their bindings compare equal and it runs once per suite.
+Sparse operator products (LinOp) are not used here; the tests rebuild
+every relation with them as the reference."""
 
 from __future__ import annotations
 
@@ -210,8 +213,9 @@ def _model_data(model: CrystalModel) -> tuple:
 #
 # A symbolic step table lists, per source ordinal k, the pair (target
 # ordinal, leaf id) of one monomial operator, where a leaf names a value by
-# its kind and the integers it is computed from, so equal values share one
-# leaf.  Where a ladder move is dead or capped the pair is (move status,
+# its kind and the integers it is computed from (an entry by the long node
+# flag and its factor arguments (a, b), not the node), so equal values share
+# one leaf.  Where a ladder move is dead or capped the pair is (move status,
 # None), so a walk knows why it stopped; a diagonal's zero entry is (k,
 # None), a zero term that still ends at k.  Compiling turns a family into
 # products of its leaves and, per surviving residual, a signed sum of
@@ -219,19 +223,16 @@ def _model_data(model: CrystalModel) -> tuple:
 # products and folds the sums.
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
-# come from the same functions that build the rep matrices.  The kinds in
-# _Q_FREE do not read q, so a plan binds them once.
+# come from the same functions that build the rep matrices.
 _LEAF_VALUES = {
-    "e": lambda model, q, node, a, b: _e_classical_entry(model, node, a, b),
-    "eq": lambda model, q, node, a, b: _e_deformed_entry(model, node, a, b, q),
-    "f": lambda model, q, node, a, b: _deform_entry(a, b, q, _is_long_node(model, node)),
-    "finv": lambda m, q, node, a, b: _deform_entry(a, b, q, _is_long_node(m, node)).inverse(),
-    "int": lambda _, q, c: Radical.from_rational(c),
-    "bracket": lambda _, q, k, d: _bracket(k, d, q),
-    "binom": lambda _, q, m, v, d: _binom(m, v, d, q),
+    "e": lambda q, long_node, a, b: _e_classical_entry(a, b, long_node),
+    "eq": lambda q, long_node, a, b: _e_deformed_entry(a, b, q, long_node),
+    "f": lambda q, long_node, a, b: _deform_entry(a, b, q, long_node),
+    "finv": lambda q, long_node, a, b: _deform_entry(a, b, q, long_node).inverse(),
+    "int": lambda q, c: Radical.from_rational(c),
+    "bracket": lambda q, k, d: _bracket(k, d, q),
+    "binom": lambda q, m, v, d: _binom(m, v, d, q),
 }
-
-_Q_FREE = frozenset(("e", "int"))
 
 
 def _bracket(k: int, d: int, q: Fraction) -> Radical:
@@ -369,20 +370,21 @@ class _Plan:
 
     def ladder(self, kind, node: int, sign: int) -> list:
         """Step table of a ladder generator.  Its leaves are keyed by the
-        factor arguments read on the raising source or the lowering target,
-        so raising and lowering share keys; kind None is the bare move,
-        whose entries are the integer 1."""
+        long node flag and the factor arguments read on the raising source
+        or the lowering target, so raising and lowering share keys; kind
+        None is the bare move, whose entries are the integer 1."""
         table = self._steps.get((kind, node, sign))
         if table is None:
             table = self._steps[(kind, node, sign)] = []
             args = self.factor_args(node) if kind else None
+            long_node = _is_long_node(self.model, node)
             for k, (t, status) in enumerate(self.model.moves(node, sign)):
                 if t is None:
                     table.append((status, None))
                 elif kind is None:
                     table.append((t, self.leaf("int", 1)))
                 else:
-                    table.append((t, self.leaf(kind, node, *args[k if sign > 0 else t])))
+                    table.append((t, self.leaf(kind, long_node, *args[k if sign > 0 else t])))
             live = (k for k, (t, _) in enumerate(table) if t != MOVE_DEAD)
             self._sources[id(table)] = array("i", live)
         return table
@@ -486,7 +488,7 @@ class _Plan:
         leaf = self.ids[key]
         val = self._values[leaf]
         if val is None:
-            val = _term(_LEAF_VALUES[key[0]](self.model, self._q, *key[1:]))
+            val = _term(_LEAF_VALUES[key[0]](self._q, *key[1:]))
             if val.__class__ is not tuple and val:
                 raise VerificationError(f"leaf {key} at q = {self._q} is not one term: {val!r}")
             self._values[leaf] = val
@@ -494,15 +496,10 @@ class _Plan:
 
     def bind(self, prog: _Program, q: Fraction) -> list:
         """The values of ``prog``'s leaves at q.  Every leaf of the plan is
-        bound at most once per q, and one whose kind takes no q once."""
-        keys = self.keys
+        bound at most once per q."""
         if q != self._q:
-            self._q = q
-            self._values = [
-                v if v is not None and keys[g][0] in _Q_FREE else None
-                for g, v in enumerate(self._values)
-            ]
-        values = self._values
+            self._q, self._values = q, [None] * len(self.keys)
+        keys, values = self.keys, self._values
         return [values[g] if values[g] is not None else self._leaf(keys[g]) for g in prog.leaves]
 
     def report(self, family: str, q, margin: int) -> RelationReport:
@@ -569,25 +566,24 @@ def _cartan_components(plan: _Plan) -> list:
     a, h2, dim = plan.cartan, plan._h2, plan.model.dim
     nodes = plan.model.spec.nodes
     zero = plan.diagonal([None] * dim)  # shared by the (j, j) components with no coefficient
+    # Per (j, sign): its ladder and first live move k -> t, which speaks for every
+    # live move: _model_data refuses moves that shift the weights two ways or oddly.
+    moves = []
+    for j in range(1, nodes + 1):
+        for sign, tag in ((1, "+"), (-1, "-")):
+            ladder = plan.ladder("eq", j, sign)
+            live = (k for k in plan._sources[id(ladder)] if ladder[k][0].__class__ is not str)
+            k = next(live, None)
+            moves.append((j, sign, tag, ladder, k, None if k is None else ladder[k][0]))
     components = []
     for i in range(1, nodes + 1):
-        for j in range(1, nodes + 1):
-            for sign, tag in ((1, "+"), (-1, "-")):
-                shift = sign * a[i - 1][j - 1]
-                ladder = plan.ladder("eq", j, sign)
-                # H_i(t) - H_i(s) - shift per live move s -> t, keyed by its target (a
-                # move has one source); _model_data checked every raising shift even.
-                coeffs = {}
-                for k in plan._sources[id(ladder)]:
-                    t = ladder[k][0]
-                    if t.__class__ is not str:  # live, not capped
-                        c = (h2[t][i - 1] - h2[k][i - 1]) // 2 - shift
-                        if c:
-                            coeffs[t] = ("int", c)
-                if coeffs or i == j:  # (j, j) keeps the cap flags of the move
-                    diag = plan.diagonal([coeffs.get(t) for t in range(dim)]) if coeffs else zero
-                    label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
-                    components.append(_Component(label, ((1, (ladder, diag)),), (((j, sign),),)))
+        for j, sign, tag, ladder, k, t in moves:
+            shift = sign * a[i - 1][j - 1]
+            c = 0 if k is None else (h2[t][i - 1] - h2[k][i - 1]) // 2 - shift
+            if c or i == j:  # (j, j) keeps the cap flags of the move
+                diag = plan.diagonal([("int", c)] * dim) if c else zero
+                label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
+                components.append(_Component(label, ((1, (ladder, diag)),), (((j, sign),),)))
     return components
 
 
@@ -676,9 +672,9 @@ def _map_components(plan: _Plan) -> list:
     model = plan.model
     rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
-        args = plan.factor_args(node)
-        fac = plan.diagonal([("f", node, *ab) for ab in args])
-        inv = plan.diagonal([("finv", node, *ab) for ab in args])
+        args, long_node = plan.factor_args(node), _is_long_node(model, node)
+        fac = plan.diagonal([("f", long_node, *ab) for ab in args])
+        inv = plan.diagonal([("finv", long_node, *ab) for ab in args])
         ep, em = plan.ladder("e", node, 1), plan.ladder("e", node, -1)
         dp, dm = plan.ladder("eq", node, 1), plan.ladder("eq", node, -1)
         up, down = (((node, 1),),), (((node, -1),),)
@@ -691,9 +687,9 @@ def _map_components(plan: _Plan) -> list:
             ]
         )
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
-        # The weight variant of the rank-one functional (a deforming factor
-        # at other arguments), and its node variant, the only node's factor.
-        d2 = plan.diagonal([("f", 1, *_cz_args(s)) for s in model.states])
+        # The weight variant of the rank-one functional (a short node's deforming
+        # factor at other arguments), and its node variant, the only node's factor.
+        d2 = plan.diagonal([("f", False, *_cz_args(s)) for s in model.states])
         hat, jp, dp = plan.ladder(None, 1, 1), plan.ladder("e", 1, 1), plan.ladder("eq", 1, 1)
         rows.append(("cz_weight*j+-e+1", (jp, d2), (dp,), (((1, 1),),)))
         rows.append(("cz_weight(image)-cz_node(source)", (hat, d2), (fac, hat), (((1, 1),),)))
@@ -873,6 +869,9 @@ class SuiteResult:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
+# run_suite calls each family's check_* by name, so a wrapper installed on
+# this module (perfbench/tracer.py times each family so) sees every suite
+# run; calling plan.report directly would bypass it.
 _FAMILY_RUNNERS = {
     "cartan": lambda model, q, margin, plan: check_cartan(model, q, margin, plan=plan),
     "ladder": lambda model, q, margin, plan: check_ladder(model, q, margin, plan=plan),
