@@ -81,19 +81,28 @@ def _json_chunks(obj):
 # verifies in under 1 s, and C(3,3,59), 19,375 states, in about 12 s and
 # 130 MB at the default four q.  A larger space is refused before anything
 # is built, and so is a larger Fock space for boson.  Above rank 4 a state
-# counts (nodes / 4)**2, as the plan's move columns, factor diagonals and
+# counts (nodes / 4)**2, as the plan's move columns, [H_i] diagonals and
 # walks grow as nodes * states.  A(69,1), the largest admitted rank-one type
-# A, takes 0.12 s and 20 MB; in-process A(140,1) takes 0.24 s and 29 MB.
+# A, takes 0.18 s from launch to exit and 19 MB; in-process A(140,1) takes
+# 0.17 s and 26 MB.
 _MAX_STATES = 20_000
 
 
 def _preflight(spec: CrystalSpec) -> CrystalSpec:
     """``spec``, unless its state space (counted in closed form) has more
-    than _MAX_STATES states, plain or weighted by rank."""
+    than _MAX_STATES states, plain or weighted by rank.  Every spec has a
+    state, so the rank alone is checked first: the type C count costs
+    about nodes**2 bit operations."""
+    scale = max(spec.nodes, 4) ** 2
+    if -(-scale // 16) > _MAX_STATES:
+        raise ValueError(
+            f"one state on {spec.nodes} nodes, which count as {-(-scale // 16)} at rank 4, "
+            f"is already more than the {_MAX_STATES} states qcrys builds"
+        )
     count = state_count(spec)
     if count > _MAX_STATES:
         raise ValueError(f"the state space has {count} states; qcrys builds at most {_MAX_STATES}")
-    weighted = -(-count * max(spec.nodes, 4) ** 2 // 16)  # rounded up
+    weighted = -(-count * scale // 16)  # rounded up
     if weighted > _MAX_STATES:
         raise ValueError(
             f"the state space has {count} states on {spec.nodes} nodes, which count as "

@@ -798,18 +798,17 @@ def _wrap(terms: dict[int, tuple[int, int]]) -> Radical:
     return obj
 
 
-def _term(value: Radical):
+def _term(value: Radical) -> tuple[int, int, int]:
     """A single-term value as the integer triple (m, n, d) for (n/d)*sqrt(m)
-    that _mul_term takes and gives; any other value is returned as is."""
-    if len(value._terms) != 1:
-        return value
+    that _mul_term takes and gives; any other value raises ValueError."""
     ((m, (n, d)),) = value._terms.items()
     return m, n, d
 
 
-def _radical(value) -> Radical:
-    """The Radical of a triple from :func:`_term`; a Radical passes through."""
-    return _wrap({value[0]: (value[1], value[2])}) if value.__class__ is tuple else value
+def _radical(value: tuple[int, int, int]) -> Radical:
+    """The Radical of a triple from :func:`_term`."""
+    m, n, d = value
+    return _wrap({m: (n, d)})
 
 
 @lru_cache(maxsize=None)

@@ -1,39 +1,43 @@
 """The relation-verification engine: writes the Cartan, ladder, Serre, and
-dressing-map relations as signed sums of exact operator words on a
-crystal model, evaluates each relation state by state, and classifies
+dressing-map relations as integer combinations of exact operator words on
+a crystal model, evaluates each relation state by state, and classifies
 each state PASS / FAIL / BOUNDARY, where BOUNDARY marks verdicts that
 would only reflect the finite cap truncating the type C state space.
 
-A word is a product of ladder and diagonal steps (the Cartan coefficients,
-[H_i] brackets, Serre binomials and deforming factors are diagonals).
-Every step is monomial, so a word applied to a basis state is a single
-walk, and all words of one relation component reach the same target: its
-residual at a state is one exact number.  Where a walk goes, where it
-stops (a dead move, or the type C cap, which decides BOUNDARY) and which
-entries it multiplies do not depend on q.  Each model gets one plan,
-built once: its Cartan data read off the integer doubled eigenvalues
-2H_i, one namespace of entry keys with step tables over the model's move
-table (CrystalModel.moves) shared by every family, and each requested
-family compiled, after which the step tables are dropped.  A key names
-what its value is computed from: a generator or factor entry depends on
-its two factor arguments and the long node flag, not on the node, so
-equal entries of different nodes are one key.  Only the components that
-can hold a slot are built: ladder ones for nodes |i - j| <= 1, Serre ones
-for |i - j| = 1, and the Cartan [h_i, e_j^+-] for i == j (it keeps the
-cap flags) or a nonzero coefficient, one integer read at one live move
-of node j (none, on a model _model_data accepts).  Nodes further apart
-move and read disjoint labels (move_delta, rep._factor_args), so their
-words are equal monomials that cancel for every q, and stop at the cap
-only where the long node's raising move does.  A component is walked
-only from the states where some word is not dead at its first ladder
-move.  A surviving word is the monomial of its sorted entry keys with
-the word's sign, so words that differ only in factor order cancel at
-compile time, for every q; a residual is a signed sum of distinct
-products, and only the (component, state) slots whose residual survives
-are kept.  Per q the plan only binds, runs and classifies: each q binds
-every key once to a single term, products run on integer triples
-(m, n, d) for (n/d)*sqrt(m), each residual folds into a Radical, and one
-pass over the kept slots and the per-state cap flags classifies.
+A term of a relation is an integer coefficient (a sign, a Cartan
+coefficient or a classical Serre binomial) times constant entries (a
+deformed Serre binomial) times a word of ladder and diagonal steps (the
+[H_i] brackets and the deforming factors are diagonals).  Every step is
+monomial, so a word applied to a basis state is a single walk, and all
+words of one relation component reach the same target: its residual at a
+state is one exact number.  Where a walk goes, where it stops (a dead
+move, or the type C cap, which decides BOUNDARY), which entries it
+multiplies and which of them are zero do not depend on q (a [k]_q bracket
+is 0 exactly when k = 0, and entries on live moves never are).  Each
+model gets one plan, built once: its Cartan data read off the integer
+doubled eigenvalues 2H_i, one namespace of entry keys with step tables
+over the model's move table (CrystalModel.moves) shared by every family,
+and each requested family compiled, after which the step tables are
+dropped.  A key names what its value is computed from: a generator or
+factor entry depends on its two factor arguments and the long node flag,
+not on the node, so equal entries of different nodes are one key.  Only
+the components that can hold a slot are built: ladder ones for nodes
+|i - j| <= 1, Serre ones for |i - j| = 1, and the Cartan [h_i, e_j^+-]
+for i == j (it keeps the cap flags) or a nonzero coefficient, one integer
+read at one live move of node j (none, on a model _model_data accepts).
+Nodes further apart move and read disjoint labels (move_delta,
+rep._factor_args), so their words are equal monomials that cancel for
+every q, and stop at the cap only where the long node's raising move
+does.  A component is walked only from the states where some word is not
+dead at its first ladder move.  A surviving term is the monomial of its
+sorted entry keys with the term's coefficient, so terms that differ only
+in factor order merge at compile time, for every q; a residual is an
+integer combination of distinct products, and only the (component,
+state) slots whose residual survives are kept.  Per q the plan only
+binds, runs and classifies: each q binds every key once to a nonzero
+single term, products run on integer triples (m, n, d) for
+(n/d)*sqrt(m), each residual folds into a Radical, and one pass over the
+kept slots and the per-state cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -212,15 +216,16 @@ def _model_data(model: CrystalModel) -> tuple:
 # -- compiled relation plans ---------------------------------------------------
 #
 # A symbolic step table lists, per source ordinal k, the pair (target
-# ordinal, leaf id) of one monomial operator, where a leaf names a value by
-# its kind and the integers it is computed from (an entry by the long node
-# flag and its factor arguments (a, b), not the node), so equal values share
-# one leaf.  Where a ladder move is dead or capped the pair is (move status,
-# None), so a walk knows why it stopped; a diagonal's zero entry is (k,
-# None), a zero term that still ends at k.  Compiling turns a family into
-# products of its leaves and, per surviving residual, a signed sum of
-# those products; evaluating it at q binds each leaf once, runs the
-# products and folds the sums.
+# ordinal, leaf id) of one monomial operator, where a leaf names a nonzero
+# value by its kind and the integers it is computed from (an entry by the
+# long node flag and its factor arguments (a, b), not the node), so equal
+# values share one leaf.  Where a ladder move is dead or capped the pair is
+# (move status, None), so a walk knows why it stopped; a diagonal's zero
+# entry is (k, None), a zero term that still ends at k.  A diagonal holds
+# entries only at the ordinals its words read, so a read elsewhere raises
+# KeyError.  Compiling turns a family into products of its leaves and, per
+# surviving residual, an integer combination of those products; evaluating
+# it at q binds each leaf once, runs the products and folds the sums.
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
 # come from the same functions that build the rep matrices.
@@ -231,7 +236,7 @@ _LEAF_VALUES = {
     "finv": lambda q, long_node, a, b: _deform_entry(a, b, q, long_node).inverse(),
     "int": lambda q, c: Radical.from_rational(c),
     "bracket": lambda q, k, d: _bracket(k, d, q),
-    "binom": lambda q, m, v, d: _binom(m, v, d, q),
+    "binom": lambda q, m, v, d: _wrap({1: _qbinom_pair(m, v, q.numerator**d, q.denominator**d)}),
 }
 
 
@@ -242,25 +247,16 @@ def _bracket(k: int, d: int, q: Fraction) -> Radical:
     return _wrap({1: _lowest(n1 * d2, d1 * n2)} if n1 else {})
 
 
-def _binom(m: int, v: int, d: int, q: Fraction) -> Radical:
-    """(-1)^v times the balanced q-binomial [m choose v] at base q^d."""
-    n, den = _qbinom_pair(m, v, q.numerator**d, q.denominator**d)
-    return _wrap({1: (-n if v % 2 else n, den)})
-
-
-# The value of every product with a zero factor.
-_ZERO = Radical.zero()
-
-
 class _Component(namedtuple("_Component", "label terms words")):
-    """One identity inside a relation family, as a signed sum of words.
+    """One identity inside a relation family, as a sum of terms.
 
-    ``terms`` are (sign, word) pairs: the walk of the word, a tuple of
-    ladder and diagonal step tables in application order, is added (sign
-    1) or subtracted (sign -1).  ``words`` are the ladder moves of the
-    words (application order), which name the component's paths in FAIL
-    traces.  Every word of a component shifts the labels by one vector, so
-    the residual at a state has at most one target."""
+    ``terms`` are (coefficient, constant leaves, word) triples: the walk of
+    the word, a tuple of ladder and diagonal step tables in application
+    order, times the constant leaves, is added with the integer
+    coefficient.  ``words`` are the ladder moves of the words (application
+    order), which name the component's paths in FAIL traces.  Every word
+    of a component shifts the labels by one vector, so the residual at a
+    state has at most one target."""
 
     __slots__ = ()
 
@@ -282,13 +278,11 @@ class _Program(namedtuple("_Program", "labels words base leaves ops sums slots c
 
 def _run(ops: array, vals: list) -> list:
     """Append the value of every product to ``vals`` (the leaf values, each
-    an integer triple or the zero Radical): triples multiply in scalar's
-    single-term kernel, and a zero factor gives the shared zero."""
+    a nonzero integer triple), multiplied in scalar's single-term kernel."""
     push = vals.append
     it = iter(ops)
     for free, a, b in zip(it, it, it):
-        x, y = vals[a], vals[b]
-        push(_mul_term(*x, *y) if x.__class__ is tuple and y.__class__ is tuple else _ZERO)
+        push(_mul_term(*vals[a], *vals[b]))
         if free & 1:
             vals[a] = None
         if free & 2:
@@ -305,12 +299,10 @@ def _evaluate(prog: _Program, values: list) -> list:
     for terms in prog.sums:
         acc = {}
         for node, c in terms:
-            x = vals[node]
-            if x.__class__ is tuple:  # else zero
-                m, n, d = x
-                _accumulate(acc, m, *((c * n, d) if c in (1, -1) else _lowest(c * n, d)))
-                if not acc.get(m, (0,))[0]:  # cancelled, or merged into another spelling
-                    acc = {k: nd for k, nd in acc.items() if nd[0]}
+            m, n, d = vals[node]
+            _accumulate(acc, m, *((c * n, d) if c in (1, -1) else _lowest(c * n, d)))
+            if not acc.get(m, (0,))[0]:  # cancelled, or merged into another spelling
+                acc = {k: nd for k, nd in acc.items() if nd[0]}
         out.append(_wrap(acc) if acc else None)
     return out
 
@@ -336,8 +328,8 @@ class _Plan:
     only while one family at one q is evaluated.  Each evaluated outcome
     (per-state results and FAIL records) is kept with the leaf binding it
     came from, so a later q whose binding of the family's leaves is equal
-    reuses it: every leaf value is an integer triple or the zero Radical,
-    so == compares how values are written."""
+    reuses it: every leaf value is a nonzero integer triple, so ==
+    compares how values are written."""
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
@@ -348,9 +340,8 @@ class _Plan:
         # Ladder step tables live until compiling ends, so their ids are keys:
         # id -> the source ordinals where the move is live or capped.
         self._sources = {}
-        self._diagonals = {}  # leaf tuple -> step table, while one family compiles
         self.programs = {family: self._compile(family) for family in families}
-        del self._steps, self._args, self._sources, self._diagonals, self._h2, self._brackets
+        del self._steps, self._args, self._sources, self._h2, self._brackets
         self._q, self._values = None, [None] * len(self.keys)
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
         self._clean = {}  # (family, margin) -> per_state when every residual vanishes
@@ -389,22 +380,18 @@ class _Plan:
             self._sources[id(table)] = array("i", live)
         return table
 
-    def diagonal(self, keys) -> list:
-        """Step table of the diagonal whose entry at ordinal k is the leaf
-        ``keys[k]``, or 0 where that key is None; one table per distinct
-        tuple of leaves while a family compiles (all None for the Cartan
-        components whose coefficients vanish)."""
-        leaves = tuple(None if key is None else self.leaf(*key) for key in keys)
-        if leaves not in self._diagonals:
-            self._diagonals[leaves] = list(enumerate(leaves))
-        return self._diagonals[leaves]
+    def diagonal(self, entries) -> dict:
+        """Step table of the diagonal with the given (ordinal k, key)
+        entries, holding the leaf of the key at k (0 where the key is None)
+        and nothing at the ordinals not given."""
+        return {k: (k, None if key is None else self.leaf(*key)) for k, key in entries}
 
     def _starts(self, comp: _Component):
         """The ordinals a component is walked from: where some word is not
         dead at its first ladder move (elsewhere every walk ends at once, with
         no target and no cap), or all when a word has diagonal steps only."""
         starts = set()
-        for _, word in comp.terms:
+        for *_, word in comp.terms:
             sources = next((self._sources[id(t)] for t in word if id(t) in self._sources), None)
             if sources is None:
                 return range(self.model.dim)
@@ -413,9 +400,9 @@ class _Plan:
 
     def _compile(self, family: str) -> _Program:
         """Walk every word of every component from its starts over the step
-        tables into signed monomials of sorted leaf ids, so equal ones cancel
-        here for every q, and intern each product and each residual; keep a
-        slot only where a residual survives."""
+        tables into monomials of sorted leaf ids with integer coefficients,
+        so equal ones merge here for every q, and intern each product and
+        each residual; keep a slot only where a residual survives."""
         components = _FAMILIES[family][1](self)
         base = len(self.keys)
         ops = array("i")
@@ -436,8 +423,8 @@ class _Plan:
             for k in self._starts(comp):
                 # nothing is allocated for a slot until a word survives
                 target, monomials, cap = None, None, False
-                for sign, word in comp.terms:
-                    t, mono = k, ()
+                for coef, mono, word in comp.terms:
+                    t = k
                     for table in word:
                         t, leaf = table[t]
                         if leaf is None:
@@ -450,18 +437,17 @@ class _Plan:
                         target = t
                     elif t != target:
                         raise VerificationError(f"{comp.label}: words reach two targets")
-                    if leaf is None:  # a zero diagonal entry
+                    if leaf is None or not coef:  # a zero diagonal entry or coefficient
                         continue
                     mono = tuple(sorted(mono))
                     monomials = monomials or {}
-                    monomials[mono] = monomials.get(mono, 0) + sign
+                    monomials[mono] = monomials.get(mono, 0) + coef
                 capped[k] |= cap
                 terms = monomials and tuple(
                     sorted((product(m), n) for m, n in monomials.items() if n)
                 )
                 if terms:
                     slots.extend((k, c, target, sums.setdefault(terms, len(sums)), cap))
-        self._diagonals.clear()
         nodes.clear()
         sums = list(sums)
         # Flag the last read of every product operand that no residual reads
@@ -483,15 +469,15 @@ class _Plan:
         return _Program(labels, words, base, leaves, ops, sums, slots, capped)
 
     def _leaf(self, key: tuple):
-        """The value of the leaf ``key`` at the q of the last binding: a
-        triple or the zero Radical, as programs only multiply single terms."""
+        """The value of the leaf ``key`` at the q of the last binding, a
+        nonzero integer triple, as programs only multiply nonzero terms."""
         leaf = self.ids[key]
         val = self._values[leaf]
         if val is None:
-            val = _term(_LEAF_VALUES[key[0]](self._q, *key[1:]))
-            if val.__class__ is not tuple and val:
+            val = _LEAF_VALUES[key[0]](self._q, *key[1:])
+            if len(val._terms) != 1:
                 raise VerificationError(f"leaf {key} at q = {self._q} is not one term: {val!r}")
-            self._values[leaf] = val
+            val = self._values[leaf] = _term(val)
         return val
 
     def bind(self, prog: _Program, q: Fraction) -> list:
@@ -563,9 +549,7 @@ class _Plan:
 
 
 def _cartan_components(plan: _Plan) -> list:
-    a, h2, dim = plan.cartan, plan._h2, plan.model.dim
-    nodes = plan.model.spec.nodes
-    zero = plan.diagonal([None] * dim)  # shared by the (j, j) components with no coefficient
+    a, h2, nodes = plan.cartan, plan._h2, plan.model.spec.nodes
     # Per (j, sign): its ladder and first live move k -> t, which speaks for every
     # live move: _model_data refuses moves that shift the weights two ways or oddly.
     moves = []
@@ -581,9 +565,8 @@ def _cartan_components(plan: _Plan) -> list:
             shift = sign * a[i - 1][j - 1]
             c = 0 if k is None else (h2[t][i - 1] - h2[k][i - 1]) // 2 - shift
             if c or i == j:  # (j, j) keeps the cap flags of the move
-                diag = plan.diagonal([("int", c)] * dim) if c else zero
                 label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
-                components.append(_Component(label, ((1, (ladder, diag)),), (((j, sign),),)))
+                components.append(_Component(label, ((c, (), (ladder,)),), (((j, sign),),)))
     return components
 
 
@@ -606,15 +589,17 @@ def _ladder_components(plan: _Plan) -> list:
         for j in range(max(1, i - 1), min(nodes, i + 1) + 1):
             words = (((j, -1), (i, 1)), ((i, 1), (j, -1)))
             terms = tuple(
-                (sign, tuple(plan.ladder("eq", *move) for move in word))
+                (sign, (), tuple(plan.ladder("eq", *move) for move in word))
                 for sign, word in zip((1, -1), words)
             )
             label = f"[e+{i},e-{j}]" + (f"-[H{i}]_qi" if i == j else "")
             if i == j:
-                # [H_i] in base q^d is [d H_i]_q / [d]_q, exact and regular at q = 1.
+                # [H_i] in base q^d is [d H_i]_q / [d]_q, exact and regular at q = 1,
+                # and 0 exactly where d H_i = 0.
                 d = plan.d[i - 1]
-                brackets = plan.diagonal([("bracket", hd, d) for hd in plan._brackets[i - 1]])
-                terms += ((-1, (brackets,)),)
+                hds = enumerate(plan._brackets[i - 1])
+                brackets = plan.diagonal((k, ("bracket", hd, d) if hd else None) for k, hd in hds)
+                terms += ((-1, (), (brackets,)),)
             components.append(_Component(label, terms, words))
     return components
 
@@ -636,19 +621,21 @@ def _serre_components(plan: _Plan, deformed: bool) -> list:
     for i in range(1, nodes + 1):
         for j in [j for j in (i - 1, i + 1) if 1 <= j <= nodes]:
             m = 1 - a[i - 1][j - 1]
-            # The end binomials are 1; the inner ones, (-1)^v times a binomial
-            # that exceeds 1 at every q > 0, are trailing constant diagonals.
-            tails = [(1, ())]
-            for v in range(1, m):
-                key = ("binom", m, v, d[i - 1]) if deformed else ("int", (-1) ** v * math.comb(m, v))
-                tails.append((1, (plan.diagonal([key] * plan.model.dim),)))
-            tails.append(((-1) ** m, ()))
+            # Term v carries (-1)^v C(m, v) as its coefficient (classical), or
+            # (-1)^v and the q-binomial, 1 at the ends and a constant leaf
+            # inside, which exceeds 1 at every q > 0 (deformed).
+            scales = [
+                ((-1) ** v, (plan.leaf("binom", m, v, d[i - 1]),) if 0 < v < m else ())
+                if deformed
+                else ((-1) ** v * math.comb(m, v), ())
+                for v in range(m + 1)
+            ]
             for sign, tag in ((1, "+"), (-1, "-")):
                 x, y = (i, sign), (j, sign)
                 words = tuple((x,) * v + (y,) + (x,) * (m - v) for v in range(m + 1))
                 terms = tuple(
-                    (s, tuple(plan.ladder(kind, *mv) for mv in word) + tail)
-                    for (s, tail), word in zip(tails, words)
+                    (coef, leaves, tuple(plan.ladder(kind, *mv) for mv in word))
+                    for (coef, leaves), word in zip(scales, words)
                 )
                 base = f"q^{d[i - 1]}" if deformed else "1"
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"
@@ -673,8 +660,10 @@ def _map_components(plan: _Plan) -> list:
     rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
         args, long_node = plan.factor_args(node), _is_long_node(model, node)
-        fac = plan.diagonal([("f", long_node, *ab) for ab in args])
-        inv = plan.diagonal([("finv", long_node, *ab) for ab in args])
+        # A map word reads a factor only where the raising move is live or capped.
+        sources = [k for k, (_, status) in enumerate(model.moves(node, 1)) if status != MOVE_DEAD]
+        fac = plan.diagonal((k, ("f", long_node, *args[k])) for k in sources)
+        inv = plan.diagonal((k, ("finv", long_node, *args[k])) for k in sources)
         ep, em = plan.ladder("e", node, 1), plan.ladder("e", node, -1)
         dp, dm = plan.ladder("eq", node, 1), plan.ladder("eq", node, -1)
         up, down = (((node, 1),),), (((node, -1),),)
@@ -689,12 +678,12 @@ def _map_components(plan: _Plan) -> list:
     if model.spec.algebra_type == TYPE_A and model.spec.n == 2:
         # The weight variant of the rank-one functional (a short node's deforming
         # factor at other arguments), and its node variant, the only node's factor.
-        d2 = plan.diagonal([("f", False, *_cz_args(s)) for s in model.states])
+        d2 = plan.diagonal(enumerate(("f", False, *_cz_args(s)) for s in model.states))
         hat, jp, dp = plan.ladder(None, 1, 1), plan.ladder("e", 1, 1), plan.ladder("eq", 1, 1)
         rows.append(("cz_weight*j+-e+1", (jp, d2), (dp,), (((1, 1),),)))
         rows.append(("cz_weight(image)-cz_node(source)", (hat, d2), (fac, hat), (((1, 1),),)))
     return [
-        _Component(label, ((1, plus), (-1, minus)), words)
+        _Component(label, ((1, (), plus), (-1, (), minus)), words)
         for label, plus, minus, words in rows
     ]
 

@@ -422,6 +422,29 @@ class TestPreflight:
         assert len(captured.err.splitlines()) == 1
         assert "nodes, which count as" in captured.err
 
+    # Past about 565 nodes one state is already over the limit, so the rank
+    # is refused before the states are counted (the type C count costs
+    # about nodes**2 bit operations: minutes at this rank).
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--type", "C", "--n", "100000", "--lambda", "0", "--cap", "0"],
+            ["verify", "--type", "A", "--n", "1000000", "--lambda", "1"],
+        ],
+        ids=["C100000", "A1000000"],
+    )
+    def test_high_rank_refused_before_counting(self, argv, monkeypatch, capsys):
+        def refuse_count(spec):
+            raise AssertionError("state_count ran on a refused rank")
+
+        monkeypatch.setattr(cli, "state_count", refuse_count)
+        monkeypatch.setattr(cli, "build_model", _refuse_build)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "nodes, which count as" in captured.err
+
     def test_rank_rule_is_inclusive(self, monkeypatch, capsys):
         # A(6,1): 6 states on 5 nodes count as ceil(6 * 25 / 16) = 10.
         argv = ["crystal", "--type", "A", "--n", "6", "--lambda", "1"]

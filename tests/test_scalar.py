@@ -622,7 +622,8 @@ class TestRadical:
         assert _term(x) == (-10, 1, 6)
         assert _radical(_term(x))._terms == x._terms
         for value in (Radical.zero(), sqrt_rat(2) + sqrt_rat(3)):
-            assert _term(value) is value and _radical(value) is value
+            with pytest.raises(ValueError):
+                _term(value)
 
     @given(a=radical_st, b=radical_st, c=radical_st)
     @settings(deadline=None, max_examples=60)

@@ -590,37 +590,73 @@ def test_cartan_operators_commute(cfg):
     [SuiteConfig("A", 40, 1), SuiteConfig("A", 4, 3), SuiteConfig("C", 3, 3, cap=13)],
     ids=_cfg_id,
 )
-def test_cartan_family_builds_one_zero_diagonal(monkeypatch, cfg):
+def test_cartan_family_builds_no_diagonal(monkeypatch, cfg):
     # Every coefficient of a correct model vanishes at its move, so the
-    # family builds only the (j, j, +-) components, which share one all-zero
-    # diagonal and keep no slot.
+    # family builds only the (j, j, +-) components, whose terms carry the
+    # coefficient 0 and keep no slot; no diagonal is built.
     calls, diagonal = [], _Plan.diagonal
 
-    def counting(plan, keys):
-        calls.append(set(keys))
-        return diagonal(plan, keys)
+    def counting(plan, entries):
+        calls.append(entries)
+        return diagonal(plan, entries)
 
     monkeypatch.setattr(_Plan, "diagonal", counting)
     plan = _Plan(build_model(cfg.spec()), ("cartan",))
-    assert calls in ([], [{None}])
+    assert calls == []
     prog = plan.programs["cartan"]
     assert len(prog.labels) == 2 * plan.model.spec.nodes
     assert len(prog.slots) == 0 and prog.sums == []
 
 
 @pytest.mark.parametrize(
-    "cfg, counts",
+    "cfg, counts, slots",
     [
-        (SuiteConfig("A", 68, 1), (134, 199, 264, 268)),
-        (SuiteConfig("C", 3, 3, 13), (6, 7, 8, 12)),
+        (SuiteConfig("A", 68, 1), (134, 199, 264, 268), (0, 134, 0, 268)),
+        (SuiteConfig("C", 3, 3, 13), (6, 7, 8, 12), (0, 1638, 1384, 2828)),
     ],
     ids=["A68-1", "C3-3"],
 )
-def test_default_families_build_linear_component_counts(cfg, counts):
+def test_default_families_build_linear_component_counts(cfg, counts, slots):
     # Ladder and Serre components only for adjacent nodes (|i - j| <= 1 and
-    # = 1), Cartan components only for (j, j, +-): O(nodes) per family.
+    # = 1), Cartan components only for (j, j, +-): O(nodes) per family.  A
+    # ladder slot survives only where a word is live or [H_i] is not 0 (two
+    # states per node on A(68,1)); a map slot at each live move.
     plan = _Plan(build_model(cfg.spec()), cfg.families)
     assert tuple(len(plan.programs[f].labels) for f in cfg.families) == counts
+    assert tuple(len(plan.programs[f].slots) // 5 for f in cfg.families) == slots
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    ORACLE_CONFIGS + [SuiteConfig("C", 3, 3, cap=13), SuiteConfig("A", 2, 6)],
+    ids=_cfg_id,
+)
+def test_factor_tables_hold_only_raising_sources(monkeypatch, cfg):
+    # The f and finv tables of a node hold entries exactly at the sources
+    # where its raising move is live or capped, the only ordinals a map
+    # word reads them at; a read elsewhere raises KeyError.
+    tables, diagonal = [], _Plan.diagonal
+
+    def recording(plan, entries):
+        tables.append(diagonal(plan, entries))
+        return tables[-1]
+
+    monkeypatch.setattr(_Plan, "diagonal", recording)
+    plan = _Plan(build_model(cfg.spec()), ("map",))
+    model, nodes = plan.model, plan.model.spec.nodes
+    for node in range(1, nodes + 1):
+        moves = (apply_move(model.spec, s, node, 1) for s in model.states)
+        want = [k for k, (_, status) in enumerate(moves) if status != MOVE_DEAD]
+        for kind, table in zip(("f", "finv"), tables[2 * node - 2 : 2 * node]):
+            assert sorted(table) == want, (node, kind)
+            assert {plan.keys[leaf][0] for _, leaf in table.values()} == {kind}
+            for k in set(range(model.dim)) - set(want):
+                with pytest.raises(KeyError):
+                    table[k]
+    # the rank-one type A weight factor is read at raising targets: full length
+    cz = tables[2 * nodes :]
+    rank_one = cfg.algebra_type == "A" and cfg.n == 2
+    assert [sorted(t) for t in cz] == ([list(range(model.dim))] if rank_one else [])
 
 
 # Randomised differential audit: run_suite against the LinOp oracles on
@@ -867,19 +903,17 @@ def test_one_run_per_distinct_binding(monkeypatch, family, q_list, runs):
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS + [SuiteConfig("A", 2, 40)], ids=_cfg_id)
-def test_bound_leaves_are_single_terms_or_zero(cfg):
+def test_bound_leaves_are_nonzero_single_terms(cfg):
     # Bindings are compared with plain ==, which is exact only because no
-    # leaf value has two spellings: every one is an integer triple or the
-    # zero Radical, never a multi-term Radical.
+    # leaf value has two spellings: every one is a nonzero integer triple,
+    # never zero or a multi-term Radical.
     plan = _Plan(build_model(cfg.spec()), KNOWN_FAMILIES)
     for q in DIFF_Q:
         for family in KNOWN_FAMILIES:
             for value in plan.bind(plan.programs[family], q):
-                if value.__class__ is tuple:
-                    m, n, d = value
-                    assert m and n and d > 0 and math.gcd(n, d) == 1
-                else:
-                    assert value.__class__ is Radical and not value
+                m, n, d = value
+                assert value.__class__ is tuple
+                assert m and n and d > 0 and math.gcd(n, d) == 1
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
@@ -974,10 +1008,11 @@ def test_walks_start_where_a_first_move_is_not_dead(monkeypatch, cfg):
     assert any(ks for _, ks in want) and not all(len(ks) == model.dim for _, ks in want)
 
 
-def test_leaf_with_two_terms_is_refused(monkeypatch):
-    # Programs only multiply single terms, so a multi-term entry value
-    # would be read as zero; binding refuses it instead.
-    monkeypatch.setitem(verify._LEAF_VALUES, "bracket", lambda *_: Radical({2: 1, 3: 1}))
+@pytest.mark.parametrize("value", [Radical({2: 1, 3: 1}), Radical.zero()], ids=["two", "zero"])
+def test_leaf_with_two_terms_is_refused(monkeypatch, value):
+    # Programs only multiply nonzero single terms, and decide zeros when
+    # they compile; binding refuses a multi-term or zero entry value.
+    monkeypatch.setitem(verify._LEAF_VALUES, "bracket", lambda *_: value)
     with pytest.raises(VerificationError, match="not one term"):
         check_ladder(model_a(3, 2), F(2))
 
@@ -1003,13 +1038,10 @@ def test_repeated_monomial_coefficient_in_lowest_terms():
 # merges through Radical's class check, and the small coefficient pools
 # make sums cancel.
 _RUN_RADICANDS = (1, -1, 2, -3, 6, 1009 * 1013, 1009 * 1013 * 1019**2, -1009 * 1031)
-_run_leaves = st.one_of(
-    st.just(Radical.zero()),
-    st.builds(
-        lambda m, c: _term(Radical({m: c})),
-        st.sampled_from(_RUN_RADICANDS),
-        st.sampled_from((F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(3, 5))),
-    ),
+_run_leaves = st.builds(
+    lambda m, c: _term(Radical({m: c})),
+    st.sampled_from(_RUN_RADICANDS),
+    st.sampled_from((F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(3, 5))),
 )
 
 
@@ -1017,20 +1049,17 @@ def test_runner_cancels_and_merges():
     short = 1009 * 1013
     long = short * 1019**2  # the same square class
     leaves = [(6, 1, 2), (short, 1, 1), (short, -1, 1), (long, 1, 1019), (6, -1, 2)]
-    leaves.append(Radical.zero())
     sums = [
         ((0, 1), (4, 1)),  # cancels
         ((1, 1), (3, 1)),  # sqrt(s) + sqrt(1019^2 s) / 1019 = 2 sqrt(s)
         ((1, -1), (3, 2)),  # merges into the spelling already held
         ((1, 1), (2, 1), (3, 1)),  # the class cancels first: the long spelling stays
-        ((6, 1), (7, 1)),  # products that cancel
-        ((8, 1),),  # sqrt(s) * sqrt(1019^2 s) / 1019 = s
-        ((9, 1),),  # a zero factor
+        ((5, 1), (6, 1)),  # products that cancel
+        ((7, 1),),  # sqrt(s) * sqrt(1019^2 s) / 1019 = s
     ]
-    prog = _program(6, [(0, 1), (1, 4), (1, 3), (0, 5)], sums)
+    prog = _program(5, [(0, 1), (1, 4), (1, 3)], sums)
     vals = _run(prog.ops, list(leaves))
-    assert vals[6:9] == [(6 * short, 1, 2), (6 * short, -1, 2), (1, short, 1)]
-    assert vals[9] is verify._ZERO
+    assert vals[5:] == [(6 * short, 1, 2), (6 * short, -1, 2), (1, short, 1)]
     got = [v and v.json_map() for v in _evaluate(prog, leaves)]
     assert got == [
         None,
@@ -1039,7 +1068,6 @@ def test_runner_cancels_and_merges():
         {str(long): "1/1019"},
         None,
         {"1": str(short)},
-        None,
     ]
 
 
@@ -1063,8 +1091,8 @@ def test_runner_matches_radical_reference(leaves, data):
     assert len(vals) == len(want)
     for g, w in zip(vals, want):
         assert _radical(g).json_map() == w.json_map()
-        # single terms stay integer triples, so products keep the fast path
-        assert (g.__class__ is tuple) == bool(w)
+        # products of nonzero single terms stay nonzero integer triples
+        assert g.__class__ is tuple and w
     for got, terms in zip(_evaluate(prog, leaves), sums):
         total = Radical.zero()
         for node, c in terms:
