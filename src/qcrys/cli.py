@@ -30,7 +30,7 @@ from .rep import (
     op_hat,
 )
 from .scalar import serre_identity_verdict
-from .verify import KNOWN_FAMILIES, ConfigError, load_config, run_suite
+from .verify import KNOWN_FAMILIES, ConfigError, VerificationError, load_config, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -77,14 +77,15 @@ def _json_chunks(obj):
 
 
 # The crystal, rep and verify commands build the whole state space, and
-# verify walks every relation word from every state: C(3,3,31), 3128 states,
-# verifies in under 1 s, and C(3,3,59), 19,375 states, in about 12 s and
-# 130 MB at the default four q.  A larger space is refused before anything
-# is built, and so is a larger Fock space for boson.  Above rank 4 a state
-# counts (nodes / 4)**2, as the plan's move columns, [H_i] diagonals and
-# walks grow as nodes * states.  A(69,1), the largest admitted rank-one type
-# A, takes 0.18 s from launch to exit and 19 MB; in-process A(140,1) takes
-# 0.17 s and 26 MB.
+# verify walks every relation word from every state where it can take a
+# step: C(3,3,31), 3128 states, verifies in about 1 s, and C(3,3,59), 19,375
+# states, in about 8 s and 112 MB at the default four q.  A larger space is
+# refused before anything is built, and so is a larger Fock space for boson.
+# Above rank 4 a state counts (nodes / 4)**2, as the model's move columns
+# (CrystalModel.moves) and verify._model_data's h2 and brackets grow as
+# nodes * states.  A(69,1), the largest admitted rank-one type A, takes
+# 0.12 s from launch to exit and 17 MB; in-process A(140,1) takes 0.06 s
+# and 20 MB.
 _MAX_STATES = 20_000
 
 
@@ -342,6 +343,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:  # a self-check of the engine, not a relation
+        print(f"engine error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,16 +28,16 @@ read at one live move of node j (none, on a model _model_data accepts).
 Nodes further apart move and read disjoint labels (move_delta,
 rep._factor_args), so their words are equal monomials that cancel for
 every q, and stop at the cap only where the long node's raising move
-does.  A component is walked only from the states where some word is not
-dead at its first ladder move.  A surviving term is the monomial of its
-sorted entry keys with the term's coefficient, so terms that differ only
-in factor order merge at compile time, for every q; a residual is an
-integer combination of distinct products, and only the (component,
-state) slots whose residual survives are kept.  Per q the plan only
-binds, runs and classifies: each q binds every key once to a nonzero
-single term, products run on integer triples (m, n, d) for
-(n/d)*sqrt(m), each residual folds into a Radical, and one pass over the
-kept slots and the per-state cap flags classifies.
+does.  A step table holds only the steps a walk can take, so a component
+is walked only from the keys of its words' first tables.  A surviving
+term is the monomial of its sorted entry keys with the term's
+coefficient, so terms that differ only in factor order merge at compile
+time, for every q; a residual is an integer combination of distinct
+products, and only the (component, state) slots whose residual survives
+are kept.  Per q the plan only binds, runs and classifies: each q binds
+every key once to a nonzero single term, products run on integer triples
+(m, n, d) for (n/d)*sqrt(m), each residual folds into a Radical, and one
+pass over the kept slots and the per-state cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -215,17 +215,18 @@ def _model_data(model: CrystalModel) -> tuple:
 
 # -- compiled relation plans ---------------------------------------------------
 #
-# A symbolic step table lists, per source ordinal k, the pair (target
+# A symbolic step table maps a source ordinal k to the pair (target
 # ordinal, leaf id) of one monomial operator, where a leaf names a nonzero
 # value by its kind and the integers it is computed from (an entry by the
 # long node flag and its factor arguments (a, b), not the node), so equal
-# values share one leaf.  Where a ladder move is dead or capped the pair is
-# (move status, None), so a walk knows why it stopped; a diagonal's zero
-# entry is (k, None), a zero term that still ends at k.  A diagonal holds
-# entries only at the ordinals its words read, so a read elsewhere raises
-# KeyError.  Compiling turns a family into products of its leaves and, per
+# values share one leaf.  A capped ladder move is (MOVE_CAPPED, None), so
+# a walk knows it stopped at the cap; a dead move or a zero diagonal entry
+# is not stored, and a walk that reads no step ends with no target and no
+# cap.  Compiling turns a family into products of its leaves and, per
 # surviving residual, an integer combination of those products; evaluating
 # it at q binds each leaf once, runs the products and folds the sums.
+
+_NO_STEP = (None, None)  # what a walk reads where its table holds no step
 
 # The value of the leaf (kind, *args) at q.  Generator and factor entries
 # come from the same functions that build the rep matrices.
@@ -337,11 +338,8 @@ class _Plan:
         self.keys = []  # leaf id -> key
         self.ids = {}  # key -> leaf id
         self._steps, self._args = {}, {}
-        # Ladder step tables live until compiling ends, so their ids are keys:
-        # id -> the source ordinals where the move is live or capped.
-        self._sources = {}
         self.programs = {family: self._compile(family) for family in families}
-        del self._steps, self._args, self._sources, self._h2, self._brackets
+        del self._steps, self._args, self._h2, self._brackets
         self._q, self._values = None, [None] * len(self.keys)
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
         self._clean = {}  # (family, margin) -> per_state when every residual vanishes
@@ -353,50 +351,50 @@ class _Plan:
             self.keys.append(key)
         return leaf
 
-    def factor_args(self, node: int) -> list:
+    def factor_args(self, node: int) -> dict:
+        """The factor arguments of ``node`` by ordinal, where its raising
+        move is live or capped: the only ordinals an entry is read at, as a
+        live lowering move ends at one."""
         args = self._args.get(node)
         if args is None:
-            args = self._args[node] = [_factor_args(self.model, node, s) for s in self.model.states]
+            model = self.model
+            args = self._args[node] = {
+                k: _factor_args(model, node, s)
+                for (s, k), (_, status) in zip(model.index.items(), model.moves(node, 1))
+                if status != MOVE_DEAD
+            }
         return args
 
-    def ladder(self, kind, node: int, sign: int) -> list:
+    def ladder(self, kind, node: int, sign: int) -> dict:
         """Step table of a ladder generator.  Its leaves are keyed by the
         long node flag and the factor arguments read on the raising source
         or the lowering target, so raising and lowering share keys; kind
-        None is the bare move, whose entries are the integer 1."""
+        None is the bare move, whose entries are the integer 1.  Its keys
+        are the model's own ordinal ints (index values), so the tables of a
+        plan share them rather than each holding a copy."""
         table = self._steps.get((kind, node, sign))
         if table is None:
-            table = self._steps[(kind, node, sign)] = []
+            table = self._steps[(kind, node, sign)] = {}
             args = self.factor_args(node) if kind else None
             long_node = _is_long_node(self.model, node)
-            for k, (t, status) in enumerate(self.model.moves(node, sign)):
-                if t is None:
-                    table.append((status, None))
-                elif kind is None:
-                    table.append((t, self.leaf("int", 1)))
-                else:
-                    table.append((t, self.leaf(kind, long_node, *args[k if sign > 0 else t])))
-            live = (k for k, (t, _) in enumerate(table) if t != MOVE_DEAD)
-            self._sources[id(table)] = array("i", live)
+            for k, (t, status) in zip(self.model.index.values(), self.model.moves(node, sign)):
+                if status == MOVE_CAPPED:
+                    table[k] = (MOVE_CAPPED, None)
+                elif t is not None:
+                    key = (kind, long_node, *args[k if sign > 0 else t]) if kind else ("int", 1)
+                    table[k] = (t, self.leaf(*key))
         return table
 
     def diagonal(self, entries) -> dict:
         """Step table of the diagonal with the given (ordinal k, key)
-        entries, holding the leaf of the key at k (0 where the key is None)
-        and nothing at the ordinals not given."""
-        return {k: (k, None if key is None else self.leaf(*key)) for k, key in entries}
+        entries, each a nonzero value, holding the leaf of the key at k."""
+        return {k: (k, self.leaf(*key)) for k, key in entries}
 
-    def _starts(self, comp: _Component):
-        """The ordinals a component is walked from: where some word is not
-        dead at its first ladder move (elsewhere every walk ends at once, with
-        no target and no cap), or all when a word has diagonal steps only."""
-        starts = set()
-        for *_, word in comp.terms:
-            sources = next((self._sources[id(t)] for t in word if id(t) in self._sources), None)
-            if sources is None:
-                return range(self.model.dim)
-            starts.update(sources)
-        return sorted(starts)
+    def _starts(self, comp: _Component) -> list:
+        """The ordinals a component is walked from: the keys of its words'
+        first step tables (from any other ordinal every walk ends at once,
+        with no target and no cap)."""
+        return sorted(set().union(*(word[0] for *_, word in comp.terms)))
 
     def _compile(self, family: str) -> _Program:
         """Walk every word of every component from its starts over the step
@@ -426,18 +424,18 @@ class _Plan:
                 for coef, mono, word in comp.terms:
                     t = k
                     for table in word:
-                        t, leaf = table[t]
+                        t, leaf = table.get(t, _NO_STEP)
                         if leaf is None:
                             break
                         mono += (leaf,)
-                    if leaf is None and t.__class__ is str:  # a dead or capped move
+                    if leaf is None:  # no step, or a capped move
                         cap = cap or t == MOVE_CAPPED
                         continue
                     if target is None:
                         target = t
                     elif t != target:
                         raise VerificationError(f"{comp.label}: words reach two targets")
-                    if leaf is None or not coef:  # a zero diagonal entry or coefficient
+                    if not coef:
                         continue
                     mono = tuple(sorted(mono))
                     monomials = monomials or {}
@@ -556,9 +554,8 @@ def _cartan_components(plan: _Plan) -> list:
     for j in range(1, nodes + 1):
         for sign, tag in ((1, "+"), (-1, "-")):
             ladder = plan.ladder("eq", j, sign)
-            live = (k for k in plan._sources[id(ladder)] if ladder[k][0].__class__ is not str)
-            k = next(live, None)
-            moves.append((j, sign, tag, ladder, k, None if k is None else ladder[k][0]))
+            k, t = next(((k, t) for k, (t, leaf) in ladder.items() if leaf is not None), _NO_STEP)
+            moves.append((j, sign, tag, ladder, k, t))
     components = []
     for i in range(1, nodes + 1):
         for j, sign, tag, ladder, k, t in moves:
@@ -598,7 +595,7 @@ def _ladder_components(plan: _Plan) -> list:
                 # and 0 exactly where d H_i = 0.
                 d = plan.d[i - 1]
                 hds = enumerate(plan._brackets[i - 1])
-                brackets = plan.diagonal((k, ("bracket", hd, d) if hd else None) for k, hd in hds)
+                brackets = plan.diagonal((k, ("bracket", hd, d)) for k, hd in hds if hd)
                 terms += ((-1, (), (brackets,)),)
             components.append(_Component(label, terms, words))
     return components
@@ -659,11 +656,9 @@ def _map_components(plan: _Plan) -> list:
     model = plan.model
     rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
-        args, long_node = plan.factor_args(node), _is_long_node(model, node)
-        # A map word reads a factor only where the raising move is live or capped.
-        sources = [k for k, (_, status) in enumerate(model.moves(node, 1)) if status != MOVE_DEAD]
-        fac = plan.diagonal((k, ("f", long_node, *args[k])) for k in sources)
-        inv = plan.diagonal((k, ("finv", long_node, *args[k])) for k in sources)
+        args, long_node = plan.factor_args(node).items(), _is_long_node(model, node)
+        fac = plan.diagonal((k, ("f", long_node, *ab)) for k, ab in args)
+        inv = plan.diagonal((k, ("finv", long_node, *ab)) for k, ab in args)
         ep, em = plan.ladder("e", node, 1), plan.ladder("e", node, -1)
         dp, dm = plan.ladder("eq", node, 1), plan.ladder("eq", node, -1)
         up, down = (((node, 1),),), (((node, -1),),)

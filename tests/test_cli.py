@@ -251,6 +251,18 @@ class TestVerifyCommand:
         assert obj["config"]["families"] == ["cartan", "map"]
         assert obj["config"]["q_list"] == ["2", "1/2"]
 
+    def test_engine_error_exit_3(self, capsys, monkeypatch):
+        # A failed self-check of the engine is neither a relation failure
+        # (exit 1) nor a traceback: one line on stderr and exit 3.
+        def refuse(model):
+            raise qcrys.verify.VerificationError("measured Cartan matrix differs")
+
+        monkeypatch.setattr(qcrys.verify, "_model_data", refuse)
+        assert main(["verify", "--type", "A", "--n", "3", "--lambda", "2", "--q", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "engine error: measured Cartan matrix differs\n"
+        assert captured.out == ""
+
     def test_type_c_default_cap(self, capsys, tmp_path):
         # lambda + 10, as the --cap help says, from every entry point
         target = tmp_path / "report.json"

@@ -799,8 +799,8 @@ def test_equal_entries_of_different_nodes_share_one_leaf(monkeypatch, cfg):
     model = plan.model
     leaves, nodes = {}, {}
     for (kind, node, sign), table in tables.items():
-        for k, (t, leaf) in enumerate(table):
-            if kind is None or leaf is None:
+        for k, (t, leaf) in table.items():
+            if kind is None or leaf is None:  # the bare move's 1, or a capped move
                 continue
             args = _factor_args(model, node, model.states[k if sign > 0 else t])
             key = (kind, _is_long_node(model, node)) + args
@@ -918,8 +918,10 @@ def test_bound_leaves_are_nonzero_single_terms(cfg):
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
 def test_one_leaf_namespace_per_plan(monkeypatch, cfg):
-    # Factor arguments are read once per (node, state), and each leaf key
-    # is bound once per q, however many families and nodes use it.
+    # Factor arguments are read once per node at each state where its
+    # raising move is live or capped, the only states an entry is read at,
+    # and each leaf key is bound once per q, however many families and
+    # nodes use it.
     model = build_model(cfg.spec())
     args_calls = []
 
@@ -940,8 +942,13 @@ def test_one_leaf_namespace_per_plan(monkeypatch, cfg):
     for q in DIFF_Q:
         for family in KNOWN_FAMILIES:
             _node_values(plan, family, q)
-    assert sorted(args_calls) == sorted(set(args_calls))
-    assert len(args_calls) == model.spec.nodes * model.dim
+    sources = [
+        (node, s)
+        for node in range(1, model.spec.nodes + 1)
+        for s in model.states
+        if apply_move(model.spec, s, node, 1)[1] != MOVE_DEAD
+    ]
+    assert sorted(args_calls) == sorted(sources)
     assert len(bound) == len(set(bound))
     assert {b[1:] for b in bound} <= set(plan.keys)
 
@@ -975,14 +982,16 @@ def test_programs_are_canonical(cfg):
         SuiteConfig("A", 4, 3),
         SuiteConfig("C", 2, 2, cap=12),
         SuiteConfig("C", 1, 1, cap=9),
+        SuiteConfig("A", 40, 1),
     ],
     ids=_cfg_id,
 )
 def test_walks_start_where_a_first_move_is_not_dead(monkeypatch, cfg):
     # A component is walked exactly from the states where some word is not
-    # dead at its first ladder move (live or capped, by apply_move), and
-    # from every state for the ladder relation's [H_i], a word of one
-    # diagonal step.  From any other state each walk ends at once.
+    # dead at its first ladder move (live or capped, by apply_move), and,
+    # for the ladder relation's [H_i], a word of one diagonal step, where
+    # d_i H_i is not 0 (d_i > 0).  From any other state each walk ends at
+    # once.
     model = build_model(cfg.spec())
     walked, starts = [], _Plan._starts
 
@@ -995,17 +1004,41 @@ def test_walks_start_where_a_first_move_is_not_dead(monkeypatch, cfg):
     want = []
     for prog in plan.programs.values():
         for label, words in zip(prog.labels, prog.words):
-            if "-[H" in label:
-                want.append((label, list(range(model.dim))))
-                continue
+            # [e+i,e-i] applies e+i first in its second word
+            i = words[1][0][0] if "-[H" in label else None
             live = [
                 k
                 for k, s in enumerate(model.states)
                 if any(apply_move(model.spec, s, *word[0])[1] != MOVE_DEAD for word in words)
+                or (i and weight_h2(model, s)[i - 1])
             ]
             want.append((label, live))
     assert walked == want
     assert any(ks for _, ks in want) and not all(len(ks) == model.dim for _, ks in want)
+
+
+def test_high_rank_ladder_plan_is_linear_in_nodes(monkeypatch):
+    # On A(140,1), 139 nodes and 140 states, each node's raising move is
+    # live at one state and [H_i] is not 0 at two: the ladder family walks
+    # a few starts per component, not nodes * states, and reads factor
+    # arguments once per node.
+    walked, starts = [], _Plan._starts
+    args_calls = []
+
+    def recording(plan, comp):
+        ks = starts(plan, comp)
+        walked.extend(ks)
+        return ks
+
+    def counting_args(model, node, state):
+        args_calls.append((node, state))
+        return _factor_args(model, node, state)
+
+    monkeypatch.setattr(_Plan, "_starts", recording)
+    monkeypatch.setattr(verify, "_factor_args", counting_args)
+    _Plan(model_a(140, 1), ("ladder",))
+    assert len(walked) < 1000
+    assert len(args_calls) == 139
 
 
 @pytest.mark.parametrize("value", [Radical({2: 1, 3: 1}), Radical.zero()], ids=["two", "zero"])
