@@ -14,8 +14,12 @@ happens in an empty temporary directory and writes to the relative path
 A change that must keep the reports byte-identical is checked by running
 this script once against the old checkout and once against the new one
 and comparing the two outputs with ``diff``.  The list covers every
-README command, every Baseline row of ROADMAP.md, the margin-0 type C
-configurations that carry FAIL records, suites with reciprocal q pairs,
+README command; the Baseline rows of ROADMAP.md for A(5,6), C(3,3,31),
+A(2,1000) (at a reciprocal q pair), the C(4,2,28) crystal graph and the
+boson checks, with near variants of the ``sp2n_suite`` shape, A(68,1),
+A(69,1) and ``identity --a 40``, but not C(3,3,59) or A(2,2000), which
+would add about a minute of CI time; the margin-0 type C configurations that
+carry FAIL records, suites with reciprocal q pairs,
 mixes of all relation families including ``serre-classical``, high
 ranks with many non-adjacent node pairs, up to the highest rank the
 preflight admits, generator exports
@@ -69,6 +73,9 @@ CONFIGS = [
     ("base-C4-2-12", "verify --type C --n 4 --lambda 2 --cap 12 --output out"),
     ("base-A2-80", "verify --type A --n 2 --lambda 80 --q 3/5 --output out"),
     ("base-A2-200", "verify --type A --n 2 --lambda 200 --q 3/5 --output out"),
+    # many monomials per residual, and radicands thousands of digits long
+    ("base-C3-3-31", "verify --type C --n 3 --lambda 3 --cap 31 --output out"),
+    ("base-A2-1000-recip", "verify --type A --n 2 --lambda 1000 --q 3/5,5/3 --output out"),
     ("base-boson-vdj-20", "boson --realization vdj --q 3/2 --cutoff 20 --output out"),
     ("base-boson-vdj-28", "boson --realization vdj --q 3/2 --cutoff 28 --output out"),
     ("base-boson-paper-20", "boson --realization paper --q 2 --cutoff 20 --towers --output out"),
