@@ -79,7 +79,7 @@ def _json_chunks(obj):
 # The crystal, rep and verify commands build the whole state space, and
 # verify walks every relation word from every state where it can take a
 # step: C(3,3,31), 3128 states, verifies in about 1 s, and C(3,3,59), 19,375
-# states, in about 8 s and 112 MB at the default four q.  A larger space is
+# states, in about 6 s and 104 MB at the default four q.  A larger space is
 # refused before anything is built, and so is a larger Fock space for boson.
 # Above rank 4 a state counts (nodes / 4)**2, as the model's move columns
 # (CrystalModel.moves) and verify._model_data's h2 and brackets grow as

@@ -33,11 +33,11 @@ is walked only from the keys of its words' first tables.  A surviving
 term is the monomial of its sorted entry keys with the term's
 coefficient, so terms that differ only in factor order merge at compile
 time, for every q; a residual is an integer combination of distinct
-products, and only the (component, state) slots whose residual survives
-are kept.  Per q the plan only binds, runs and classifies: each q binds
-every key once to a nonzero single term, products run on integer triples
-(m, n, d) for (n/d)*sqrt(m), each residual folds into a Radical, and one
-pass over the kept slots and the per-state cap flags classifies.
+monomials, and only the (component, state) slots whose residual survives
+are kept.  Per q the plan only binds, folds and classifies: each q binds
+every key once to a nonzero single term, each residual multiplies out its
+monomials on integer triples (m, n, d) for (n/d)*sqrt(m) as it folds them
+into a Radical, and one pass over the slots and cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys, found by
 exact comparison with the bindings of the earlier q of the plan; a match
@@ -222,9 +222,9 @@ def _model_data(model: CrystalModel) -> tuple:
 # values share one leaf.  A capped ladder move is (MOVE_CAPPED, None), so
 # a walk knows it stopped at the cap; a dead move or a zero diagonal entry
 # is not stored, and a walk that reads no step ends with no target and no
-# cap.  Compiling turns a family into products of its leaves and, per
-# surviving residual, an integer combination of those products; evaluating
-# it at q binds each leaf once, runs the products and folds the sums.
+# cap.  Compiling turns a family into its surviving residuals, integer
+# combinations of monomials of its leaves; evaluating it at q binds each
+# leaf once and multiplies out each monomial where its residual folds.
 
 _NO_STEP = (None, None)  # what a walk reads where its table holds no step
 
@@ -262,45 +262,33 @@ class _Component(namedtuple("_Component", "label terms words")):
     __slots__ = ()
 
 
-class _Program(namedtuple("_Program", "labels words base leaves ops sums slots capped")):
-    """One family compiled on one model.  Node ids below ``base`` are the
-    plan's leaf ids (the family reads those in ``leaves``); product i, the
-    triple (free, a, b) at 3i in the array ``ops``, is node base + i = node
-    a * leaf b, and ``free`` flags the last read of a (1) and b (2).  The
-    distinct residuals are ``sums``, tuples of (node, nonzero int) pairs in
-    ascending node order.  Only a (component, state) slot whose residual
-    survives compiling is stored: ``slots`` is a flat array of (state,
-    component, target ordinal, index in ``sums``, capped word) quintuples,
-    in component order, then state order.  ``capped`` flags, per state, a
-    word of any component that stopped at the cap there."""
+class _Program(namedtuple("_Program", "labels words leaves sums slots capped")):
+    """One family compiled on one model.  ``leaves`` are the ascending ids
+    of the plan's leaves that the family reads.  The distinct residuals are
+    ``sums``, tuples of (monomial, nonzero int) pairs in ascending monomial
+    order, a monomial being the sorted tuple of its leaf ids; equal
+    monomials are one object.  Only a (component, state) slot whose
+    residual survives compiling is stored: ``slots`` is a flat array of
+    (state, component, target ordinal, index in ``sums``, capped word)
+    quintuples, in component order, then state order.  ``capped`` flags,
+    per state, a word of any component that stopped at the cap there."""
 
     __slots__ = ()
 
 
-def _run(ops: array, vals: list) -> list:
-    """Append the value of every product to ``vals`` (the leaf values, each
-    a nonzero integer triple), multiplied in scalar's single-term kernel."""
-    push = vals.append
-    it = iter(ops)
-    for free, a, b in zip(it, it, it):
-        push(_mul_term(*vals[a], *vals[b]))
-        if free & 1:
-            vals[a] = None
-        if free & 2:
-            vals[b] = None
-    return vals
-
-
 def _evaluate(prog: _Program, values: list) -> list:
-    """The value of every residual of ``prog``, a nonzero Radical or None:
-    its terms fold in order through scalar's _accumulate, and a square
-    class that cancels is dropped at once, as Radical addition drops it."""
-    vals = _run(prog.ops, values[: prog.base])
+    """The value of every residual of ``prog``, a nonzero Radical or None,
+    from the leaf values by leaf id (nonzero integer triples): each term's
+    monomial is multiplied out in scalar's single-term kernel and folds at
+    once, in order, through scalar's _accumulate, and a square class that
+    cancels is dropped at once, as Radical addition drops it."""
     out = []
     for terms in prog.sums:
         acc = {}
-        for node, c in terms:
-            m, n, d = vals[node]
+        for mono, c in terms:
+            m, n, d = values[mono[0]]
+            for leaf in mono[1:]:
+                m, n, d = _mul_term(m, n, d, *values[leaf])
             _accumulate(acc, m, *((c * n, d) if c in (1, -1) else _lowest(c * n, d)))
             if not acc.get(m, (0,))[0]:  # cancelled, or merged into another spelling
                 acc = {k: nd for k, nd in acc.items() if nd[0]}
@@ -324,9 +312,9 @@ class _Plan:
     namespace.  Construction builds the Cartan data, the symbolic step
     tables and the program of every family in ``families``, then drops
     the step tables and factor arguments, which only compiling reads; the
-    leaf namespace stays for binding.  Per q a family is only bound, run
-    and classified.  Leaf values are kept for one q at a time, node values
-    only while one family at one q is evaluated.  Each evaluated outcome
+    leaf namespace stays for binding.  Per q a family is only bound, folded
+    and classified.  Leaf values are kept for one q at a time, and no
+    product of leaves outlives the fold of its term.  Each evaluated outcome
     (per-state results and FAIL records) is kept with the leaf binding it
     came from, so a later q whose binding of the family's leaves is equal
     reuses it: every leaf value is a nonzero integer triple, so ==
@@ -399,23 +387,10 @@ class _Plan:
     def _compile(self, family: str) -> _Program:
         """Walk every word of every component from its starts over the step
         tables into monomials of sorted leaf ids with integer coefficients,
-        so equal ones merge here for every q, and intern each product and
+        so equal ones merge here for every q, and intern each monomial and
         each residual; keep a slot only where a residual survives."""
         components = _FAMILIES[family][1](self)
-        base = len(self.keys)
-        ops = array("i")
-        nodes, sums = {}, {}
-
-        def product(monomial: tuple) -> int:
-            node = monomial[0]
-            for leaf in monomial[1:]:
-                key = node << 32 | leaf
-                prefix, node = node, nodes.get(key)
-                if node is None:
-                    node = nodes[key] = base + len(ops) // 3
-                    ops.extend((0, prefix, leaf))
-            return node
-
+        monos, sums = {}, {}
         slots, capped = array("i"), bytearray(self.model.dim)
         for c, comp in enumerate(components):
             for k in self._starts(comp):
@@ -442,29 +417,13 @@ class _Plan:
                     monomials[mono] = monomials.get(mono, 0) + coef
                 capped[k] |= cap
                 terms = monomials and tuple(
-                    sorted((product(m), n) for m, n in monomials.items() if n)
+                    (monos.setdefault(m, m), n) for m, n in sorted(monomials.items()) if n
                 )
                 if terms:
                     slots.extend((k, c, target, sums.setdefault(terms, len(sums)), cap))
-        nodes.clear()
-        sums = list(sums)
-        # Flag the last read of every product operand that no residual reads
-        # (1: operand a, 2: operand b), so a run drops each spent value.
-        read = bytearray(base + len(ops) // 3)
-        for terms in sums:
-            for node, _ in terms:
-                read[node] = 1
-        for i in range(len(ops) - 3, -1, -3):
-            a, b = ops[i + 1], ops[i + 2]
-            if not read[a]:
-                read[a] = 1
-                ops[i] |= 1
-            if not read[b]:
-                read[b] = 1
-                ops[i] |= 2
-        leaves = [g for g in range(base) if read[g]]
+        leaves = sorted(set().union(*monos))
         labels, words = [c.label for c in components], [c.words for c in components]
-        return _Program(labels, words, base, leaves, ops, sums, slots, capped)
+        return _Program(labels, words, leaves, list(sums), slots, capped)
 
     def _leaf(self, key: tuple):
         """The value of the leaf ``key`` at the q of the last binding, a
@@ -737,6 +696,9 @@ class SuiteConfig(
 
 
 def _parse_q(text) -> Fraction:
+    # A JSON float is refused rather than read: 0.1 would silently run q = 1/10.
+    if isinstance(text, (bool, float)):
+        raise ConfigError(f"q must be an integer or a string, got {text!r}")
     try:
         q = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:

@@ -339,6 +339,23 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", [0.1, 2.0, True], ids=repr)
+    def test_config_float_or_bool_q_exit_2(self, tmp_path, capsys, q):
+        # A JSON q entry is an integer or a string: 0.1 is refused, not
+        # read as 1/10, and so are 2.0 and true.
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({"type": "A", "n": 2, "lambda": 2, "q": [2, q]}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: q must be an integer or a string, got {q!r}\n"
+
+    def test_config_int_and_string_q(self, tmp_path, capsys):
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({"type": "A", "n": 2, "lambda": 2, "q": [2, "3/5"]}))
+        assert main(["verify", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["q_list"] == ["2", "3/5"]
+
     def test_missing_flags_exit_2(self, capsys):
         assert main(["verify"]) == 2
 

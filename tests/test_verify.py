@@ -47,7 +47,6 @@ from qcrys.verify import (
     _model_data,
     _Plan,
     _Program,
-    _run,
     cartan_matrix,
     check_cartan,
     check_ladder,
@@ -892,11 +891,11 @@ class TestBindingReuse:
 def test_one_run_per_distinct_binding(monkeypatch, family, q_list, runs):
     calls = []
 
-    def counting_run(ops, vals):
-        calls.append(len(ops))
-        return _run(ops, vals)
+    def counting_evaluate(prog, values):
+        calls.append(len(prog.sums))
+        return _evaluate(prog, values)
 
-    monkeypatch.setattr(verify, "_run", counting_run)
+    monkeypatch.setattr(verify, "_evaluate", counting_evaluate)
     cfg = SuiteConfig("C", 2, 2, cap=12, margin=0, q_list=q_list, families=(family,))
     run_suite(cfg)
     assert len(calls) == runs
@@ -955,23 +954,46 @@ def test_one_leaf_namespace_per_plan(monkeypatch, cfg):
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
 def test_programs_are_canonical(cfg):
-    # Each product is a sorted leaf tuple built once, each residual a
-    # signed sum of distinct products in ascending order, interned whole.
+    # Each residual is a signed sum of distinct monomials in ascending
+    # order, each a sorted tuple of leaf ids; residuals are interned whole,
+    # and a family reads exactly the leaves of its monomials.
     plan = _Plan(build_model(cfg.spec()), KNOWN_FAMILIES)
     for family, prog in plan.programs.items():
-        monomials = {}
-        for i in range(0, len(prog.ops), 3):
-            a, b = prog.ops[i + 1], prog.ops[i + 2]
-            prefix = monomials.get(a, (a,))
-            assert b < prog.base and max(prefix) <= b, family
-            monomials[prog.base + i // 3] = prefix + (b,)
-        assert len(set(monomials.values())) == len(monomials), family
+        read = set()
         for terms in prog.sums:
-            nodes = [node for node, _ in terms]
-            assert terms and nodes == sorted(set(nodes)), family
+            monomials = [mono for mono, _ in terms]
+            assert terms and monomials == sorted(set(monomials)), family
             assert all(c.__class__ is int and c for _, c in terms), family
+            for mono in monomials:
+                assert mono and list(mono) == sorted(mono), family
+                read.update(mono)
+        assert prog.leaves == sorted(read), family
         assert len(set(prog.sums)) == len(prog.sums), family
         assert set(prog.slots[3::5]) == set(range(len(prog.sums))), family
+
+
+@pytest.mark.parametrize(
+    "cfg", [SuiteConfig("C", 3, 3, cap=13), SuiteConfig("A", 4, 3)], ids=_cfg_id
+)
+def test_residual_terms_are_interned_leaf_monomials(cfg):
+    # A residual term is (monomial, nonzero int) with the monomial the
+    # sorted tuple of its leaf ids, and a monomial that several residuals
+    # hold is one object.
+    plan = _Plan(build_model(cfg.spec()), KNOWN_FAMILIES)
+    shared = False
+    for family, prog in plan.programs.items():
+        seen, terms_held = {}, 0
+        for terms in prog.sums:
+            terms_held += len(terms)
+            for mono, c in terms:
+                assert mono.__class__ is tuple and list(mono) == sorted(mono), family
+                assert all(0 <= leaf < len(plan.keys) for leaf in mono), family
+                assert c.__class__ is int and c, family
+                assert seen.setdefault(mono, mono) is mono, family
+        # a residual holds distinct monomials: more terms than monomials
+        # means some monomial is held by two residuals
+        shared = shared or terms_held > len(seen)
+    assert shared
 
 
 @pytest.mark.parametrize(
@@ -1050,26 +1072,25 @@ def test_leaf_with_two_terms_is_refused(monkeypatch, value):
         check_ladder(model_a(3, 2), F(2))
 
 
-def _program(base, ops, sums):
-    """A hand-built program over ``base`` leaves: products (a, b) without
-    last-read flags and residuals as (node, coefficient) tuples."""
-    flat = array("i", [x for a, b in ops for x in (0, a, b)])
-    return _Program([], [], base, list(range(base)), flat, sums, array("i"), b"")
+def _program(leaves, sums):
+    """A hand-built program over ``leaves`` leaf ids, its residuals as
+    (monomial, coefficient) tuples."""
+    return _Program([], [], list(range(leaves)), sums, array("i"), b"")
 
 
 def test_repeated_monomial_coefficient_in_lowest_terms():
     # 2 * (1/2)sqrt(6) is sqrt(6), and 3 * (1/6)sqrt(5) is (1/2)sqrt(5):
     # the coefficient is folded in before the term is stored.
-    prog = _program(3, [(0, 1)], [((3, 2),), ((2, 3),), ((0, -2), (3, 1))])
+    prog = _program(3, [(((0, 1), 2),), (((2,), 3),), (((0,), -2), ((0, 1), 1))])
     got = _evaluate(prog, [(2, 1, 2), (3, 1, 1), (5, 1, 6)])
     assert [v.json_map() for v in got] == [{"6": "1"}, {"5": "1/2"}, {"2": "-1", "6": "1/2"}]
 
 
-# Runner differential: products on integer triples and signed sums against
-# Radical arithmetic.  The radicands include two spellings of one square
-# class (two primes above the trial bound, times a square), whose sum only
-# merges through Radical's class check, and the small coefficient pools
-# make sums cancel.
+# Runner differential: monomials multiplied out on integer triples and
+# signed sums against Radical arithmetic.  The radicands include two
+# spellings of one square class (two primes above the trial bound, times a
+# square), whose sum only merges through Radical's class check, and the
+# small coefficient pools make sums cancel.
 _RUN_RADICANDS = (1, -1, 2, -3, 6, 1009 * 1013, 1009 * 1013 * 1019**2, -1009 * 1031)
 _run_leaves = st.builds(
     lambda m, c: _term(Radical({m: c})),
@@ -1083,17 +1104,16 @@ def test_runner_cancels_and_merges():
     long = short * 1019**2  # the same square class
     leaves = [(6, 1, 2), (short, 1, 1), (short, -1, 1), (long, 1, 1019), (6, -1, 2)]
     sums = [
-        ((0, 1), (4, 1)),  # cancels
-        ((1, 1), (3, 1)),  # sqrt(s) + sqrt(1019^2 s) / 1019 = 2 sqrt(s)
-        ((1, -1), (3, 2)),  # merges into the spelling already held
-        ((1, 1), (2, 1), (3, 1)),  # the class cancels first: the long spelling stays
-        ((5, 1), (6, 1)),  # products that cancel
-        ((7, 1),),  # sqrt(s) * sqrt(1019^2 s) / 1019 = s
+        (((0,), 1), ((4,), 1)),  # cancels
+        (((1,), 1), ((3,), 1)),  # sqrt(s) + sqrt(1019^2 s) / 1019 = 2 sqrt(s)
+        (((1,), -1), ((3,), 2)),  # merges into the spelling already held
+        (((1,), 1), ((2,), 1), ((3,), 1)),  # the class cancels first: the long spelling stays
+        (((0, 1), 1), ((1, 4), 1)),  # products that cancel
+        (((1, 3), 1),),  # sqrt(s) * sqrt(1019^2 s) / 1019 = s
+        (((0, 1), 1),),  # (1/2)sqrt(6) * sqrt(s)
+        (((1, 4), 1),),  # sqrt(s) * -(1/2)sqrt(6)
     ]
-    prog = _program(5, [(0, 1), (1, 4), (1, 3)], sums)
-    vals = _run(prog.ops, list(leaves))
-    assert vals[5:] == [(6 * short, 1, 2), (6 * short, -1, 2), (1, short, 1)]
-    got = [v and v.json_map() for v in _evaluate(prog, leaves)]
+    got = [v and v.json_map() for v in _evaluate(_program(5, sums), leaves)]
     assert got == [
         None,
         {str(short): "2"},
@@ -1101,35 +1121,29 @@ def test_runner_cancels_and_merges():
         {str(long): "1/1019"},
         None,
         {"1": str(short)},
+        {str(6 * short): "1/2"},
+        {str(6 * short): "-1/2"},
     ]
 
 
 @given(leaves=st.lists(_run_leaves, min_size=1, max_size=5), data=st.data())
 @settings(deadline=None, max_examples=300)
 def test_runner_matches_radical_reference(leaves, data):
-    base = len(leaves)
-    ops = []
-    for i in range(data.draw(st.integers(0, 8))):
-        ops.append((data.draw(st.integers(0, base + i - 1)), data.draw(st.integers(0, base - 1))))
-    top = base + len(ops) - 1
+    ids = st.integers(0, len(leaves) - 1)
+    monomials = st.lists(ids, min_size=1, max_size=6).map(lambda m: tuple(sorted(m)))
     coeffs, sums = st.sampled_from((1, -1, 2, -2, 3)), []
     for _ in range(data.draw(st.integers(1, 4))):
-        nodes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5, unique=True))
-        sums.append(tuple((node, data.draw(coeffs)) for node in sorted(nodes)))
-    prog = _program(base, ops, sums)
+        monos = data.draw(st.lists(monomials, min_size=1, max_size=5, unique=True))
+        sums.append(tuple((mono, data.draw(coeffs)) for mono in sorted(monos)))
     want = [_radical(v) for v in leaves]
-    for a, b in ops:
-        want.append(want[a] * want[b])
-    vals = _run(prog.ops, list(leaves))
-    assert len(vals) == len(want)
-    for g, w in zip(vals, want):
-        assert _radical(g).json_map() == w.json_map()
-        # products of nonzero single terms stay nonzero integer triples
-        assert g.__class__ is tuple and w
-    for got, terms in zip(_evaluate(prog, leaves), sums):
+    for got, terms in zip(_evaluate(_program(len(leaves), sums), leaves), sums):
         total = Radical.zero()
-        for node, c in terms:
-            total = total + want[node] * c
+        for mono, c in terms:
+            product = want[mono[0]]
+            for leaf in mono[1:]:
+                product = product * want[leaf]
+            assert product  # products of nonzero single terms stay nonzero
+            total = total + product * c
         assert (got.json_map() if got is not None else None) == (total.json_map() or None)
 
 
