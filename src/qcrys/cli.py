@@ -318,13 +318,7 @@ def _cmd_boson(args) -> int:
         print(tower_report.one_line())
         reports.append(tower_report)
     if args.output is not None:
-        text = (
-            json.dumps(
-                [r.to_json_dict() for r in reports], sort_keys=True, indent=2
-            )
-            + "\n"
-        )
-        _write_output(args.output, [text])
+        _write_output(args.output, _json_chunks([r.to_json_dict() for r in reports]))
     return 0 if all(r.all_clear for r in reports) else 1
 
 

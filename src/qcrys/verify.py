@@ -22,14 +22,14 @@ dropped.  A key names what its value is computed from: a generator or
 factor entry depends on its two factor arguments and the long node flag,
 not on the node, so equal entries of different nodes are one key.  Only
 the components that can hold a slot are built: ladder ones for nodes
-|i - j| <= 1, Serre ones for |i - j| = 1, and the Cartan [h_i, e_j^+-]
-for i == j (it keeps the cap flags) or a nonzero coefficient, one integer
-read at one live move of node j (none, on a model _model_data accepts).
-Nodes further apart move and read disjoint labels (move_delta,
-rep._factor_args), so their words are equal monomials that cancel for
-every q, and stop at the cap only where the long node's raising move
-does.  A step table holds only the steps a walk can take, so a component
-is walked only from the keys of its words' first tables.  A surviving
+|i - j| <= 1, Serre ones for |i - j| = 1, and of the Cartan family only
+[h_j, e_j^+-], for its cap flags, as every Cartan coefficient is 0 at
+every live move of a model that _model_data accepts.  Nodes further
+apart move and read disjoint labels (move_delta, rep._factor_args), so
+their words are equal monomials that cancel for every q, and stop at the
+cap only where the long node's raising move does.  A step table holds
+only the steps a walk can take, so a component is walked only from the
+keys of its words' first tables.  A surviving
 term is the monomial of its sorted entry keys with the term's
 coefficient, so terms that differ only in factor order merge at compile
 time, for every q; a residual is an integer combination of distinct
@@ -181,10 +181,10 @@ def _model_data(model: CrystalModel) -> tuple:
     read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states:
     the Cartan matrix, measured on the live raising moves (a live lowering
     move s -> t is the raising move t -> s read backwards), the
-    symmetrizers, 2H_i by ordinal, and per node i the [H_i] bracket
-    arguments d_i*H_i by ordinal.  Inconsistent weight shifts, a measured
-    matrix other than the reference one, and an odd doubled value where one
-    is halved are engine errors."""
+    symmetrizers, and per node i the [H_i] bracket arguments d_i*H_i by
+    ordinal.  Inconsistent weight shifts, a measured matrix other than the
+    reference one, and an odd doubled value where one is halved are engine
+    errors, so every live move shifts the weights by the reference matrix."""
     spec, nodes = model.spec, model.spec.nodes
     h2 = [weight_h2(model, s) for s in model.states]
     expected = expected_cartan(spec)
@@ -210,7 +210,7 @@ def _model_data(model: CrystalModel) -> tuple:
     brackets = [
         [_half(hs[i] * d[i], "scaled Cartan eigenvalue") for hs in h2] for i in range(nodes)
     ]
-    return cartan, d, h2, brackets
+    return cartan, d, brackets
 
 
 # -- compiled relation plans ---------------------------------------------------
@@ -322,12 +322,12 @@ class _Plan:
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
-        self.cartan, self.d, self._h2, self._brackets = _model_data(model)
+        self.cartan, self.d, self._brackets = _model_data(model)
         self.keys = []  # leaf id -> key
         self.ids = {}  # key -> leaf id
         self._steps, self._args = {}, {}
         self.programs = {family: self._compile(family) for family in families}
-        del self._steps, self._args, self._h2, self._brackets
+        del self._steps, self._args, self._brackets
         self._q, self._values = None, [None] * len(self.keys)
         self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
         self._clean = {}  # (family, margin) -> per_state when every residual vanishes
@@ -506,23 +506,15 @@ class _Plan:
 
 
 def _cartan_components(plan: _Plan) -> list:
-    a, h2, nodes = plan.cartan, plan._h2, plan.model.spec.nodes
-    # Per (j, sign): its ladder and first live move k -> t, which speaks for every
-    # live move: _model_data refuses moves that shift the weights two ways or oddly.
-    moves = []
-    for j in range(1, nodes + 1):
+    # _model_data refuses a model with any live move whose weight shift is not
+    # the reference matrix's, so every coefficient H_i(t) - H_i(s) -+ a_ij is 0:
+    # per (j, sign) one component keeps the cap flags of the move.
+    components = []
+    for j in range(1, plan.model.spec.nodes + 1):
         for sign, tag in ((1, "+"), (-1, "-")):
             ladder = plan.ladder("eq", j, sign)
-            k, t = next(((k, t) for k, (t, leaf) in ladder.items() if leaf is not None), _NO_STEP)
-            moves.append((j, sign, tag, ladder, k, t))
-    components = []
-    for i in range(1, nodes + 1):
-        for j, sign, tag, ladder, k, t in moves:
-            shift = sign * a[i - 1][j - 1]
-            c = 0 if k is None else (h2[t][i - 1] - h2[k][i - 1]) // 2 - shift
-            if c or i == j:  # (j, j) keeps the cap flags of the move
-                label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
-                components.append(_Component(label, ((c, (), (ladder,)),), (((j, sign),),)))
+            label = f"[h{j},e{tag}{j}]-({sign * plan.cartan[j - 1][j - 1]})e{tag}{j}"
+            components.append(_Component(label, ((0, (), (ladder,)),), (((j, sign),),)))
     return components
 
 
@@ -531,10 +523,12 @@ def check_cartan(
 ) -> RelationReport:
     """[h_i, e_j^+-] = +-a_ij e_j^+- with the Cartan integers recomputed
     from the crystal weight shifts.  With H_i diagonal the residual entry
-    (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), one integer read from
-    the weights at the move times the generator entry; for i != j a
-    component is built only where one is nonzero.  [h_i, h_j] = 0 holds by
-    construction, as the H_i are diagonal, and is not checked."""
+    (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), and building the plan
+    (_model_data) refuses a model where that integer is not 0 at every live
+    move, as an engine error.  So every residual vanishes, and the family
+    only marks BOUNDARY where the node-j move stops at the cap, one
+    [h_j, e_j^+-] component each.  [h_i, h_j] = 0 holds by construction, as
+    the H_i are diagonal, and is not checked."""
     return (plan or _Plan(model, ("cartan",))).report("cartan", q, margin)
 
 

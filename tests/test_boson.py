@@ -198,6 +198,67 @@ class TestStandardBosonRealization:
         report = check_so3_towers(vdj_so3(sp, q), q, sp, realization="vdj")
         assert report.summary["fail"] == 0
 
+    # Broken triples reach the tower FAIL records.  On the spin-T tower at
+    # weight m, L+ vanishes only at m = T, L- only at m = -T, and [2m]_q only
+    # at m = 0.  Doubling L0 breaks the two weight relations wherever L+- acts;
+    # doubling L+ breaks only the bracket.  Records go in (T, m) order, then
+    # relation order.
+    _BROKEN = {
+        "l0-doubled": (
+            lambda lp, lm, l0: (lp, lm, l0 * 2),
+            lambda t, m: ["[L0,L+]-L+"] * (m < t) + ["[L0,L-]+L-"] * (m > -t),
+        ),
+        "lp-doubled": (
+            lambda lp, lm, l0: (lp * 2, lm, l0),
+            lambda t, m: ["[L+,L-]-[2L0]_q"] * (m != 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(_BROKEN))
+    @pytest.mark.parametrize("q", [F(2), F(2, 3)])
+    def test_broken_triple_fails_on_towers(self, broken, q):
+        sp = FockSpace(2)
+        lp, lm, l0, _, _ = standard_so3(sp, q)
+        triple, bad = self._BROKEN[broken]
+        report = check_so3_towers(triple(lp, lm, l0), q, sp, realization="paper")
+        towers = [(t, m) for t in range(3) for m in range(t, -t - 1, -1)]
+        assert [(r.state, r.klass) for r in report.per_state] == [
+            (tm, FAIL if bad(*tm) else PASS) for tm in towers
+        ]
+        assert all(r.residual_zero == (r.klass == PASS) for r in report.per_state)
+        assert report.failures == [
+            {"state": [t, m], "word": f"tower {label}", "residual": {}}
+            for t, m in towers
+            for label in bad(t, m)
+        ]
+        fails = sum(1 for tm in towers if bad(*tm))
+        assert fails == {"l0-doubled": 8, "lp-doubled": 6}[broken]
+        assert report.summary == {"pass": 9 - fails, "fail": fails, "boundary": 0}
+
+    @pytest.mark.parametrize("q", [F(2), F(2, 3)])
+    def test_tower_that_does_not_close(self, q):
+        # An L- that also maps the lowest state (0,0,1) of block T = 1 to
+        # itself: at (1, -1) L- v = v, which breaks [L0,L-] = -L- and
+        # [L+,L-] = [-2]_q, and the tower never reaches zero.
+        sp = FockSpace(2)
+        lp, lm, l0, _, _ = standard_so3(sp, q)
+        k = sp.index[(0, 0, 1)]
+        stuck = lm + LinOp(sp.dim, {(k, k): Radical.one()})
+        report = check_so3_towers((lp, stuck, l0), q, sp, realization="paper")
+        failed = [(1, -1), (1, -2)]
+        towers = [(0, 0), (1, 1), (1, 0), (1, -1), (1, -2), (2, 2), (2, 1), (2, 0)]
+        towers += [(2, -1), (2, -2)]
+        assert [(r.state, r.klass) for r in report.per_state] == [
+            (tm, FAIL if tm in failed else PASS) for tm in towers
+        ]
+        assert report.failures == [
+            {"state": [1, -1], "word": "tower [L0,L-]+L-", "residual": {}},
+            {"state": [1, -1], "word": "tower [L+,L-]-[2L0]_q", "residual": {}},
+            {"state": [1, -2], "word": "tower does not close", "residual": {}},
+        ]
+        assert report.summary == {"pass": 8, "fail": 2, "boundary": 0}
+        assert not report.all_clear
+
     def test_q1_factor_is_identity(self):
         sp = FockSpace(5)
         lp1, lm1, l01, _, _ = standard_so3(sp, 1)

@@ -44,7 +44,6 @@ from qcrys.verify import (
     SuiteConfig,
     VerificationError,
     _evaluate,
-    _model_data,
     _Plan,
     _Program,
     cartan_matrix,
@@ -552,25 +551,19 @@ class TestEngineAgainstOperators:
     def test_map(self, cfg, q):
         self._check(cfg, q, "map")
 
-    def test_cartan_wrong_shift_is_nonzero(self, cfg, q, monkeypatch):
-        # Shifting every Cartan integer makes each [h_i, e_j] residual
-        # -(+-1) e_j: nonzero wherever the generator is.  The coefficient
-        # H_i(t) - H_i(s) - sign*a_ij of every live node-j move drops by sign.
+    def test_cartan_wrong_shift_is_engine_error(self, cfg, q, monkeypatch):
+        # Against a reference matrix with every Cartan integer shifted, the
+        # coefficient H_i(t) - H_i(s) - sign*a_ij of every live node-j move
+        # is -sign, not 0.  The engine refuses such a model before it builds
+        # a component, so no Cartan residual is ever nonzero.
+        reference = verify.expected_cartan
+        shifted = lambda spec: [[a + 1 for a in row] for row in reference(spec)]
+        monkeypatch.setattr(verify, "expected_cartan", shifted)
         model = build_model(cfg.spec())
-        cartan, d, h2, brackets = _model_data(model)
-        wrong = [[a + 1 for a in row] for row in cartan]
-
-        def is_live(s, j, sign):
-            return apply_move(model.spec, s, j, sign)[1] == MOVE_OK
-
-        monkeypatch.setattr(verify, "_model_data", lambda _: (wrong, d, h2, brackets))
-        plan = _Plan(model, ("cartan",))
-        assert plan.cartan == wrong
-        oracle = _oracle_cartan(model, q, plan)
-        nodes = range(1, model.spec.nodes + 1)
-        live = sum(is_live(s, j, sign) for s in model.states for j in nodes for sign in (1, -1))
-        nonzero = _assert_matches_oracle(plan, "cartan", q, oracle)
-        assert nonzero == live * model.spec.nodes
+        with pytest.raises(VerificationError, match="differs from expected"):
+            _Plan(model, ("cartan",))
+        with pytest.raises(VerificationError, match="differs from expected"):
+            check_cartan(model, q)
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)

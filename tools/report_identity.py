@@ -159,6 +159,10 @@ CONFIGS = [
     ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
     ("trivial-C1-1-1", "verify --type C --n 1 --lambda 1 --cap 1 --margin 0 --output out"),
     ("refused-repeated-q", "verify --type A --n 2 --lambda 2 --q 2,4/2"),
+    # tower reports of the vdj realization, and of a boson run at q < 1
+    ("boson-vdj-20-towers", "boson --realization vdj --q 3/2 --cutoff 20 --towers --output out"),
+    ("boson-paper-20-towers-q2/3",
+     "boson --realization paper --q 2/3 --cutoff 20 --towers --output out"),
 ]
 
 
