@@ -29,23 +29,23 @@ apart move and read disjoint labels (move_delta, rep._factor_args), so
 their words are equal monomials that cancel for every q, and stop at the
 cap only where the long node's raising move does.  A step table holds
 only the steps a walk can take, so a component is walked only from the
-keys of its words' first tables.  A surviving
-term is the monomial of its sorted entry keys with the term's
-coefficient, so terms that differ only in factor order merge at compile
-time, for every q; a residual is an integer combination of distinct
-monomials, and only the (component, state) slots whose residual survives
-are kept.  Per q the plan only binds, folds and classifies: each q binds
-every key once to a nonzero single term, each residual multiplies out its
-monomials on integer triples (m, n, d) for (n/d)*sqrt(m) as it folds them
-into a Radical, and one pass over the slots and cap flags classifies.
+keys of its words' first tables.  A surviving term is the monomial of its
+sorted entry keys with the term's coefficient, so terms that differ only
+in factor order merge at compile time, for every q; a residual is an
+integer combination of distinct monomials, and only the (component,
+state) slots whose residual survives are kept.  Per q the plan only
+binds, folds and classifies: a new q binds every key that a family reads
+once, in one loop, to a nonzero single term, each residual multiplies out
+its monomials on integer triples (m, n, d) for (n/d)*sqrt(m) as it folds
+them into a Radical, and one pass over the slots and cap flags classifies.
 
-A family is evaluated once per distinct binding of its keys, found by
-exact comparison with the bindings of the earlier q of the plan; a match
-reuses that q's per-state results and FAIL records.  The balanced
-q-brackets bind equal keys at q and 1/q, and the keys of serre-classical
-take no q, so their bindings compare equal and it runs once per suite.
-Sparse operator products (LinOp) are not used here; the tests rebuild
-every relation with them as the reference."""
+A family is evaluated once per distinct binding of its keys: its outcomes
+are kept by the binding they came from, so a q whose binding equals an
+earlier q's finds that q's per-state results and FAIL records and reuses
+them.  The balanced q-brackets bind equal keys at q and 1/q, and the keys
+of serre-classical take no q, so their bindings compare equal and it runs
+once per suite.  Sparse operator products (LinOp) are not used here;
+the tests rebuild every relation with them as the reference."""
 
 from __future__ import annotations
 
@@ -223,8 +223,8 @@ def _model_data(model: CrystalModel) -> tuple:
 # a walk knows it stopped at the cap; a dead move or a zero diagonal entry
 # is not stored, and a walk that reads no step ends with no target and no
 # cap.  Compiling turns a family into its surviving residuals, integer
-# combinations of monomials of its leaves; evaluating it at q binds each
-# leaf once and multiplies out each monomial where its residual folds.
+# combinations of monomials of its leaves; a new q binds each read leaf
+# once, and evaluating multiplies out each monomial where its residual folds.
 
 _NO_STEP = (None, None)  # what a walk reads where its table holds no step
 
@@ -313,12 +313,14 @@ class _Plan:
     tables and the program of every family in ``families``, then drops
     the step tables and factor arguments, which only compiling reads; the
     leaf namespace stays for binding.  Per q a family is only bound, folded
-    and classified.  Leaf values are kept for one q at a time, and no
-    product of leaves outlives the fold of its term.  Each evaluated outcome
-    (per-state results and FAIL records) is kept with the leaf binding it
-    came from, so a later q whose binding of the family's leaves is equal
-    reuses it: every leaf value is a nonzero integer triple, so ==
-    compares how values are written."""
+    and classified.  Leaf values are kept for one q at a time: a new q binds
+    every leaf that some family reads (``_read``, the union of the programs'
+    leaves) in one loop, and no product of leaves outlives the fold of its
+    term.  Each evaluated outcome (per-state results and FAIL records) is
+    kept in a dict keyed by the family's binding, the tuple of its leaf
+    values, so a later q with an equal binding finds it there: every leaf
+    value is a nonzero integer triple, so == compares how values are
+    written."""
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
@@ -328,8 +330,9 @@ class _Plan:
         self._steps, self._args = {}, {}
         self.programs = {family: self._compile(family) for family in families}
         del self._steps, self._args, self._brackets
+        self._read = sorted(set().union(*(prog.leaves for prog in self.programs.values())))
         self._q, self._values = None, [None] * len(self.keys)
-        self._outcomes = {}  # (family, margin) -> [(binding, per_state, failures)]
+        self._outcomes = {}  # (family, margin) -> {binding: (per_state, failures)}
         self._clean = {}  # (family, margin) -> per_state when every residual vanishes
 
     def leaf(self, *key) -> int:
@@ -425,25 +428,20 @@ class _Plan:
         labels, words = [c.label for c in components], [c.words for c in components]
         return _Program(labels, words, leaves, list(sums), slots, capped)
 
-    def _leaf(self, key: tuple):
-        """The value of the leaf ``key`` at the q of the last binding, a
-        nonzero integer triple, as programs only multiply nonzero terms."""
-        leaf = self.ids[key]
-        val = self._values[leaf]
-        if val is None:
-            val = _LEAF_VALUES[key[0]](self._q, *key[1:])
-            if len(val._terms) != 1:
-                raise VerificationError(f"leaf {key} at q = {self._q} is not one term: {val!r}")
-            val = self._values[leaf] = _term(val)
-        return val
-
-    def bind(self, prog: _Program, q: Fraction) -> list:
-        """The values of ``prog``'s leaves at q.  Every leaf of the plan is
-        bound at most once per q."""
+    def bind(self, prog: _Program, q: Fraction) -> tuple:
+        """The binding of ``prog`` at q, the values of its leaves.  A q other
+        than the last one binds every leaf that some family reads, once, to
+        a nonzero integer triple, as programs only multiply nonzero terms."""
         if q != self._q:
-            self._q, self._values = q, [None] * len(self.keys)
-        keys, values = self.keys, self._values
-        return [values[g] if values[g] is not None else self._leaf(keys[g]) for g in prog.leaves]
+            values = [None] * len(self.keys)
+            for g in self._read:
+                key = self.keys[g]
+                val = _LEAF_VALUES[key[0]](q, *key[1:])
+                if len(val._terms) != 1:
+                    raise VerificationError(f"leaf {key} at q = {q} is not one term: {val!r}")
+                values[g] = _term(val)
+            self._q, self._values = q, values
+        return tuple(self._values[g] for g in prog.leaves)
 
     def report(self, family: str, q, margin: int) -> RelationReport:
         """The report of ``family`` at q: its per-state results and FAIL
@@ -451,14 +449,11 @@ class _Plan:
         q = ensure_positive_q(q)
         prog = self.programs[family]
         binding = self.bind(prog, q)
-        seen = self._outcomes.setdefault((family, margin), [])
-        for old, per_state, failures in seen:
-            if old == binding:
-                break
-        else:
+        seen = self._outcomes.setdefault((family, margin), {})
+        if binding not in seen:
             vals = _evaluate(prog, self._values)
-            per_state, failures = self._classify(family, prog, vals, margin)
-            seen.append((binding, per_state, failures))
+            seen[binding] = self._classify(family, prog, vals, margin)
+        per_state, failures = seen[binding]
         relation_id = _FAMILIES[family][0]
         return RelationReport(
             relation_id, self.model.spec.describe(), q, list(per_state), copy.deepcopy(failures)
@@ -740,7 +735,7 @@ def load_config(data) -> SuiteConfig:
             raise ConfigError(
                 f"invalid JSON in {data}: line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -825,7 +820,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     """Run every configured relation family at every configured q, in
     (q, family) order, with byte-stable JSON.  One plan serves every q; a
     family whose binding at q equals an earlier q's reuses that q's results
-    under the new q label (the comparison finds such q, never assumes)."""
+    under the new q label (the lookup finds such q, never assumes)."""
     model = build_model(config.spec())
     plan = _Plan(model, config.families)
     reports = [

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -356,6 +357,26 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["config"]["q_list"] == ["2", "3/5"]
 
+    def test_decimal_q_is_read_exactly(self, tmp_path, capsys):
+        # A decimal q is the rational it spells: 0.5 runs the suite of 1/2,
+        # byte for byte, and beside 1/2 it is a repeat.
+        args = ["verify", "--type", "C", "--n", "1", "--lambda", "1", "--cap", "9"]
+        runs = []
+        for q, target in (("0.5", tmp_path / "a.json"), ("1/2", tmp_path / "b.json")):
+            assert main(args + ["--q", q, "--output", str(target)]) == 0
+            runs.append((capsys.readouterr().out, target.read_bytes()))
+        assert runs[0] == runs[1]
+        assert [cli._rational(t) for t in ("2.5", "0.5", "1e-1")] == [
+            Fraction(5, 2), Fraction(1, 2), Fraction(1, 10)
+        ]
+        assert load_config({"type": "A", "n": 2, "lambda": 2, "q": "1e-1,2.5"}).q_list == (
+            Fraction(1, 10), Fraction(5, 2)
+        )
+        assert main(args + ["--q", "1/2,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: config key 'q' repeats '1/2'\n"
+
     def test_missing_flags_exit_2(self, capsys):
         assert main(["verify"]) == 2
 
@@ -557,6 +578,71 @@ class TestBosonCommand:
         with pytest.raises(SystemExit) as exc:
             main(["boson", "--realization", "vdj", "--q", "-1"])
         assert exc.value.code == 2
+
+
+def _config_file(tmp_path, data: bytes):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    return cfg
+
+
+def _one_error_line(capsys, want):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == want + "\n"
+
+
+class TestRefusedInput:
+    """Each refusal exits 2 before anything runs, with one stderr line."""
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert main(["verify", "--config", str(tmp_path)]) == 2
+        _one_error_line(
+            capsys, f"config error: cannot read config: [Errno 21] Is a directory: {str(tmp_path)!r}"
+        )
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, b"\xff{}")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        _one_error_line(
+            capsys,
+            "config error: cannot read config: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte",
+        )
+
+    @pytest.mark.parametrize(
+        "data, want",
+        [
+            (b"[1, 2]", "config must be a JSON object"),
+            (b'{"n": 2, "lambda": 2}', "missing config key: 'type'"),
+            (b'{"type": "A", "n": 2, "lambda": 2, "q": []}', "at least one q value is required"),
+        ],
+        ids=["array", "no-type", "no-q"],
+    )
+    def test_malformed_config(self, tmp_path, capsys, data, want):
+        assert main(["verify", "--config", str(_config_file(tmp_path, data))]) == 2
+        _one_error_line(capsys, f"config error: {want}")
+
+    def test_negative_margin(self, capsys):
+        argv = ["verify", "--type", "A", "--n", "2", "--lambda", "2", "--margin", "-1"]
+        assert main(argv) == 2
+        _one_error_line(capsys, "config error: margin must be non-negative")
+
+    def test_negative_boson_cutoff(self, capsys):
+        assert main(["boson", "--realization", "vdj", "--q", "2", "--cutoff", "-1"]) == 2
+        _one_error_line(capsys, "boson: --cutoff must be non-negative")
+
+    @pytest.mark.parametrize("q", ["x", "1/0"])
+    def test_unparsable_rep_q(self, capsys, q):
+        argv = ["rep", "--type", "A", "--n", "2", "--lambda", "2", "--which", "deformed"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--node", "1", "--q", q])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument --q: not a rational p/s value: {q!r}"
+        )
 
 
 def test_cli_import_does_not_load_sympy():

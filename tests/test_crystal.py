@@ -78,6 +78,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CrystalSpec("B", 2, 1)
 
+    def test_negative_lambda(self):
+        with pytest.raises(ValueError, match="highest-weight label must be non-negative"):
+            CrystalSpec("A", 2, -1)
+
+    def test_type_c_min_rank(self):
+        with pytest.raises(ValueError, match="type C needs n >= 1"):
+            CrystalSpec("C", 0, 0, 0)
+
     def test_node_counts(self):
         assert CrystalSpec("A", 4, 1).nodes == 3
         assert CrystalSpec("C", 3, 1, 5).nodes == 3

@@ -88,6 +88,10 @@ class TestLinOpAlgebra:
         with pytest.raises(TypeError):
             hash(a)
 
+    def test_entry_type_checked(self):
+        with pytest.raises(TypeError, match="cannot use str as an operator entry"):
+            LinOp(2, {(0, 1): "x"})
+
     def test_entry_bounds_checked(self):
         with pytest.raises(ValueError):
             LinOp(2, {(0, 5): Radical.one()})

@@ -67,6 +67,22 @@ class TestLaurent:
         with pytest.raises(TypeError):
             Laurent(1, {(exp,): 1})
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Laurent(1, {(0, 0): 1}), "exponent tuple has wrong arity"),
+            (lambda: Laurent.var(1, 0) + Laurent.var(2, 0), "mixed variable counts"),
+            (lambda: Laurent.var(1, 0) ** -1, "negative powers"),
+            (lambda: Laurent.var(1, 0).eval((F(1), F(2))), "evaluation point has wrong arity"),
+            (lambda: Laurent.var(2, 0).collapse(0, 2, 0), "variables coincide"),
+            (lambda: Laurent.var(2, 0).lift(3, (0,)), "positions must list every old variable"),
+        ],
+        ids=["arity", "mixed", "negative-power", "eval-arity", "collapse", "lift"],
+    )
+    def test_argument_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_integral_fraction_exponent_is_an_integer(self):
         assert Laurent(1, {(F(2),): 1}) == Laurent.var(1, 0, 2)
 
@@ -201,6 +217,19 @@ class TestQintSym:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(qint_sym(1, 0))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SymBracket(Laurent.one(2), -1), "denominator power must be non-negative"),
+            (lambda: SymBracket(Laurent.one(1)) + SymBracket(Laurent.one(2)), "mixed variable"),
+            (lambda: SymBracket(Laurent.one(1)).specialize(2), "applies to two-variable quotients"),
+        ],
+        ids=["den-pow", "mixed", "specialize"],
+    )
+    def test_argument_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @given(
         args=st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=3, max_size=3),
@@ -560,6 +589,10 @@ class TestRadical:
         assert sqrt_rat(-2) * sqrt_rat(3) == Radical({-6: F(1)})
         assert sqrt_rat(-2) * sqrt_rat(-3) == Radical({6: F(-1)})
         assert sqrt_rat(-2) * sqrt_rat(6) == Radical({-3: F(2)})
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="division of a radical by zero"):
+            Radical.one() / 0
 
     def test_zero_iff_no_terms(self):
         assert (sqrt_rat(2) - sqrt_rat(8) / 2).is_zero()

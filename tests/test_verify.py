@@ -131,6 +131,24 @@ class TestEngineSelfChecks:
         self._refused(monkeypatch, spec, fake, "scaled Cartan eigenvalue is not an integer")
 
 
+def test_unsymmetrizable_matrix_is_engine_error():
+    with pytest.raises(VerificationError, match="not symmetrizable"):
+        symmetrizers(CrystalSpec("A", 3, 1), [[2, -1], [-2, 2]])
+
+
+def test_words_reaching_two_targets_is_engine_error(monkeypatch):
+    # Every word of a component shifts the labels by one vector; raising
+    # moves of nodes 1 and 2 from one state reach two targets.
+    def two_targets(plan):
+        words = (((1, 1),), ((2, 1),))
+        terms = tuple((c, (), (plan.ladder("eq", *w[0]),)) for c, w in zip((1, -1), words))
+        return [verify._Component("two", terms, words)]
+
+    monkeypatch.setitem(verify._FAMILIES, "ladder", ("ladder", two_targets))
+    with pytest.raises(VerificationError, match="two: words reach two targets"):
+        check_ladder(model_a(3, 2), F(2))
+
+
 class TestCheckCartan:
     def test_spin_one_eigenvalue_two(self):
         m = model_a(2, 2)
@@ -824,7 +842,7 @@ def test_plan_compiled_once_serves_every_q(cfg):
             for kind, op in (("eq", deformed), ("e", classical)):
                 for (s, t), v in op.entries.items():
                     key = (kind, long_node) + _factor_args(model, node, model.states[t])
-                    assert _radical(plan._leaf(key)).json_map() == v.json_map()
+                    assert _radical(plan._values[plan.ids[key]]).json_map() == v.json_map()
 
 
 # Binding reuse: run_suite evaluates a family once per distinct leaf

@@ -18,7 +18,9 @@ README command; the Baseline rows of ROADMAP.md for A(5,6), C(3,3,31),
 A(2,1000) (at a reciprocal q pair), the C(4,2,28) crystal graph and the
 boson checks, with near variants of the ``sp2n_suite`` shape, A(68,1),
 A(69,1) and ``identity --a 40``, but not C(3,3,59) or A(2,2000), which
-would add about a minute of CI time; the margin-0 type C configurations that
+would add about a minute of CI time; the benchmark's ``sl2_deep_q`` suite
+at both of its q, and its ``boson_paper_towers`` check at q = 2, 3, 1/3
+and 2/3 (not 1/2 or 3/2); the margin-0 type C configurations that
 carry FAIL records, suites with reciprocal q pairs,
 mixes of all relation families including ``serre-classical``, high
 ranks with many non-adjacent node pairs, up to the highest rank the
@@ -163,6 +165,13 @@ CONFIGS = [
     ("boson-vdj-20-towers", "boson --realization vdj --q 3/2 --cutoff 20 --towers --output out"),
     ("boson-paper-20-towers-q2/3",
      "boson --realization paper --q 2/3 --cutoff 20 --towers --output out"),
+    # benchmark inputs: the sl2_deep_q suite, and boson_paper_towers pool values
+    ("bench-A2-40-q3/4", "verify --type A --n 2 --lambda 40 --q 3/4 --output out"),
+    ("bench-A2-40-q4/3", "verify --type A --n 2 --lambda 40 --q 4/3 --output out"),
+    ("bench-boson-paper-20-towers-q3",
+     "boson --realization paper --q 3 --cutoff 20 --towers --output out"),
+    ("bench-boson-paper-20-towers-q1/3",
+     "boson --realization paper --q 1/3 --cutoff 20 --towers --output out"),
 ]
 
 
