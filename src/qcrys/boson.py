@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .rep import LinOp, _deform_entry, commutator
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
-from .scalar import Radical, _qint_root, ensure_positive_q, qint_at, sqrt_rat
+from .scalar import Radical, _qint_root, _radical, ensure_positive_q, qint_at, sqrt_rat
 
 __all__ = [
     "STANDARD",
@@ -80,7 +80,7 @@ def boson_ops(space: FockSpace, mode: int, kind: str, q=None):
         raise ValueError(f"unknown oscillator kind {kind!r}")
     if kind == Q_DEFORMED:
         q = ensure_positive_q(q)
-        root = lambda n: _qint_root(n, q.numerator, q.denominator, False)
+        root = lambda n: _radical(_qint_root(n, q.numerator, q.denominator, False))
     else:
         root = sqrt_rat
     pos = _MODE_INDEX[mode]
@@ -147,7 +147,7 @@ def standard_so3(space: FockSpace, q):
     def factor(s):
         # the short-node deforming factor at (N1 + 1, N2)
         n1_, n0_, nm1_ = s
-        return _deform_entry(2 * n1_ + n0_ + 1, 2 * nm1_ + n0_, q)
+        return _radical(_deform_entry(2 * n1_ + n0_ + 1, 2 * nm1_ + n0_, q))
 
     bilinear = (b1c @ b0 + b0c @ bm1) * sqrt_rat(2)
     raising = bilinear @ _diagonal(space, factor)

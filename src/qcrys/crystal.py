@@ -157,9 +157,6 @@ class CrystalModel:
     def dim(self) -> int:
         return len(self.states)
 
-    def __contains__(self, state) -> bool:
-        return tuple(state) in self.index
-
     def __repr__(self):
         return f"CrystalModel({self.spec!r}, dim={self.dim})"
 

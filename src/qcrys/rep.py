@@ -11,13 +11,13 @@ from fractions import Fraction
 from .crystal import TYPE_C, CrystalModel, weight_h, weight_n
 from .scalar import (
     Radical,
+    _lowest,
     _mul_term,
     _qint_root,
     _radical,
-    _term,
+    _sqrt_frac,
     ensure_positive_q,
     half_bracket_product,
-    sqrt_rat,
 )
 
 __all__ = [
@@ -221,43 +221,45 @@ def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
 def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     """Ladder matrix with a diagonal dressing evaluated on the raising
     operand / lowering image, i.e. on the state where both square-root
-    factor arguments are read off: the entry is ``value(a, b)``."""
+    factor arguments are read off: the entry is the triple ``value(a, b)``."""
     states, entries = model.states, {}
     for k, (t, _) in enumerate(model.moves(node, sign)):
         if t is not None:
-            entries[(k, t)] = value(*_factor_args(model, node, states[k if sign > 0 else t]))
+            args = _factor_args(model, node, states[k if sign > 0 else t])
+            entries[(k, t)] = _radical(value(*args))
     return LinOp(model.dim, entries)
 
 
-def _e_classical_entry(a: int, b: int, long_node: bool) -> Radical:
+def _e_classical_entry(a: int, b: int, long_node: bool) -> tuple[int, int, int]:
     """Classical generator entry at factor arguments (a, b), halved on the long node."""
-    v = sqrt_rat(a) * sqrt_rat(b)
-    return v * Fraction(1, 2) if long_node else v
+    m, n, d = _mul_term(*_sqrt_frac(a, 1), *_sqrt_frac(b, 1))
+    return (m, *_lowest(n, 2 * d)) if long_node else (m, n, d)
 
 
-def _root_product(a: int, b: int, q: Fraction, ratio: bool, long_scale: int) -> Radical:
+def _root_product(
+    a: int, b: int, q: Fraction, ratio: bool, long_scale: int
+) -> tuple[int, int, int]:
     """The cached roots sqrt([a]_q) sqrt([b]_q), or sqrt([a]_q/a) sqrt([b]_q/b)
     with ``ratio`` (small, real radicands), times long_scale/(q + 1/q) =
-    long_scale*nd/(n^2 + d^2) at q = n/d unless long_scale is 0, as one
-    single-term product."""
+    long_scale*nd/(n^2 + d^2) at q = n/d unless long_scale is 0."""
     n, d = q.numerator, q.denominator
-    m, c, e = _term(_qint_root(a, n, d, ratio))
+    m, c, e = _qint_root(a, n, d, ratio)
     if long_scale:
         c, e = long_scale * c * n * d, e * (n * n + d * d)
-    return _radical(_mul_term(m, c, e, *_term(_qint_root(b, n, d, ratio))))
+    return _mul_term(m, c, e, *_qint_root(b, n, d, ratio))
 
 
-def _e_deformed_entry(a: int, b: int, q: Fraction, long_node: bool) -> Radical:
+def _e_deformed_entry(a: int, b: int, q: Fraction, long_node: bool) -> tuple[int, int, int]:
     """Deformed generator entry at factor arguments (a, b), nonzero on a live
     move: sqrt([a]_q [b]_q), times 1/(q + 1/q) on the long node."""
     return _root_product(a, b, q, False, long_node)
 
 
-def _deform_entry(a: int, b: int, q: Fraction, long_node: bool = False) -> Radical:
+def _deform_entry(a: int, b: int, q: Fraction, long_node: bool = False) -> tuple[int, int, int]:
     """Deforming-factor entry at factor arguments (a, b): 1 where a*b = 0,
     else sqrt([a]_q [b]_q / (ab)), times 2/(q + 1/q) on the long node."""
     if a * b == 0:
-        return Radical.one()
+        return 1, 1, 1
     return _root_product(a, b, q, True, 2 * long_node)
 
 
@@ -292,7 +294,8 @@ def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     q = ensure_positive_q(q)
     long_node = _is_long_node(model, node)
     return LinOp.diagonal(
-        _deform_entry(*_factor_args(model, node, s), q, long_node) for s in model.states
+        _radical(_deform_entry(*_factor_args(model, node, s), q, long_node))
+        for s in model.states
     )
 
 
@@ -328,7 +331,7 @@ def cz_factor(model: CrystalModel, q, variant: str) -> LinOp:
         return deform_factor(model, 1, q)
     if variant != CZ_WEIGHT:
         raise ValueError(f"unknown dressing variant {variant!r}")
-    return LinOp.diagonal(_deform_entry(*_cz_args(s), q) for s in model.states)
+    return LinOp.diagonal(_radical(_deform_entry(*_cz_args(s), q)) for s in model.states)
 
 
 def _cz_args(state) -> tuple[int, int]:

@@ -359,7 +359,7 @@ def _qint_pair(x: int, a: int, b: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _qint_root(x: int, a: int, b: int, ratio: bool) -> Radical:
+def _qint_root(x: int, a: int, b: int, ratio: bool) -> tuple[int, int, int]:
     """sqrt([x]_q), or sqrt([x]_q / x) when ``ratio`` (x != 0), at q = a/b,
     as sqrt_rat writes it: the same (num, den) pair reaches _sqrt_frac."""
     n, d = _qint_pair(x, a, b)
@@ -674,7 +674,7 @@ class Radical:
             m = _integer(m)
             if not m:
                 raise ValueError("radicand 0 is not allowed")
-            ((m, (square, _)),) = _sqrt_frac(m, 1)._terms.items()
+            m, square, _ = _sqrt_frac(m, 1)
             n, d = _pair(c)
             _accumulate(acc, m, *_lowest(n * square, d))
         self._terms = {m: nd for m, nd in acc.items() if nd[0]}
@@ -769,7 +769,7 @@ class Radical:
         if len(self._terms) != 1:
             raise ArithmeticError("inverse implemented for single-term radicals only")
         ((m, (n, d)),) = self._terms.items()
-        return _wrap({m: _lowest(d, n * m)})
+        return _radical(_reciprocal(m, n, d))
 
     def __eq__(self, other):
         diff = self._plus(other, -1)
@@ -798,24 +798,23 @@ def _wrap(terms: dict[int, tuple[int, int]]) -> Radical:
     return obj
 
 
-def _term(value: Radical) -> tuple[int, int, int]:
-    """A single-term value as the integer triple (m, n, d) for (n/d)*sqrt(m)
-    that _mul_term takes and gives; any other value raises ValueError."""
-    ((m, (n, d)),) = value._terms.items()
-    return m, n, d
-
-
 def _radical(value: tuple[int, int, int]) -> Radical:
-    """The Radical of a triple from :func:`_term`."""
+    """The Radical of a triple (m, n, d) for (n/d)*sqrt(m), zero where n = 0."""
     m, n, d = value
-    return _wrap({m: (n, d)})
+    return _wrap({m: (n, d)} if n else {})
+
+
+def _reciprocal(m: int, n: int, d: int) -> tuple[int, int, int]:
+    """The reciprocal of a nonzero triple: 1/((n/d)*sqrt(m)) = (d/(n*m))*sqrt(m)."""
+    return (m, *_lowest(d, n * m))
 
 
 @lru_cache(maxsize=None)
-def _sqrt_frac(num: int, den: int) -> Radical:
-    """sqrt(num/den) for num/den in lowest terms with den > 0."""
+def _sqrt_frac(num: int, den: int) -> tuple[int, int, int]:
+    """sqrt(num/den) for num/den in lowest terms with den > 0, as the triple
+    (m, n, d) for (n/d)*sqrt(m) that _mul_term takes and gives; 0 is (1, 0, 1)."""
     if num == 0:
-        return _wrap({})
+        return 1, 0, 1
     # sqrt(p/s) = sqrt(p*s)/s; split p*s into a square and a representative.
     n = num * den
     key = -1 if n < 0 else 1
@@ -838,7 +837,7 @@ def _sqrt_frac(num: int, den: int) -> Radical:
         key *= n
     else:
         square *= root
-    return _wrap({key: _lowest(square, den)})
+    return (key, *_lowest(square, den))
 
 
 def sqrt_rat(r) -> Radical:
@@ -846,4 +845,4 @@ def sqrt_rat(r) -> Radical:
     square-class representative (squarefree whenever m has no repeated
     prime factor above the trial bound), on the fixed branch
     sqrt(r) = i*sqrt(|r|) for r < 0, so that sqrt_rat(r)**2 == r exactly."""
-    return _sqrt_frac(*_pair(r))
+    return _radical(_sqrt_frac(*_pair(r)))

@@ -35,8 +35,8 @@ in factor order merge at compile time, for every q; a residual is an
 integer combination of distinct monomials, and only the (component,
 state) slots whose residual survives are kept.  Per q the plan only
 binds, folds and classifies: a new q binds every key that a family reads
-once, in one loop, to a nonzero single term, each residual multiplies out
-its monomials on integer triples (m, n, d) for (n/d)*sqrt(m) as it folds
+once, in one loop, to a nonzero integer triple (m, n, d) for (n/d)*sqrt(m),
+each residual multiplies out its monomials on those triples as it folds
 them into a Radical, and one pass over the slots and cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys: its outcomes
@@ -81,13 +81,12 @@ from .rep import (
 )
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
 from .scalar import (
-    Radical,
     _accumulate,
     _lowest,
     _mul_term,
     _qbinom_pair,
     _qint_pair,
-    _term,
+    _reciprocal,
     _wrap,
     ensure_positive_q,
 )
@@ -228,24 +227,25 @@ def _model_data(model: CrystalModel) -> tuple:
 
 _NO_STEP = (None, None)  # what a walk reads where its table holds no step
 
-# The value of the leaf (kind, *args) at q.  Generator and factor entries
-# come from the same functions that build the rep matrices.
+# The value of the leaf (kind, *args) at q, as the integer triple (m, n, d)
+# for (n/d)*sqrt(m).  Generator and factor entries come from the same
+# functions that build the rep matrices.
 _LEAF_VALUES = {
     "e": lambda q, long_node, a, b: _e_classical_entry(a, b, long_node),
     "eq": lambda q, long_node, a, b: _e_deformed_entry(a, b, q, long_node),
     "f": lambda q, long_node, a, b: _deform_entry(a, b, q, long_node),
-    "finv": lambda q, long_node, a, b: _deform_entry(a, b, q, long_node).inverse(),
-    "int": lambda q, c: Radical.from_rational(c),
+    "finv": lambda q, long_node, a, b: _reciprocal(*_deform_entry(a, b, q, long_node)),
+    "int": lambda q, c: (1, c, 1),
     "bracket": lambda q, k, d: _bracket(k, d, q),
-    "binom": lambda q, m, v, d: _wrap({1: _qbinom_pair(m, v, q.numerator**d, q.denominator**d)}),
+    "binom": lambda q, m, v, d: (1, *_qbinom_pair(m, v, q.numerator**d, q.denominator**d)),
 }
 
 
-def _bracket(k: int, d: int, q: Fraction) -> Radical:
+def _bracket(k: int, d: int, q: Fraction) -> tuple[int, int, int]:
     """[k]_q / [d]_q (d != 0), from the integer pairs of the q-integers."""
     a, b = q.numerator, q.denominator
     (n1, d1), (n2, d2) = _qint_pair(k, a, b), _qint_pair(d, a, b)
-    return _wrap({1: _lowest(n1 * d2, d1 * n2)} if n1 else {})
+    return (1, *_lowest(n1 * d2, d1 * n2))
 
 
 class _Component(namedtuple("_Component", "label terms words")):
@@ -436,10 +436,9 @@ class _Plan:
             values = [None] * len(self.keys)
             for g in self._read:
                 key = self.keys[g]
-                val = _LEAF_VALUES[key[0]](q, *key[1:])
-                if len(val._terms) != 1:
-                    raise VerificationError(f"leaf {key} at q = {q} is not one term: {val!r}")
-                values[g] = _term(val)
+                values[g] = val = _LEAF_VALUES[key[0]](q, *key[1:])
+                if not val[1]:
+                    raise VerificationError(f"leaf {key} at q = {q} is zero")
             self._q, self._values = q, values
         return tuple(self._values[g] for g in prog.leaves)
 
@@ -755,7 +754,7 @@ def load_config(data) -> SuiteConfig:
     q_list = tuple(_parse_q(v) for v in _config_list(data, "q", DEFAULT_Q_LIST))
     if not q_list:
         raise ConfigError("at least one q value is required")
-    families = tuple(_config_list(data, "families", DEFAULT_FAMILIES))
+    families = tuple(str(f).strip() for f in _config_list(data, "families", DEFAULT_FAMILIES))
     for fam in families:
         if fam not in KNOWN_FAMILIES:
             raise ConfigError(

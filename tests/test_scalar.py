@@ -25,7 +25,7 @@ from qcrys.scalar import (
     sqrt_rat,
     sym_bracket,
 )
-from qcrys.scalar import _qbinom_pair, _qint_root, _radical, _term
+from qcrys.scalar import _qbinom_pair, _qint_root, _radical, _reciprocal, _sqrt_frac
 
 F = Fraction
 Q_SAMPLES = (F(2), F(1, 2), F(3, 5))
@@ -472,10 +472,10 @@ class TestIntegerKernel:
         # Negative x includes the long-node argument -l_n - 2.
         a, b = q.numerator, q.denominator
         for x in range(-40, 41):
-            root = _qint_root(x, a, b, False)
+            root = _radical(_qint_root(x, a, b, False))
             assert list(root._terms.items()) == list(sqrt_rat(qint_at(x, q))._terms.items())
             if x:
-                ratio = _qint_root(x, a, b, True)
+                ratio = _radical(_qint_root(x, a, b, True))
                 assert list(ratio._terms.items()) == list(
                     sqrt_rat(qint_at(x, q) / x)._terms.items()
                 )
@@ -484,8 +484,8 @@ class TestIntegerKernel:
     @given(q=positive_rationals, x=st.integers(-40, 40).filter(bool))
     def test_cached_roots_at_any_q(self, q, x):
         a, b = q.numerator, q.denominator
-        assert _qint_root(x, a, b, False)._terms == sqrt_rat(qint_at(x, q))._terms
-        assert _qint_root(x, a, b, True)._terms == sqrt_rat(qint_at(x, q) / x)._terms
+        assert _radical(_qint_root(x, a, b, False))._terms == sqrt_rat(qint_at(x, q))._terms
+        assert _radical(_qint_root(x, a, b, True))._terms == sqrt_rat(qint_at(x, q) / x)._terms
 
     @pytest.mark.parametrize(
         "call",
@@ -651,12 +651,14 @@ class TestRadical:
         assert Radical({F(12): 1})._terms == {3: (2, 1)}
 
     def test_single_term_triples_round_trip(self):
-        x = sqrt_rat(F(-5, 2)) * F(1, 3)
-        assert _term(x) == (-10, 1, 6)
-        assert _radical(_term(x))._terms == x._terms
-        for value in (Radical.zero(), sqrt_rat(2) + sqrt_rat(3)):
-            with pytest.raises(ValueError):
-                _term(value)
+        # sqrt(-5/2) = (1/2)sqrt(-10), and 0 is the triple with n = 0.
+        assert _sqrt_frac(-5, 2) == (-10, 1, 2)
+        assert _radical((-10, 1, 6))._terms == (sqrt_rat(F(-5, 2)) * F(1, 3))._terms
+        assert _sqrt_frac(0, 1) == (1, 0, 1)
+        assert _radical(_sqrt_frac(0, 1))._terms == {}
+        # 1/((1/6)sqrt(-10)) = (-3/5)sqrt(-10), as Radical.inverse gives it.
+        assert _reciprocal(-10, 1, 6) == (-10, -3, 5)
+        assert _radical((-10, -3, 5))._terms == _radical((-10, 1, 6)).inverse()._terms
 
     @given(a=radical_st, b=radical_st, c=radical_st)
     @settings(deadline=None, max_examples=60)

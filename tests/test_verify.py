@@ -36,7 +36,7 @@ from qcrys.rep import (
     op_hat,
 )
 from qcrys.report import BOUNDARY, FAIL, PASS
-from qcrys.scalar import Radical, _radical, _term, qbinom, qint_at
+from qcrys.scalar import Radical, _lowest, _mul_term, _radical, _sqrt_frac, qbinom, qint_at
 from qcrys.verify import (
     _FAMILY_RUNNERS,
     KNOWN_FAMILIES,
@@ -773,8 +773,8 @@ def test_injected_entry_fault_fails_where_the_operators_do(case):
     original = getattr(rep, name)
 
     def scaled(a, b, *rest):
-        value = original(a, b, *rest)
-        return value * 2 if (a, b) == pair else value
+        m, n, d = original(a, b, *rest)
+        return (m, *_lowest(2 * n, d)) if (a, b) == pair else (m, n, d)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, name, scaled)
@@ -1074,12 +1074,11 @@ def test_high_rank_ladder_plan_is_linear_in_nodes(monkeypatch):
     assert len(args_calls) == 139
 
 
-@pytest.mark.parametrize("value", [Radical({2: 1, 3: 1}), Radical.zero()], ids=["two", "zero"])
-def test_leaf_with_two_terms_is_refused(monkeypatch, value):
-    # Programs only multiply nonzero single terms, and decide zeros when
-    # they compile; binding refuses a multi-term or zero entry value.
-    monkeypatch.setitem(verify._LEAF_VALUES, "bracket", lambda *_: value)
-    with pytest.raises(VerificationError, match="not one term"):
+def test_zero_leaf_is_refused(monkeypatch):
+    # Programs only multiply nonzero terms, and decide zeros when they
+    # compile; binding refuses a zero leaf value and names its key.
+    monkeypatch.setitem(verify._LEAF_VALUES, "bracket", lambda *_: (1, 0, 1))
+    with pytest.raises(VerificationError, match=r"leaf \('bracket', .* is zero"):
         check_ladder(model_a(3, 2), F(2))
 
 
@@ -1104,7 +1103,7 @@ def test_repeated_monomial_coefficient_in_lowest_terms():
 # small coefficient pools make sums cancel.
 _RUN_RADICANDS = (1, -1, 2, -3, 6, 1009 * 1013, 1009 * 1013 * 1019**2, -1009 * 1031)
 _run_leaves = st.builds(
-    lambda m, c: _term(Radical({m: c})),
+    lambda m, c: _mul_term(*_sqrt_frac(m, 1), 1, c.numerator, c.denominator),
     st.sampled_from(_RUN_RADICANDS),
     st.sampled_from((F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(3, 5))),
 )
