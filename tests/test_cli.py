@@ -12,6 +12,7 @@ import pytest
 
 import qcrys
 import qcrys.cli as cli
+import qcrys.scalar
 import qcrys.verify
 from qcrys.cli import main
 from qcrys.crystal import CrystalSpec, build_model, graph_json
@@ -51,6 +52,20 @@ class TestIdentityCommand:
         with pytest.raises(SystemExit) as exc:
             main(["identity", "--a", "x", "--z", "1"])
         assert exc.value.code == 2
+
+    def test_fails_mode_is_unreachable(self, capsys, monkeypatch):
+        # At q = 1 the sum is s0*N - z*s1 with s0 = sum (-1)^n C(a+1, n) and
+        # s1 = sum (-1)^n n C(a+1, n), both 0 for a + 1 >= 2, so every
+        # accepted a holds at q = 1 and the "fails" branch is never taken.
+        # The symbolic sum is stubbed nonzero, which reaches that branch fast.
+        nonzero = SimpleNamespace(is_zero=lambda: False)
+        monkeypatch.setattr(qcrys.scalar, "serre_identity_sum", lambda a, z: nonzero)
+        for a in range(1, cli._MAX_IDENTITY_A + 1):
+            for z in range(-6, 7):
+                assert qcrys.scalar.serre_identity_verdict(a, z).at_q1, (a, z)
+        assert main(["identity", "--a", "100", "--z", "-6"]) == 0
+        out = capsys.readouterr().out
+        assert out == "identity a=100 z=-6: PASS (holds for all N at q=1 only)\n"
 
     def test_refuses_large_a_up_front(self, capsys):
         for a in ("600", "101"):
@@ -251,6 +266,12 @@ class TestVerifyCommand:
         obj = json.loads(target.read_text())
         assert obj["config"]["families"] == ["cartan", "map"]
         assert obj["config"]["q_list"] == ["2", "1/2"]
+
+    def test_family_names_with_spaces(self, capsys):
+        argv = ["verify", "--type", "A", "--n", "2", "--lambda", "3", "--q", "1/2, 2"]
+        assert main(argv + ["--families", "ladder, map"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["ladder", "map"] * 2
 
     def test_engine_error_exit_3(self, capsys, monkeypatch):
         # A failed self-check of the engine is neither a relation failure

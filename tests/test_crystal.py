@@ -107,6 +107,10 @@ class TestBuildModel:
     def test_trivial_rep(self):
         assert model_a(2, 0).states == ((0, 0),)
 
+    def test_duplicate_states_refused(self):
+        with pytest.raises(ValueError, match="duplicate states"):
+            CrystalModel(CrystalSpec("A", 2, 1), [(1, 0), (0, 1), [1, 0]])
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("lam", [0, 1, 2, 3, 4, 5])
     def test_dimension_oracle(self, n, lam):
@@ -341,6 +345,11 @@ class TestWeights:
     def test_weight_n_is_label_tuple(self):
         m = model_c(2, 2, 8)
         assert weight_n(m, (1, 3)) == (1, 3)
+
+    def test_weight_n_outside_model_refused(self):
+        # (1, 2) has odd total, and the lambda = 2 states have even totals.
+        with pytest.raises(ValueError, match=r"state \(1, 2\) not in model"):
+            weight_n(model_c(2, 2, 8), (1, 2))
 
 
 class TestBoundaryClass:

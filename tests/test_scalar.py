@@ -590,6 +590,10 @@ class TestRadical:
         assert sqrt_rat(-2) * sqrt_rat(-3) == Radical({6: F(-1)})
         assert sqrt_rat(-2) * sqrt_rat(6) == Radical({-3: F(2)})
 
+    def test_from_rational_refuses_float(self):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            Radical.from_rational(0.5)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError, match="division of a radical by zero"):
             Radical.one() / 0

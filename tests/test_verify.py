@@ -1225,6 +1225,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown relation family"):
             load_config({"type": "A", "n": 3, "lambda": 2, "families": "cartan,weird"})
 
+    def test_family_names_are_stripped(self, tmp_path):
+        # As q entries are: "1/2, 2" reads 1/2 and 2.
+        path = tmp_path / "spaced.json"
+        cfg = {"type": "A", "n": 2, "lambda": 3, "families": "ladder, map", "q": "1/2, 2"}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        config = load_config(str(path))
+        assert config.families == ("ladder", "map")
+        assert config.q_list == (F(1, 2), F(2))
+
     @pytest.mark.parametrize(
         "overrides, repeated",
         [
