@@ -187,11 +187,7 @@ def check_so3(gens, q, space: FockSpace, realization: str = "so3") -> RelationRe
         ("[L0,L-]+L-", commutator(l0, lm) + lm),
         ("[L+,L-]-[2L0]_q", commutator(lp, lm) - bracket_2l0),
     ]
-    report = RelationReport(
-        relation_id=f"so3[{realization}]",
-        carrier=space.describe(),
-        q=q,
-    )
+    per_state, failures = [], []
     for k, s in enumerate(space.states):
         residuals = [(label, op.column(k)) for label, op in components]
         zero = all(not col for _, col in residuals)
@@ -201,41 +197,36 @@ def check_so3(gens, q, space: FockSpace, realization: str = "so3") -> RelationRe
             klass = PASS
         else:
             klass = FAIL
-            for label, col in residuals:
-                for t, val in sorted(col.items()):
-                    report.failures.append(
-                        {
-                            "state": list(s),
-                            "word": (
-                                f"{label}; target={list(space.states[t])}; "
-                                f"weight_multiplicity={weight_multiplicity(s)}"
-                            ),
-                            "residual": val.json_map(),
-                        }
-                    )
-        report.per_state.append(StateResult(s, zero, klass))
-    return report
+            failures.extend(
+                {
+                    "state": list(s),
+                    "word": f"{label}; target={list(space.states[t])}; "
+                    f"weight_multiplicity={weight_multiplicity(s)}",
+                    "residual": val.json_map(),
+                }
+                for label, col in residuals
+                for t, val in sorted(col.items())
+            )
+        per_state.append(StateResult(s, zero, klass))
+    return RelationReport(f"so3[{realization}]", space.describe(), q, per_state, failures)
 
 
 def check_so3_towers(gens, q, space: FockSpace, realization: str = "so3") -> RelationReport:
-    """Verify the relations on each irreducible lowering tower.
+    """Verify the relations on the spin-T lowering tower of each block T.
 
     Every total-occupation block T has a one-dimensional top weight state
     (T, 0, 0); repeated lowering from it sweeps out the single spin-T
     component, on which the composite labels read (T+m, T-m).  The
     relations are checked exactly on every tower vector (per_state entries
     are the pairs (T, m)), and the tower must close after 2T+1 steps.
-    This is the sharp form of the reducible-carrier statement: basis
-    states of mixed spin content are not asserted, irreducible components
-    are.
+    Only these towers are asserted: (c+1)^2 of the C(c+3, 3) basis
+    dimensions at cutoff c.  The lower-spin components of a block are
+    not, and for the standard-boson realization at q != 1 they fail
+    [L+, L-] = [2L0]_q.
     """
     q = ensure_positive_q(q)
     lp, lm, l0 = gens[:3]
-    report = RelationReport(
-        relation_id=f"so3-towers[{realization}]",
-        carrier=space.describe(),
-        q=q,
-    )
+    per_state, failures = [], []
 
     def scale(vec, factor):
         factor = Radical.from_rational(factor)
@@ -257,19 +248,15 @@ def check_so3_towers(gens, q, space: FockSpace, realization: str = "so3") -> Rel
             if comm != scale(vec, qint_at(2 * m, q)):
                 bad.append("[L+,L-]-[2L0]_q")
             for label in bad:
-                report.failures.append(
-                    {"state": [top, m], "word": f"tower {label}", "residual": {}}
-                )
-            report.per_state.append(
-                StateResult((top, m), not bad, PASS if not bad else FAIL)
-            )
+                failures.append({"state": [top, m], "word": f"tower {label}", "residual": {}})
+            per_state.append(StateResult((top, m), not bad, PASS if not bad else FAIL))
             vec = down
         if vec:
-            report.failures.append(
+            failures.append(
                 {"state": [top, -top - 1], "word": "tower does not close", "residual": {}}
             )
-            report.per_state.append(StateResult((top, -top - 1), False, FAIL))
-    return report
+            per_state.append(StateResult((top, -top - 1), False, FAIL))
+    return RelationReport(f"so3-towers[{realization}]", space.describe(), q, per_state, failures)
 
 
 def _vec_sub(a: dict, b: dict) -> dict:

@@ -88,12 +88,24 @@ def _json_chunks(obj):
 # and 20 MB.
 _MAX_STATES = 20_000
 
+# Deep q: at q = a/b the q-integers [k]_q up to the largest label (lambda,
+# or the type C cap) have about k*log2(ab) bits, and splitting their roots
+# into square and square class takes the time, which grows as
+# label**3 * log2(ab), summed over the q evaluated other than 1, with q and
+# 1/q counted once as they share the cached roots.  Fitted on fresh-process
+# walls of verify A(2, lambda) at 3/5 for lambda = 500, 750, 1000, 1500 and
+# 2000 (2-core Xeon, Python 3.11), the wall is about 1.49e-9 s per unit.
+# A(2,1500) at 3/5 (18 s) runs; A(2,2000) at 3/5 (43 s) is refused.
+_DEEP_Q_S_PER_UNIT = 1.49e-9
+_MAX_DEEP_Q_S = 30
 
-def _preflight(spec: CrystalSpec) -> CrystalSpec:
+
+def _preflight(spec: CrystalSpec, qs=()) -> CrystalSpec:
     """``spec``, unless its state space (counted in closed form) has more
-    than _MAX_STATES states, plain or weighted by rank.  Every spec has a
-    state, so the rank alone is checked first: the type C count costs
-    about nodes**2 bit operations."""
+    than _MAX_STATES states, plain or weighted by rank, or its q-integer
+    roots at the q values ``qs`` take longer than _MAX_DEEP_Q_S.  Every spec
+    has a state, so the rank alone is checked first: the type C count
+    costs about nodes**2 bit operations."""
     scale = max(spec.nodes, 4) ** 2
     if -(-scale // 16) > _MAX_STATES:
         raise ValueError(
@@ -109,12 +121,20 @@ def _preflight(spec: CrystalSpec) -> CrystalSpec:
             f"the state space has {count} states on {spec.nodes} nodes, which count as "
             f"{weighted} at rank 4; qcrys builds at most {_MAX_STATES}"
         )
+    top = spec.lam if spec.cap is None else spec.cap
+    deep = {min(q, 1 / q) for q in qs if q != 1}
+    work = top**3 * sum(math.log2(q.numerator * q.denominator) for q in deep)
+    if work * _DEEP_Q_S_PER_UNIT > _MAX_DEEP_Q_S:
+        raise ValueError(
+            f"the q-integer roots up to label {top} at q = {', '.join(map(str, qs))} would "
+            f"take about {work * _DEEP_Q_S_PER_UNIT:.0f} s; qcrys takes at most {_MAX_DEEP_Q_S} s"
+        )
     return spec
 
 
-def _spec_from_args(args) -> CrystalSpec:
+def _spec_from_args(args, qs=()) -> CrystalSpec:
     spec = CrystalSpec(args.type, args.n, args.lam, resolve_cap(args.type, args.lam, args.cap))
-    return _preflight(spec)
+    return _preflight(spec, qs)
 
 
 def _add_spec_flags(parser, require_type=True):
@@ -237,7 +257,7 @@ def _cmd_crystal(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    model = build_model(_spec_from_args(args))
+    model = build_model(_spec_from_args(args, [args.q] if args.which == "deformed" else []))
     if not 1 <= args.node <= model.spec.nodes:
         print(
             f"rep: node {args.node} out of range 1..{model.spec.nodes}",
@@ -284,7 +304,7 @@ def _cmd_verify(args) -> int:
         config = load_config(data)
     if args.cz and "map" not in config.families:
         config = config._replace(families=config.families + ("map",))
-    _preflight(config.spec())
+    _preflight(config.spec(), config.q_list)
     result = run_suite(config)
     for report in result.reports:
         print(report.one_line())

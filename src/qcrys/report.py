@@ -21,25 +21,29 @@ class StateResult(namedtuple("StateResult", "state residual_zero klass")):
     __slots__ = ()
 
 
-class RelationReport:
+class RelationReport(
+    namedtuple("RelationReport", "relation_id carrier q per_state failures summary")
+):
     """Exact residual record for one relation family on one carrier at one
-    deformation parameter (a ``Fraction`` q).  PASS means the residual
-    column is exactly zero (no tolerances anywhere); FAIL carries the
-    offending word and residual entries in ``failures``."""
+    deformation parameter (a ``Fraction`` q), built once from finished
+    results (immutable).  PASS means the residual column is exactly zero
+    (no tolerances anywhere); FAIL carries the offending word and residual
+    entries in ``failures``.  ``per_state`` and ``failures`` are tuples,
+    and ``summary``, the count of states per class, is taken once here."""
 
-    def __init__(self, relation_id, carrier, q, per_state=None, failures=None):
-        self.relation_id = relation_id
-        self.carrier = carrier
-        self.q = q
-        self.per_state = [] if per_state is None else per_state
-        self.failures = [] if failures is None else failures
+    __slots__ = ()
 
-    @property
-    def summary(self) -> dict[str, int]:
-        counts = {"pass": 0, "fail": 0, "boundary": 0}
-        for r in self.per_state:
-            counts[r.klass.lower()] += 1
-        return counts
+    def __new__(cls, relation_id, carrier, q, per_state=(), failures=()):
+        per_state = tuple(per_state)
+        summary = {"pass": 0, "fail": 0, "boundary": 0}
+        for r in per_state:
+            summary[r.klass.lower()] += 1
+        return super().__new__(cls, relation_id, carrier, q, per_state, tuple(failures), summary)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make (and so _replace) would keep a stale count.
+        return cls(*tuple(iterable)[:5])
 
     @property
     def all_clear(self) -> bool:

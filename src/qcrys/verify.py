@@ -49,7 +49,6 @@ the tests rebuild every relation with them as the reference."""
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -316,9 +315,10 @@ class _Plan:
     and classified.  Leaf values are kept for one q at a time: a new q binds
     every leaf that some family reads (``_read``, the union of the programs'
     leaves) in one loop, and no product of leaves outlives the fold of its
-    term.  Each evaluated outcome (per-state results and FAIL records) is
-    kept in a dict keyed by the family's binding, the tuple of its leaf
-    values, so a later q with an equal binding finds it there: every leaf
+    term.  Each evaluated outcome, the finished tuples of per-state
+    results and FAIL records, is kept in a dict keyed by the family's
+    binding, the tuple of its leaf values, so a later q with an equal
+    binding finds it there and its report shares those tuples: every leaf
     value is a nonzero integer triple, so == compares how values are
     written."""
 
@@ -452,11 +452,7 @@ class _Plan:
         if binding not in seen:
             vals = _evaluate(prog, self._values)
             seen[binding] = self._classify(family, prog, vals, margin)
-        per_state, failures = seen[binding]
-        relation_id = _FAMILIES[family][0]
-        return RelationReport(
-            relation_id, self.model.spec.describe(), q, list(per_state), copy.deepcopy(failures)
-        )
+        return RelationReport(_FAMILIES[family][0], self.model.spec.describe(), q, *seen[binding])
 
     def _classify(self, family: str, prog: _Program, vals: list, margin: int) -> tuple:
         """Per-state results and FAIL records from the residual values.  With
@@ -466,12 +462,13 @@ class _Plan:
         model = self.model
         clean = self._clean.get((family, margin))
         if clean is None:
-            clean = self._clean[(family, margin)] = []
+            clean = []
             for s, cap in zip(model.states, prog.capped):
                 boundary = cap and boundary_class(model, s, margin) == CAP_MARGIN
                 clean.append(StateResult(s, True, BOUNDARY if boundary else PASS))
+            clean = self._clean[(family, margin)] = tuple(clean)
         if not any(vals):
-            return clean, []
+            return clean, ()
         per_state, failures = list(clean), []
         it = iter(prog.slots)
         for k, c, t, e, cap in zip(it, it, it, it, it):
@@ -487,7 +484,8 @@ class _Plan:
                 failures.append((k, c, record))
             per_state[k] = StateResult(s, False, klass)
         # FAIL records go in state order, then component order.
-        return per_state, [record for *_, record in sorted(failures, key=lambda f: f[:2])]
+        failures.sort(key=lambda f: f[:2])
+        return tuple(per_state), tuple(record for *_, record in failures)
 
 
 # -- relation families ---------------------------------------------------------
@@ -773,12 +771,11 @@ def load_config(data) -> SuiteConfig:
     return cfg
 
 
-class SuiteResult:
-    """The reports of one suite run, in (q, family) order."""
+class SuiteResult(namedtuple("SuiteResult", "config reports")):
+    """The reports of one suite run, a tuple in (q, family) order
+    (immutable)."""
 
-    def __init__(self, config: SuiteConfig, reports: list[RelationReport] | None = None):
-        self.config = config
-        self.reports = [] if reports is None else reports
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:
@@ -786,11 +783,8 @@ class SuiteResult:
 
     @property
     def totals(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "boundary": 0}
-        for r in self.reports:
-            for key, val in r.summary.items():
-                out[key] += val
-        return out
+        keys = ("pass", "fail", "boundary")
+        return {key: sum(r.summary[key] for r in self.reports) for key in keys}
 
     def to_json_obj(self) -> dict:
         return {
@@ -822,9 +816,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     under the new q label (the lookup finds such q, never assumes)."""
     model = build_model(config.spec())
     plan = _Plan(model, config.families)
-    reports = [
+    reports = tuple(
         _FAMILY_RUNNERS[fam](model, q, config.margin, plan)
         for q in config.q_list
         for fam in config.families
-    ]
+    )
     return SuiteResult(config=config, reports=reports)

@@ -5,8 +5,8 @@ Criterion 7 is asserted faithfully per basis state for both oscillator
 realizations.  For the standard-boson realization at q != 1 this is known
 to fail on basis states whose composite weight carries several spin
 components (see notes outside the package); the criterion is left red
-rather than weakened, and the sharp irreducible-tower form is verified
-green alongside it.
+rather than weakened, and the spin-T tower of each block T, the one lowered
+from its top state (T, 0, 0), is verified green alongside it.
 """
 
 import math
@@ -186,8 +186,9 @@ def test_criterion_7_boson_realizations():
 
 
 def test_boson_relations_hold_on_irreducible_towers():
-    # Sharp (attainable) form of the oscillator claim: the relations hold
-    # exactly on every irreducible lowering tower of every block.
+    # What the tower check asserts: the relations hold exactly on the spin-T
+    # tower lowered from the top state (T, 0, 0) of every block T; the
+    # lower-spin towers of a block are not checked.
     with _Timer("supplement (irreducible towers)", 20.0):
         space = FockSpace(8)
         for q in (F(1), F(2), F(3, 2)):

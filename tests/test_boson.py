@@ -184,8 +184,8 @@ class TestStandardBosonRealization:
 
     @pytest.mark.parametrize("q", [F(1), F(2), F(3, 2)])
     def test_irreducible_towers_satisfy_relations(self, q):
-        # Sharp form of the reducible-carrier statement: on every
-        # irreducible lowering tower the relations hold exactly.
+        # The relations hold exactly on the spin-T tower lowered from the
+        # top state (T, 0, 0) of every block T (lower-spin towers unchecked).
         sp = FockSpace(6)
         report = check_so3_towers(standard_so3(sp, q), q, sp, realization="paper")
         assert report.summary["fail"] == 0
@@ -226,11 +226,11 @@ class TestStandardBosonRealization:
             (tm, FAIL if bad(*tm) else PASS) for tm in towers
         ]
         assert all(r.residual_zero == (r.klass == PASS) for r in report.per_state)
-        assert report.failures == [
+        assert report.failures == tuple(
             {"state": [t, m], "word": f"tower {label}", "residual": {}}
             for t, m in towers
             for label in bad(t, m)
-        ]
+        )
         fails = sum(1 for tm in towers if bad(*tm))
         assert fails == {"l0-doubled": 8, "lp-doubled": 6}[broken]
         assert report.summary == {"pass": 9 - fails, "fail": fails, "boundary": 0}
@@ -251,11 +251,11 @@ class TestStandardBosonRealization:
         assert [(r.state, r.klass) for r in report.per_state] == [
             (tm, FAIL if tm in failed else PASS) for tm in towers
         ]
-        assert report.failures == [
+        assert report.failures == (
             {"state": [1, -1], "word": "tower [L0,L-]+L-", "residual": {}},
             {"state": [1, -1], "word": "tower [L+,L-]-[2L0]_q", "residual": {}},
             {"state": [1, -2], "word": "tower does not close", "residual": {}},
-        ]
+        )
         assert report.summary == {"pass": 8, "fail": 2, "boundary": 0}
         assert not report.all_clear
 

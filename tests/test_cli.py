@@ -530,6 +530,52 @@ class TestPreflight:
             "qcrys builds at most 9\n"
         )
 
+    # Deep q: A(2,19999) has 20,000 states, within the count, but its q-integer
+    # roots at 3/5 run to about 90,000 bits and would take hours; rep reads the
+    # same roots as verify.
+    DEEP = ["--type", "A", "--n", "2", "--lambda", "19999"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", *DEEP, "--q", "3/5"],
+            ["rep", *DEEP, "--which", "deformed", "--node", "1", "--q", "3/5"],
+        ],
+        ids=["verify-A2-19999", "rep-A2-19999-deformed"],
+    )
+    def test_deep_q_refused_before_building(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_model", _refuse_build)
+        monkeypatch.setattr(qcrys.verify, "build_model", _refuse_build)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: the q-integer roots up to label 19999 at q = 3/5")
+
+    def test_deep_q_rule_counts_q_and_its_reciprocal_once(self):
+        def qs(text):
+            return [Fraction(q) for q in text.split(",")]
+
+        admitted = [
+            (CrystalSpec("A", 2, 1000), "3/5,5/3"),  # the A(2,1000) identity row
+            (CrystalSpec("A", 2, 1000), "1,2,1/2,3/5"),  # the default q
+            (CrystalSpec("A", 2, 40), "3/4,4/3"),  # the sl2_deep_q suite
+            (CrystalSpec("A", 2, 1500), "3/5,5/3"),
+            (CrystalSpec("A", 2, 19999), "1"),
+            (CrystalSpec("C", 3, 3, 59), "1,2,1/2,3/5"),
+        ]
+        for spec, text in admitted:
+            assert cli._preflight(spec, qs(text)) == spec
+        assert cli._preflight(CrystalSpec("A", 2, 19999)) == CrystalSpec("A", 2, 19999)
+        refused = [
+            (CrystalSpec("A", 2, 2000), "3/5"),
+            (CrystalSpec("A", 2, 1500), "3/5,3/4"),
+            (CrystalSpec("C", 1, 0, 2000), "3/5"),  # the cap bounds the type C labels
+        ]
+        for spec, text in refused:
+            with pytest.raises(ValueError, match="q-integer roots"):
+                cli._preflight(spec, qs(text))
+
     def test_rank_five_and_above_allowed(self, capsys):
         # A(69,1) counts as ceil(69 * 68**2 / 16) = 19,941, just inside.
         assert main(["crystal", "--type", "A", "--n", "69", "--lambda", "1"]) == 0

@@ -1,13 +1,13 @@
 """The immutable value types compare and hash by value, refuse attribute
-assignment, and keep their constructor defaults; the mutable report types
-start with fresh lists."""
+assignment, and keep their constructor defaults; reports and suite results
+are built once from finished results and count their states once."""
 
 from fractions import Fraction
 
 import pytest
 
 from qcrys.crystal import DEFAULT_MARGIN, CrystalSpec
-from qcrys.report import PASS, RelationReport, StateResult
+from qcrys.report import FAIL, PASS, RelationReport, StateResult
 from qcrys.scalar import IdentityVerdict, serre_identity_verdict
 from qcrys.verify import (
     DEFAULT_FAMILIES,
@@ -15,6 +15,7 @@ from qcrys.verify import (
     SuiteConfig,
     SuiteResult,
     load_config,
+    run_suite,
 )
 
 VALUES = [
@@ -22,6 +23,8 @@ VALUES = [
     (SuiteConfig("A", 3, 3), "margin", 0),
     (StateResult((1, 0), True, PASS), "klass", "FAIL"),
     (IdentityVerdict(symbolic=True, at_q1=True), "symbolic", False),
+    (RelationReport("ladder", {}, Fraction(2)), "per_state", []),
+    (SuiteResult(SuiteConfig("A", 2, 1), ()), "reports", []),
 ]
 
 
@@ -74,13 +77,31 @@ def test_identity_verdict_holds():
     assert IdentityVerdict(False, True).holds and not IdentityVerdict(False, False).holds
 
 
-def test_mutable_reports_start_with_fresh_lists():
-    a = RelationReport("ladder", {}, Fraction(2))
-    b = RelationReport("ladder", {}, Fraction(2))
-    a.per_state.append(StateResult((0,), True, PASS))
-    a.failures.append({})
-    assert b.per_state == [] and b.failures == []
-    assert a.summary == {"pass": 1, "fail": 0, "boundary": 0}
-    r, s = SuiteResult(SuiteConfig("A", 2, 1)), SuiteResult(config=SuiteConfig("A", 2, 1))
-    r.reports.append(a)
-    assert s.reports == [] and r.totals == a.summary
+def test_reports_count_once_and_recount_on_replace():
+    ok, bad = StateResult((0,), True, PASS), StateResult((1,), False, FAIL)
+    report = RelationReport("ladder", {}, Fraction(2), [ok, bad], [{"state": [1]}])
+    assert report.per_state == (ok, bad) and report.failures == ({"state": [1]},)
+    assert report.summary == {"pass": 1, "fail": 1, "boundary": 0} and not report.all_clear
+    assert RelationReport._fields[-1] == "summary"  # stored, not recounted per read
+    clear = report._replace(per_state=[ok], failures=[])
+    assert clear.per_state == (ok,) and clear.failures == ()
+    assert clear.summary == {"pass": 1, "fail": 0, "boundary": 0} and clear.all_clear
+    assert report.summary["fail"] == 1
+    empty = RelationReport("ladder", {}, Fraction(2))
+    assert empty.per_state == () == empty.failures and empty.summary["pass"] == 0
+    result = SuiteResult(SuiteConfig("A", 2, 1), (report, clear))
+    assert result.exit_code == 1 and result.totals == {"pass": 2, "fail": 1, "boundary": 0}
+    assert result._replace(reports=(clear,)).exit_code == 0
+
+
+def test_reports_of_one_binding_share_their_tuples():
+    # q and 1/q bind equal keys, so the report at 1/2 reuses the outcome
+    # evaluated at 2: the same tuples, not copies.
+    cfg = SuiteConfig("C", 2, 2, 12, 0, (Fraction(2), Fraction(1, 2)), ("ladder", "map"))
+    result = run_suite(cfg)
+    assert isinstance(result.reports, tuple)
+    for at_2, at_half in zip(result.reports[:2], result.reports[2:]):
+        assert (at_2.q, at_half.q) == (Fraction(2), Fraction(1, 2))
+        assert isinstance(at_2.per_state, tuple) and isinstance(at_2.failures, tuple)
+        assert at_2.per_state is at_half.per_state and at_2.failures is at_half.failures
+    assert any(report.failures for report in result.reports)

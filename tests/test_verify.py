@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from array import array
 from fractions import Fraction
 
@@ -287,7 +288,7 @@ class TestSuite:
         cfg = SuiteConfig("A", 2, 1, families=())
         result = run_suite(cfg)
         assert result.exit_code == 0
-        assert result.reports == []
+        assert result.reports == ()
 
     def test_deterministic_json(self):
         cfg = SuiteConfig("C", 2, 1, cap=9, q_list=(F(2), F(1, 2)))
@@ -737,7 +738,75 @@ def test_suite_matches_operators_on_random_specs(cfg):
         oracle = _ORACLES[family](model, q, data)
         per_state, failures = _oracle_outcome(model, cfg.margin, oracle)
         assert [(r.residual_zero, r.klass) for r in report.per_state] == per_state, family
-        assert report.failures == failures, family
+        assert report.failures == tuple(failures), family
+
+
+def _raising_partner(label: str):
+    """The label of the raising component whose words are the transposes of
+    the words of ``label``'s component, where that is a lowering partner;
+    None for a raising or self-transposed component (and the cz rows)."""
+    if m := re.fullmatch(r"\[e\+(\d+),e-(\d+)\]", label):
+        i, j = m.groups()
+        return f"[e+{j},e-{i}]" if int(i) > int(j) else None
+    if m := re.fullmatch(r"\[h(\d+),e-\1\]-\(-(\d+)\)e-\1", label):
+        return "[h{0},e+{0}]-({1})e+{0}".format(*m.groups())
+    if m := re.fullmatch(r"serre\(e-(\d+);e-(\d+)\)( .*)", label):
+        return "serre(e+{};e+{}){}".format(*m.groups())
+    if m := re.fullmatch(r"F\*E-(\d+)-e-\1", label):
+        return "E+{0}*F-e+{0}".format(*m.groups())
+    if m := re.fullmatch(r"Finv\*e-(\d+)-E-\1", label):
+        return "e+{0}*Finv-E+{0}".format(*m.groups())
+    return None
+
+
+def _mirrored(plan, terms, sign):
+    """A residual's terms by leaf keys, times ``sign``, with each q-binomial
+    [m; v] read as the equal [m; m - v] where v > m - v, equal monomials
+    merged."""
+    out = {}
+    for mono, c in terms:
+        keys = [plan.keys[g] for g in mono]
+        keys = sorted(
+            ("binom", k[1], k[1] - k[2], k[3]) if k[0] == "binom" and 2 * k[2] > k[1] else k
+            for k in keys
+        )
+        out[tuple(keys)] = out.get(tuple(keys), 0) + sign * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=audit_configs())
+def test_lowering_components_transpose_raising_ones(cfg):
+    # (a) Every slot (k, c', t, e) of a lowering partner c' has the raising
+    # slot (t, c, k, e): the transposed words multiply the same leaves.  In
+    # the long-node Serre pair (len=3) the reversed words swap terms v and
+    # 3 - v, whose signs differ, so there the residual is the negation, with
+    # the q-binomials [3; 1] and [3; 2] (equal for every q) traded.
+    # (b) Compiling a family without its lowering partners leaves its cap
+    # flags unchanged.
+    model = build_model(cfg.spec())
+    plan = _Plan(model, KNOWN_FAMILIES)
+    for family, prog in plan.programs.items():
+        index = {label: c for c, label in enumerate(prog.labels)}
+        partners = ((c, _raising_partner(label)) for c, label in enumerate(prog.labels))
+        partner = {c: index[p] for c, p in partners if p}
+        it = iter(prog.slots)
+        slots = {(k, c, t): e for k, c, t, e, _ in zip(it, it, it, it, it)}
+        for (k, c, t), e in slots.items():
+            if c not in partner:
+                continue
+            f = slots.get((t, partner[c], k))
+            assert f is not None, (family, prog.labels[c], model.states[k])
+            if " len=3 " in prog.labels[c]:
+                assert _mirrored(plan, prog.sums[f], 1) == _mirrored(plan, prog.sums[e], -1)
+            else:
+                assert f == e, (family, prog.labels[c], model.states[k])
+        lowering = {prog.labels[c] for c in partner}
+        relation_id, build = verify._FAMILIES[family]
+        with pytest.MonkeyPatch.context() as patch:
+            raising = lambda plan: [comp for comp in build(plan) if comp.label not in lowering]
+            patch.setitem(verify._FAMILIES, family, (relation_id, raising))
+            assert _Plan(model, (family,)).programs[family].capped == prog.capped, family
 
 
 # Fault injection: one entry function scaled by 2 at one factor argument
@@ -786,7 +855,7 @@ def test_injected_entry_fault_fails_where_the_operators_do(case):
     for family, report, oracle in zip(cfg.families, suite.reports, oracles):
         per_state, failures = _oracle_outcome(model, cfg.margin, oracle)
         assert [(r.residual_zero, r.klass) for r in report.per_state] == per_state, family
-        assert report.failures == failures, family
+        assert report.failures == tuple(failures), family
     assert any(not r.residual_zero for report in suite.reports for r in report.per_state)
     assert any(report.failures for report in suite.reports)
 

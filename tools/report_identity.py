@@ -28,7 +28,8 @@ preflight admits, generator exports
 whose entries are roots of deep q-integers, crystal graphs (one of them
 megabytes long, on standard output) and bare/classical ladder matrices
 of type C models, and ``identity`` verdicts that hold for all q, hold
-only at q = 1, or are refused, up to the largest accepted ``--a``.  The
+only at q = 1, or are refused, up to the largest accepted ``--a``, and
+A(2,19999) at 3/5, which the preflight refuses for its deep q.  The
 whole list takes a few minutes; the boson cutoff-40 tower check alone
 takes about a minute.
 
@@ -161,6 +162,12 @@ CONFIGS = [
     ("trivial-A2-0", "verify --type A --n 2 --lambda 0 --output out"),
     ("trivial-C1-1-1", "verify --type C --n 1 --lambda 1 --cap 1 --margin 0 --output out"),
     ("refused-repeated-q", "verify --type A --n 2 --lambda 2 --q 2,4/2"),
+    # 20,000 states, but q-integer roots of about 90,000 bits: refused by the
+    # deep-q rule before any model is built (taken at that rule; without it
+    # either run would take hours)
+    ("refused-deep-q-A2-19999", "verify --type A --n 2 --lambda 19999 --q 3/5"),
+    ("refused-deep-q-A2-19999-rep",
+     "rep --type A --n 2 --lambda 19999 --which deformed --node 1 --q 3/5"),
     # tower reports of the vdj realization, and of a boson run at q < 1
     ("boson-vdj-20-towers", "boson --realization vdj --q 3/2 --cutoff 20 --towers --output out"),
     ("boson-paper-20-towers-q2/3",
