@@ -30,7 +30,8 @@ from .rep import (
     op_hat,
 )
 from .scalar import serre_identity_verdict
-from .verify import KNOWN_FAMILIES, ConfigError, VerificationError, load_config, run_suite
+from .verify import KNOWN_FAMILIES, Q_ROOT_FAMILIES, ConfigError, VerificationError
+from .verify import load_config, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -95,7 +96,8 @@ _MAX_STATES = 20_000
 # 1/q counted once as they share the cached roots.  Fitted on fresh-process
 # walls of verify A(2, lambda) at 3/5 for lambda = 500, 750, 1000, 1500 and
 # 2000 (2-core Xeon, Python 3.11), the wall is about 1.49e-9 s per unit.
-# A(2,1500) at 3/5 (18 s) runs; A(2,2000) at 3/5 (43 s) is refused.
+# A(2,1500) at 3/5 (18 s) runs; A(2,2000) at 3/5 (43 s) is refused.  verify
+# weighs its q list only when a family reads the roots (Q_ROOT_FAMILIES).
 _DEEP_Q_S_PER_UNIT = 1.49e-9
 _MAX_DEEP_Q_S = 30
 
@@ -304,7 +306,7 @@ def _cmd_verify(args) -> int:
         config = load_config(data)
     if args.cz and "map" not in config.families:
         config = config._replace(families=config.families + ("map",))
-    _preflight(config.spec(), config.q_list)
+    _preflight(config.spec(), config.q_list if Q_ROOT_FAMILIES & set(config.families) else ())
     result = run_suite(config)
     for report in result.reports:
         print(report.one_line())

@@ -210,12 +210,14 @@ def _is_long_node(model: CrystalModel, node: int) -> bool:
 
 def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
     """The two integer factors under the square root of the dressing
-    diagonal, evaluated at a state's labels: (l_i + 1, l_{i+1}) for short
-    nodes, (l_n + 1, -l_n - 2) for the type C long node."""
+    diagonal, evaluated at a state's labels, in ascending order: l_i + 1
+    and l_{i+1} for short nodes, l_n + 1 and -l_n - 2 for the type C long
+    node.  Every entry function is symmetric in them, so the order only
+    makes equal entries share one argument pair."""
     l = weight_n(model, state)
     if _is_long_node(model, node):
-        return l[-1] + 1, -l[-1] - 2
-    return l[node - 1] + 1, l[node]
+        return -l[-1] - 2, l[-1] + 1
+    return tuple(sorted((l[node - 1] + 1, l[node])))
 
 
 def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
@@ -344,34 +346,22 @@ def _cz_args(state) -> tuple[int, int]:
 
 def casimir(model: CrystalModel, deformed: bool, q=None) -> LinOp:
     """Scalar sl(2) Casimir: j(j+1) or its bracket analogue
-    [lam/2]_q [lam/2+1]_q, times the identity, with j = lam/2."""
+    [lam/2]_q [lam/2+1]_q, times the identity, with j = lam/2; the
+    classical value is the bracket product's at q = 1."""
     _require_sl2(model)
-    lam = model.spec.lam
-    if deformed:
-        value = half_bracket_product(lam, ensure_positive_q(q))
-    else:
-        value = Fraction(lam * (lam + 2), 4)
-    return LinOp.identity(model.dim) * value
+    return LinOp.identity(model.dim) * half_bracket_product(model.spec.lam, q if deformed else 1)
 
 
 def casimir_generator_route(model: CrystalModel, deformed: bool, q=None) -> LinOp:
     """Casimir rebuilt from the generators, e- e+ + f(H) with
-    f(H) = (H/2)(H/2+1) classically and [H/2]_q [H/2+1]_q deformed; used to
-    cross-check the scalar route."""
+    f(H) = [H/2]_q [H/2+1]_q, at q = 1 classically; the generator product
+    makes it an independent cross-check of the scalar route."""
     _require_sl2(model)
     if deformed:
-        q = ensure_positive_q(q)
-        lower = op_e_deformed(model, 1, -1, q)
-        raise_ = op_e_deformed(model, 1, 1, q)
-        diag_val = lambda h: half_bracket_product(h, q)
+        lower, raise_ = op_e_deformed(model, 1, -1, q), op_e_deformed(model, 1, 1, q)
     else:
-        lower = op_e_classical(model, 1, -1)
-        raise_ = op_e_classical(model, 1, 1)
-        diag_val = lambda h: Fraction(h * (h + 2), 4)
-    diag = LinOp.diagonal(
-        Radical.from_rational(diag_val(int(weight_h(model, s)[0])))
-        for s in model.states
-    )
+        q, lower, raise_ = 1, op_e_classical(model, 1, -1), op_e_classical(model, 1, 1)
+    diag = LinOp.diagonal(half_bracket_product(weight_h(model, s)[0], q) for s in model.states)
     return lower @ raise_ + diag
 
 

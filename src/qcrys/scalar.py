@@ -515,35 +515,13 @@ def check_bracket_identity_C() -> bool:
 
 
 def half_bracket_product(h2: int, q) -> Fraction:
-    """Exact value of [h2/2]_q * [h2/2 + 1]_q for an integer h2.
-
-    The two half-integer brackets are individually irrational when h2 is
-    odd, but their product is rational: it equals S(h2) S(h2+2) / (q+2+1/q)
-    with S(m) = sign(m) * sum of q^t over the symmetric integer range of
-    length |m|.  At q = a/b that sum is
-    (a^(2h+1) - b^(2h+1)) / ((a - b)(ab)^h) with |m| = 2h + 1, computed on
-    integers like :func:`qint_at`.  Regular at q = 1, where the product
-    equals (h2/2)(h2/2 + 1).
-    """
-    q = ensure_positive_q(q)
-    h2 = _integer(h2)
-    a, b = q.numerator, q.denominator
-    if h2 % 2 == 0:
-        n1, d1 = _qint_pair(h2 // 2, a, b)
-        n2, d2 = _qint_pair(h2 // 2 + 1, a, b)
-        return Fraction(n1 * n2, d1 * d2)
-
-    def oddsum(m: int) -> tuple[int, int]:
-        h = (abs(m) - 1) // 2
-        if a == b:
-            num = 2 * h + 1
-        else:
-            num = (a ** (2 * h + 1) - b ** (2 * h + 1)) // (a - b)
-        return (num if m > 0 else -num), (a * b) ** h
-
-    (n1, d1), (n2, d2) = oddsum(h2), oddsum(h2 + 2)
-    # q + 2 + 1/q = (a + b)^2 / (ab)
-    return Fraction(n1 * n2 * a * b, d1 * d2 * (a + b) ** 2)
+    """Exact value of [h2/2]_q [h2/2 + 1]_q for an integer h2, rational even
+    where the two brackets are not (odd h2): the closed form
+    (q^(h2+1) + q^-(h2+1) - q - 1/q) / (q - 1/q)^2, and h2(h2 + 2)/4 at q = 1."""
+    q, h2 = ensure_positive_q(q), _integer(h2)
+    if q == 1:
+        return Fraction(h2 * (h2 + 2), 4)
+    return (q ** (h2 + 1) + q ** -(h2 + 1) - q - 1 / q) / (q - 1 / q) ** 2
 
 
 # -- radicals ----------------------------------------------------------------

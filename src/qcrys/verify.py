@@ -18,26 +18,30 @@ model gets one plan, built once: its Cartan data read off the integer
 doubled eigenvalues 2H_i, one namespace of entry keys with step tables
 over the model's move table (CrystalModel.moves) shared by every family,
 and each requested family compiled, after which the step tables are
-dropped.  A key names what its value is computed from: a generator or
-factor entry depends on its two factor arguments and the long node flag,
-not on the node, so equal entries of different nodes are one key.  Only
-the components that can hold a slot are built: ladder ones for nodes
-|i - j| <= 1, Serre ones for |i - j| = 1, and of the Cartan family only
-[h_j, e_j^+-], for its cap flags, as every Cartan coefficient is 0 at
-every live move of a model that _model_data accepts.  Nodes further
-apart move and read disjoint labels (move_delta, rep._factor_args), so
-their words are equal monomials that cancel for every q, and stop at the
-cap only where the long node's raising move does.  A step table holds
-only the steps a walk can take, so a component is walked only from the
-keys of its words' first tables.  A surviving term is the monomial of its
-sorted entry keys with the term's coefficient, so terms that differ only
-in factor order merge at compile time, for every q; a residual is an
-integer combination of distinct monomials, and only the (component,
-state) slots whose residual survives are kept.  Per q the plan only
-binds, folds and classifies: a new q binds every key that a family reads
-once, in one loop, to a nonzero integer triple (m, n, d) for (n/d)*sqrt(m),
-each residual multiplies out its monomials on those triples as it folds
-them into a Radical, and one pass over the slots and cap flags classifies.
+dropped.  A key names the value it is computed from: a generator or
+factor entry depends on the long node flag and its two factor arguments
+in ascending order (rep._factor_args; every entry is symmetric in them),
+not on the node, so equal entries of different nodes or with swapped
+arguments are one key, and the q-binomial [m; v] is keyed as the equal
+[m; min(v, m - v)].  Only the components that can hold a slot are built:
+ladder ones for nodes |i - j| <= 1, Serre ones for |i - j| = 1, and of
+the Cartan family, whose coefficients are 0 at every live move of a
+model that _model_data accepts, one walk of the long node's raising
+move, the only move the cap stops, for its cap flags (none on type A).
+Nodes further apart move and read disjoint labels (move_delta,
+rep._factor_args), so their words are equal monomials that cancel for
+every q, and stop at the cap only where the long node's raising move
+does.  A step table holds only the steps a walk can take, so a component
+is walked only from the keys of its words' first tables.  A surviving
+term is the monomial of its sorted entry keys with the term's
+coefficient, so terms that differ only in factor order merge at compile
+time, for every q; a residual is an integer combination of distinct
+monomials, and only the (component, state) slots whose residual survives
+are kept.  Per q the plan only binds, folds and classifies: a new q
+binds every key that a family reads once, in one loop, to a nonzero
+integer triple (m, n, d) for (n/d)*sqrt(m), each residual multiplies out
+its monomials on those triples as it folds them into a Radical, and one
+pass over the slots and cap flags classifies.
 
 A family is evaluated once per distinct binding of its keys: its outcomes
 are kept by the binding they came from, so a q whose binding equals an
@@ -499,15 +503,14 @@ class _Plan:
 
 def _cartan_components(plan: _Plan) -> list:
     # _model_data refuses a model with any live move whose weight shift is not
-    # the reference matrix's, so every coefficient H_i(t) - H_i(s) -+ a_ij is 0:
-    # per (j, sign) one component keeps the cap flags of the move.
-    components = []
-    for j in range(1, plan.model.spec.nodes + 1):
-        for sign, tag in ((1, "+"), (-1, "-")):
-            ladder = plan.ladder("eq", j, sign)
-            label = f"[h{j},e{tag}{j}]-({sign * plan.cartan[j - 1][j - 1]})e{tag}{j}"
-            components.append(_Component(label, ((0, (), (ladder,)),), (((j, sign),),)))
-    return components
+    # the reference matrix's, so every coefficient H_i(t) - H_i(s) -+ a_ij is 0
+    # and the family is only the cap flags of the one move the cap stops, the
+    # type C long node's raising move: one component on type C, none on type A.
+    n = plan.model.spec.n
+    if plan.model.spec.algebra_type != TYPE_C:
+        return []
+    label = f"[h{n},e+{n}]-({plan.cartan[n - 1][n - 1]})e+{n}"
+    return [_Component(label, ((0, (), (plan.ladder("eq", n, 1),)),), (((n, 1),),))]
 
 
 def check_cartan(
@@ -518,9 +521,10 @@ def check_cartan(
     (s, t) is (H_i(t) - H_i(s) -+ a_ij) e_j^+-(s, t), and building the plan
     (_model_data) refuses a model where that integer is not 0 at every live
     move, as an engine error.  So every residual vanishes, and the family
-    only marks BOUNDARY where the node-j move stops at the cap, one
-    [h_j, e_j^+-] component each.  [h_i, h_j] = 0 holds by construction, as
-    the H_i are diagonal, and is not checked."""
+    only marks BOUNDARY where a move stops at the cap, which only the type C
+    long node's raising move does: its [h_n, e_n^+] is the one component
+    (none on type A).  [h_i, h_j] = 0 holds by construction, as the H_i are
+    diagonal, and is not checked."""
     return (plan or _Plan(model, ("cartan",))).report("cartan", q, margin)
 
 
@@ -565,9 +569,10 @@ def _serre_components(plan: _Plan, deformed: bool) -> list:
             m = 1 - a[i - 1][j - 1]
             # Term v carries (-1)^v C(m, v) as its coefficient (classical), or
             # (-1)^v and the q-binomial, 1 at the ends and a constant leaf
-            # inside, which exceeds 1 at every q > 0 (deformed).
+            # inside, which exceeds 1 at every q > 0 (deformed); [m; v] is
+            # keyed as the equal [m; min(v, m - v)].
             scales = [
-                ((-1) ** v, (plan.leaf("binom", m, v, d[i - 1]),) if 0 < v < m else ())
+                ((-1) ** v, (plan.leaf("binom", m, min(v, m - v), d[i - 1]),) if 0 < v < m else ())
                 if deformed
                 else ((-1) ** v * math.comb(m, v), ())
                 for v in range(m + 1)
@@ -648,6 +653,9 @@ _FAMILIES = {
     "map": ("map", _map_components),
 }
 KNOWN_FAMILIES = tuple(_FAMILIES)
+# The families whose leaves read q-integer roots or brackets: cartan binds no
+# leaf, and serre-classical only the classical entries, which take no q.
+Q_ROOT_FAMILIES = frozenset({"ladder", "serre", "map"})
 
 
 # -- suite ---------------------------------------------------------------------

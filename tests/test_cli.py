@@ -576,6 +576,29 @@ class TestPreflight:
             with pytest.raises(ValueError, match="q-integer roots"):
                 cli._preflight(spec, qs(text))
 
+    # verify weighs its q list only when a family reads q-integer roots:
+    # cartan binds no leaf and serre-classical only q-free entries, so
+    # A(2,2000) at 3/5 (predicted 47 s with roots) runs with either alone.
+    @pytest.mark.parametrize("families", ["cartan", "serre-classical"])
+    def test_deep_q_rule_skips_families_without_roots(self, families, capsys):
+        argv = ["verify", "--type", "A", "--n", "2", "--lambda", "2000", "--q", "3/5"]
+        assert main(argv + ["--families", families]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "TOTAL: pass=2001 fail=0 boundary=0"
+        )
+
+    def test_deep_q_rule_counts_a_family_with_roots(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_model", _refuse_build)
+        monkeypatch.setattr(qcrys.verify, "build_model", _refuse_build)
+        argv = ["verify", "--type", "A", "--n", "2", "--lambda", "2000", "--q", "3/5"]
+        assert main(argv + ["--families", "cartan,map"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the q-integer roots up to label 2000 at q = 3/5 would take about 47 s; "
+            "qcrys takes at most 30 s"
+        ]
+
     def test_rank_five_and_above_allowed(self, capsys):
         # A(69,1) counts as ceil(69 * 68**2 / 16) = 19,941, just inside.
         assert main(["crystal", "--type", "A", "--n", "69", "--lambda", "1"]) == 0

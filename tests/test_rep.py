@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrys.crystal import CrystalSpec, build_model, weight_h
 from qcrys.rep import (
     CZ_NODE,
     CZ_WEIGHT,
     LinOp,
+    _deform_entry,
+    _e_classical_entry,
+    _e_deformed_entry,
     _factor_args,
     casimir,
     casimir_generator_route,
@@ -309,9 +313,23 @@ class TestDeformFactor:
 
 
 class TestSharedEntries:
-    # The relation engine keys each generator entry by (kind, node, factor
-    # arguments), with one key for raising and lowering, and each deforming
-    # factor entry likewise; that is sound only if the entries agree.
+    # The relation engine keys each generator entry by (kind, long node flag,
+    # factor arguments in ascending order), with one key for raising and
+    # lowering, and each deforming factor entry likewise; that is sound only
+    # if the entries agree, and if every entry function is symmetric in its
+    # two arguments.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.integers(-30, 30),
+        b=st.integers(-30, 30),
+        q=st.fractions(min_value=F(1, 30), max_value=30, max_denominator=30),
+        long_node=st.booleans(),
+    )
+    def test_entry_functions_are_symmetric(self, a, b, q, long_node):
+        assert _e_classical_entry(a, b, long_node) == _e_classical_entry(b, a, long_node)
+        assert _e_deformed_entry(a, b, q, long_node) == _e_deformed_entry(b, a, q, long_node)
+        assert _deform_entry(a, b, q, long_node) == _deform_entry(b, a, q, long_node)
+
     @pytest.mark.parametrize("model", [model_a(3, 3), model_c(2, 2, 12)], ids=repr)
     @pytest.mark.parametrize("q", [F(1), F(3, 5), F(2)], ids=str)
     def test_keys_shared_by_raising_lowering_and_equal_arguments(self, model, q):

@@ -410,6 +410,23 @@ class TestHalfBracketProduct:
     def test_q1_degeneration(self, h2):
         assert half_bracket_product(h2, F(1)) == F(h2, 2) * (F(h2, 2) + 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.fractions(min_value=F(1, 30), max_value=30, max_denominator=30).filter(
+            lambda q: q != 1
+        ),
+        h=st.integers(-30, 29),
+    )
+    def test_odd_case_from_the_bracket_squares(self, q, h):
+        # For odd h2 = 2x, [x]_q^2 = (q^h2 - 2 + q^-h2) / (q - 1/q)^2 is rational
+        # though [x]_q is not; the product squares to [x]^2 [x + 1]^2, and is
+        # negative exactly where x and x + 1 differ in sign, at h2 = -1.
+        h2 = 2 * h + 1
+        square = lambda m: (q**m - 2 + q**-m) / (q - 1 / q) ** 2
+        value = half_bracket_product(h2, q)
+        assert value**2 == square(h2) * square(h2 + 2)
+        assert (value < 0) == (h2 == -1)
+
 
 # q samples of the integer kernel: q = 1, reciprocal pairs, and bases far
 # from 1 on both sides.

@@ -41,6 +41,7 @@ from qcrys.scalar import Radical, _lowest, _mul_term, _radical, _sqrt_frac, qbin
 from qcrys.verify import (
     _FAMILY_RUNNERS,
     KNOWN_FAMILIES,
+    Q_ROOT_FAMILIES,
     ConfigError,
     SuiteConfig,
     VerificationError,
@@ -603,8 +604,9 @@ def test_cartan_operators_commute(cfg):
 )
 def test_cartan_family_builds_no_diagonal(monkeypatch, cfg):
     # Every coefficient of a correct model vanishes at its move, so the
-    # family builds only the (j, j, +-) components, whose terms carry the
-    # coefficient 0 and keep no slot; no diagonal is built.
+    # family only walks the long node's raising move, the one move the cap
+    # stops, with the coefficient 0, keeping no slot: one component on
+    # type C, none on type A; no diagonal is built.
     calls, diagonal = [], _Plan.diagonal
 
     def counting(plan, entries):
@@ -615,23 +617,37 @@ def test_cartan_family_builds_no_diagonal(monkeypatch, cfg):
     plan = _Plan(build_model(cfg.spec()), ("cartan",))
     assert calls == []
     prog = plan.programs["cartan"]
-    assert len(prog.labels) == 2 * plan.model.spec.nodes
-    assert len(prog.slots) == 0 and prog.sums == []
+    n = plan.model.spec.n
+    assert prog.labels == ([f"[h{n},e+{n}]-(2)e+{n}"] if cfg.algebra_type == "C" else [])
+    assert len(prog.slots) == 0 and prog.sums == [] and prog.leaves == []
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=_cfg_id)
+def test_families_outside_q_root_families_read_no_q(cfg):
+    # The deep-q rule of the command line skips the q list of a suite whose
+    # families all lie outside Q_ROOT_FAMILIES, so their leaves must be the
+    # q-free kinds: classical entries and integers.
+    plan = _Plan(build_model(cfg.spec()), KNOWN_FAMILIES)
+    for family in set(KNOWN_FAMILIES) - Q_ROOT_FAMILIES:
+        prog = plan.programs[family]
+        assert {plan.keys[g][0] for g in prog.leaves} <= {"e", "int"}, family
+        assert plan.bind(prog, F(3, 5)) == plan.bind(prog, F(7, 2)), family
 
 
 @pytest.mark.parametrize(
     "cfg, counts, slots",
     [
-        (SuiteConfig("A", 68, 1), (134, 199, 264, 268), (0, 134, 0, 268)),
-        (SuiteConfig("C", 3, 3, 13), (6, 7, 8, 12), (0, 1638, 1384, 2828)),
+        (SuiteConfig("A", 68, 1), (0, 199, 264, 268), (0, 134, 0, 268)),
+        (SuiteConfig("C", 3, 3, 13), (1, 7, 8, 12), (0, 1554, 1384, 2828)),
     ],
     ids=["A68-1", "C3-3"],
 )
 def test_default_families_build_linear_component_counts(cfg, counts, slots):
     # Ladder and Serre components only for adjacent nodes (|i - j| <= 1 and
-    # = 1), Cartan components only for (j, j, +-): O(nodes) per family.  A
-    # ladder slot survives only where a word is live or [H_i] is not 0 (two
-    # states per node on A(68,1)); a map slot at each live move.
+    # = 1), one Cartan component on type C and none on type A: O(nodes) per
+    # family.  A ladder slot survives only where a word is live or [H_i] is
+    # not 0 (two states per node on A(68,1)), and its terms do not cancel
+    # over the unordered entry keys; a map slot at each live move.
     plan = _Plan(build_model(cfg.spec()), cfg.families)
     assert tuple(len(plan.programs[f].labels) for f in cfg.families) == counts
     assert tuple(len(plan.programs[f].slots) // 5 for f in cfg.families) == slots
@@ -748,8 +764,6 @@ def _raising_partner(label: str):
     if m := re.fullmatch(r"\[e\+(\d+),e-(\d+)\]", label):
         i, j = m.groups()
         return f"[e+{j},e-{i}]" if int(i) > int(j) else None
-    if m := re.fullmatch(r"\[h(\d+),e-\1\]-\(-(\d+)\)e-\1", label):
-        return "[h{0},e+{0}]-({1})e+{0}".format(*m.groups())
     if m := re.fullmatch(r"serre\(e-(\d+);e-(\d+)\)( .*)", label):
         return "serre(e+{};e+{}){}".format(*m.groups())
     if m := re.fullmatch(r"F\*E-(\d+)-e-\1", label):
@@ -759,29 +773,14 @@ def _raising_partner(label: str):
     return None
 
 
-def _mirrored(plan, terms, sign):
-    """A residual's terms by leaf keys, times ``sign``, with each q-binomial
-    [m; v] read as the equal [m; m - v] where v > m - v, equal monomials
-    merged."""
-    out = {}
-    for mono, c in terms:
-        keys = [plan.keys[g] for g in mono]
-        keys = sorted(
-            ("binom", k[1], k[1] - k[2], k[3]) if k[0] == "binom" and 2 * k[2] > k[1] else k
-            for k in keys
-        )
-        out[tuple(keys)] = out.get(tuple(keys), 0) + sign * c
-    return {mono: c for mono, c in out.items() if c}
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=audit_configs())
 def test_lowering_components_transpose_raising_ones(cfg):
     # (a) Every slot (k, c', t, e) of a lowering partner c' has the raising
     # slot (t, c, k, e): the transposed words multiply the same leaves.  In
     # the long-node Serre pair (len=3) the reversed words swap terms v and
-    # 3 - v, whose signs differ, so there the residual is the negation, with
-    # the q-binomials [3; 1] and [3; 2] (equal for every q) traded.
+    # 3 - v, whose signs differ and whose q-binomials [3; 1] and [3; 2] are
+    # one leaf, so there the residual is the plain negation.
     # (b) Compiling a family without its lowering partners leaves its cap
     # flags unchanged.
     model = build_model(cfg.spec())
@@ -798,7 +797,7 @@ def test_lowering_components_transpose_raising_ones(cfg):
             f = slots.get((t, partner[c], k))
             assert f is not None, (family, prog.labels[c], model.states[k])
             if " len=3 " in prog.labels[c]:
-                assert _mirrored(plan, prog.sums[f], 1) == _mirrored(plan, prog.sums[e], -1)
+                assert prog.sums[f] == tuple((mono, -n) for mono, n in prog.sums[e])
             else:
                 assert f == e, (family, prog.labels[c], model.states[k])
         lowering = {prog.labels[c] for c in partner}

@@ -28,8 +28,10 @@ preflight admits, generator exports
 whose entries are roots of deep q-integers, crystal graphs (one of them
 megabytes long, on standard output) and bare/classical ladder matrices
 of type C models, and ``identity`` verdicts that hold for all q, hold
-only at q = 1, or are refused, up to the largest accepted ``--a``, and
-A(2,19999) at 3/5, which the preflight refuses for its deep q.  The
+only at q = 1, or are refused, up to the largest accepted ``--a``,
+A(2,19999) at 3/5, which the preflight refuses for its deep q, and
+A(2,2000) at 3/5 with only the Cartan family, which reads no q-integer
+root and is admitted.  The
 whole list takes a few minutes; the boson cutoff-40 tower check alone
 takes about a minute.
 
@@ -168,6 +170,10 @@ CONFIGS = [
     ("refused-deep-q-A2-19999", "verify --type A --n 2 --lambda 19999 --q 3/5"),
     ("refused-deep-q-A2-19999-rep",
      "rep --type A --n 2 --lambda 19999 --which deformed --node 1 --q 3/5"),
+    # the Cartan family reads no q-integer root, so the deep-q rule admits
+    # A(2,2000) at 3/5 there (taken at that change; the rule refused it before)
+    ("deep-q-A2-2000-cartan",
+     "verify --type A --n 2 --lambda 2000 --q 3/5 --families cartan --output out"),
     # tower reports of the vdj realization, and of a boson run at q < 1
     ("boson-vdj-20-towers", "boson --realization vdj --q 3/2 --cutoff 20 --towers --output out"),
     ("boson-paper-20-towers-q2/3",
