@@ -101,13 +101,23 @@ _MAX_STATES = 20_000
 _DEEP_Q_S_PER_UNIT = 1.49e-9
 _MAX_DEEP_Q_S = 30
 
+# verify then multiplies those entries out in every residual of every state,
+# with q-integers up to the reach: the label, or twice the cap on type C,
+# whose long node reads [2 l_n + 1] in base q**2.  That part of the wall
+# grows as states * reach**1.8 * log2(ab), summed over q as above; fitted on
+# fresh-process walls less the q = 1 wall of C(2, 0, cap) and A(3, lambda)
+# at 3/5 and 13/17 (2-core Xeon, Python 3.11), it is about 2.9e-9 s per
+# unit.  C(2,0,280) at 3/5 (19-23 s) runs; at 13/17 (41-42 s) it is refused.
+_RESIDUAL_S_PER_UNIT = 2.9e-9
 
-def _preflight(spec: CrystalSpec, qs=()) -> CrystalSpec:
+
+def _preflight(spec: CrystalSpec, qs=(), residuals=False) -> CrystalSpec:
     """``spec``, unless its state space (counted in closed form) has more
     than _MAX_STATES states, plain or weighted by rank, or its q-integer
-    roots at the q values ``qs`` take longer than _MAX_DEEP_Q_S.  Every spec
-    has a state, so the rank alone is checked first: the type C count
-    costs about nodes**2 bit operations."""
+    roots at the q values ``qs`` take longer than _MAX_DEEP_Q_S, or, with
+    ``residuals`` (verify), so do the residual products over its states.
+    Every spec has a state, so the rank alone is checked first: the type C
+    count costs about nodes**2 bit operations."""
     scale = max(spec.nodes, 4) ** 2
     if -(-scale // 16) > _MAX_STATES:
         raise ValueError(
@@ -125,11 +135,20 @@ def _preflight(spec: CrystalSpec, qs=()) -> CrystalSpec:
         )
     top = spec.lam if spec.cap is None else spec.cap
     deep = {min(q, 1 / q) for q in qs if q != 1}
-    work = top**3 * sum(math.log2(q.numerator * q.denominator) for q in deep)
-    if work * _DEEP_Q_S_PER_UNIT > _MAX_DEEP_Q_S:
+    bits = sum(math.log2(q.numerator * q.denominator) for q in deep)
+    seconds = top**3 * bits * _DEEP_Q_S_PER_UNIT
+    if seconds > _MAX_DEEP_Q_S:
         raise ValueError(
             f"the q-integer roots up to label {top} at q = {', '.join(map(str, qs))} would "
-            f"take about {work * _DEEP_Q_S_PER_UNIT:.0f} s; qcrys takes at most {_MAX_DEEP_Q_S} s"
+            f"take about {seconds:.0f} s; qcrys takes at most {_MAX_DEEP_Q_S} s"
+        )
+    reach = top if spec.long_node is None else 2 * top
+    seconds = count * reach**1.8 * bits * _RESIDUAL_S_PER_UNIT
+    if residuals and seconds > _MAX_DEEP_Q_S:
+        raise ValueError(
+            f"the residuals of {count} states with q-integers up to {reach} at q = "
+            f"{', '.join(map(str, qs))} would take about {seconds:.0f} s; "
+            f"qcrys takes at most {_MAX_DEEP_Q_S} s"
         )
     return spec
 
@@ -306,7 +325,8 @@ def _cmd_verify(args) -> int:
         config = load_config(data)
     if args.cz and "map" not in config.families:
         config = config._replace(families=config.families + ("map",))
-    _preflight(config.spec(), config.q_list if Q_ROOT_FAMILIES & set(config.families) else ())
+    qs = config.q_list if Q_ROOT_FAMILIES & set(config.families) else ()
+    _preflight(config.spec(), qs, residuals=True)
     result = run_suite(config)
     for report in result.reports:
         print(report.one_line())

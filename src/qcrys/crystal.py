@@ -106,6 +106,11 @@ class CrystalSpec(namedtuple("CrystalSpec", "algebra_type n lam cap")):
         """Number of ladder-operator nodes (simple roots)."""
         return self.n - 1 if self.algebra_type == TYPE_A else self.n
 
+    @property
+    def long_node(self) -> int | None:
+        """The node whose move shifts the last label by two: n on type C, else None."""
+        return self.n if self.algebra_type == TYPE_C else None
+
     def describe(self) -> dict:
         return {
             "algebra_type": self.algebra_type,
@@ -139,7 +144,7 @@ class CrystalModel:
         column = self._moves.get((node, sign))
         if column is None:
             spec, index, column = self.spec, self.index, []
-            long_node = spec.algebra_type == TYPE_C and node == spec.n
+            long_node = node == spec.long_node
             lo, hi = (spec.n - 1, spec.n) if long_node else (node - 1, node + 1)
             shift = move_delta(spec, node, sign)[lo:hi]
             for s in self.states:
@@ -226,7 +231,7 @@ def move_delta(spec: CrystalSpec, node: int, sign: int) -> tuple[int, ...]:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     delta = [0] * spec.n
-    if spec.algebra_type == TYPE_C and node == spec.n:
+    if node == spec.long_node:
         delta[-1] = 2 * sign
     else:
         delta[node - 1] = sign
@@ -272,7 +277,7 @@ def weight_h2(model: CrystalModel, state) -> tuple[int, ...]:
     label differences, plus 2 l_n + 1 on the type C long node."""
     state = weight_n(model, state)
     out = [2 * (state[i] - state[i + 1]) for i in range(model.spec.n - 1)]
-    if model.spec.algebra_type == TYPE_C:
+    if model.spec.long_node is not None:
         out.append(2 * state[-1] + 1)
     return tuple(out)
 

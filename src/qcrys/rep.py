@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crystal import TYPE_C, CrystalModel, weight_h, weight_n
+from .crystal import CrystalModel, weight_h, weight_n
 from .scalar import (
     Radical,
     _lowest,
@@ -204,10 +204,6 @@ def op_h(model: CrystalModel, i: int) -> LinOp:
     )
 
 
-def _is_long_node(model: CrystalModel, node: int) -> bool:
-    return model.spec.algebra_type == TYPE_C and node == model.spec.n
-
-
 def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
     """The two integer factors under the square root of the dressing
     diagonal, evaluated at a state's labels, in ascending order: l_i + 1
@@ -215,7 +211,7 @@ def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
     node.  Every entry function is symmetric in them, so the order only
     makes equal entries share one argument pair."""
     l = weight_n(model, state)
-    if _is_long_node(model, node):
+    if node == model.spec.long_node:
         return -l[-1] - 2, l[-1] + 1
     return tuple(sorted((l[node - 1] + 1, l[node])))
 
@@ -223,12 +219,12 @@ def _factor_args(model: CrystalModel, node: int, state) -> tuple[int, int]:
 def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     """Ladder matrix with a diagonal dressing evaluated on the raising
     operand / lowering image, i.e. on the state where both square-root
-    factor arguments are read off: the entry is the triple ``value(a, b)``."""
-    states, entries = model.states, {}
+    factor arguments are read off: the entry is ``value(a, b, long_node)``."""
+    states, entries, long_node = model.states, {}, node == model.spec.long_node
     for k, (t, _) in enumerate(model.moves(node, sign)):
         if t is not None:
             args = _factor_args(model, node, states[k if sign > 0 else t])
-            entries[(k, t)] = _radical(value(*args))
+            entries[(k, t)] = _radical(value(*args, long_node))
     return LinOp(model.dim, entries)
 
 
@@ -270,8 +266,7 @@ def op_e_classical(model: CrystalModel, node: int, sign: int) -> LinOp:
     with sqrt((N_i+1) N_{i+1}), or (1/2) sqrt((N_n+1)(-N_n-2)) on the type C
     long node.  The long-node radicand is negative, so those entries are
     imaginary and carried exactly by the radical branch rule."""
-    long_node = _is_long_node(model, node)
-    return _dressed_ladder(model, node, sign, lambda a, b: _e_classical_entry(a, b, long_node))
+    return _dressed_ladder(model, node, sign, _e_classical_entry)
 
 
 def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
@@ -279,8 +274,8 @@ def op_e_deformed(model: CrystalModel, node: int, sign: int, q) -> LinOp:
     classical dressing becomes the bracket [x]_q, and the long-node
     prefactor 1/2 becomes 1/(q + q^(-1)).  At q = 1 this coincides with
     op_e_classical entry for entry."""
-    q, long_node = ensure_positive_q(q), _is_long_node(model, node)
-    return _dressed_ladder(model, node, sign, lambda a, b: _e_deformed_entry(a, b, q, long_node))
+    q = ensure_positive_q(q)
+    return _dressed_ladder(model, node, sign, lambda a, b, long: _e_deformed_entry(a, b, q, long))
 
 
 def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
@@ -294,7 +289,7 @@ def deform_factor(model: CrystalModel, node: int, q) -> LinOp:
     invertible on its support without changing either side of the map.
     """
     q = ensure_positive_q(q)
-    long_node = _is_long_node(model, node)
+    long_node = node == model.spec.long_node
     return LinOp.diagonal(
         _radical(_deform_entry(*_factor_args(model, node, s), q, long_node))
         for s in model.states

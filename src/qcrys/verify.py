@@ -14,8 +14,8 @@ state is one exact number.  Where a walk goes, where it stops (a dead
 move, or the type C cap, which decides BOUNDARY), which entries it
 multiplies and which of them are zero do not depend on q (a [k]_q bracket
 is 0 exactly when k = 0, and entries on live moves never are).  Each
-model gets one plan, built once: its Cartan data read off the integer
-doubled eigenvalues 2H_i, one namespace of entry keys with step tables
+model gets one plan, built once: its weight shifts checked against one
+rule (_cartan_entry), one namespace of entry keys with step tables
 over the model's move table (CrystalModel.moves) shared by every family,
 and each requested family compiled, after which the step tables are
 dropped.  A key names the value it is computed from: a generator or
@@ -59,6 +59,7 @@ import os
 from array import array
 from collections import namedtuple
 from fractions import Fraction
+from operator import sub
 
 from .crystal import (
     CAP_MARGIN,
@@ -66,7 +67,6 @@ from .crystal import (
     MOVE_CAPPED,
     MOVE_DEAD,
     TYPE_A,
-    TYPE_C,
     CrystalModel,
     CrystalSpec,
     boundary_class,
@@ -80,7 +80,6 @@ from .rep import (
     _e_classical_entry,
     _e_deformed_entry,
     _factor_args,
-    _is_long_node,
 )
 from .report import BOUNDARY, FAIL, PASS, RelationReport, StateResult
 from .scalar import (
@@ -128,39 +127,43 @@ DEFAULT_FAMILIES = ("cartan", "ladder", "serre", "map")
 # -- Cartan data derived from the crystal ------------------------------------
 
 
+def _cartan_entry(spec: CrystalSpec, i: int, j: int) -> int:
+    """The reference Cartan integer a_ij, the shift of H_i under the node-j
+    raising move (1-based): 2 on the diagonal, -1 between adjacent nodes
+    but -2 where j is the long node, and 0 further apart, as a move changes
+    only its own and its neighbours' labels."""
+    if abs(i - j) > 1:
+        return 0
+    return 2 if i == j else -2 if j == spec.long_node else -1
+
+
+def _symmetrizer(spec: CrystalSpec, i: int) -> int:
+    """d_i of the same rule: 2 on the long node, else 1."""
+    return 2 if i == spec.long_node else 1
+
+
 def expected_cartan(spec: CrystalSpec) -> list[list[int]]:
-    """Reference Cartan matrix, rows indexed by the Cartan operator and
-    columns by the ladder node: tridiagonal 2/-1, except that the type C
-    entry coupling H_{n-1} to the long-node ladder is -2."""
-    nodes = spec.nodes
-    m = [[0] * nodes for _ in range(nodes)]
-    for i in range(nodes):
-        m[i][i] = 2
-        if i + 1 < nodes:
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-    if spec.algebra_type == TYPE_C and nodes >= 2:
-        m[nodes - 2][nodes - 1] = -2
-    return m
+    """Reference Cartan matrix of _cartan_entry, rows indexed by the Cartan
+    operator and columns by the ladder node."""
+    nodes = range(1, spec.nodes + 1)
+    return [[_cartan_entry(spec, i, j) for j in nodes] for i in nodes]
 
 
 def cartan_matrix(model: CrystalModel) -> list[list[int]]:
     """Cartan integers measured from the crystal weight shifts: entry
     (i, j) is the shift of the H_i eigenvalue under the node-j raising
-    move.  Every state admitting the move must report the same shift, and
-    the result must agree with the reference matrix; disagreement is an
-    engine error, not a relation failure (see _model_data)."""
-    return _model_data(model)[0]
+    move.  _model_data refuses a model where one differs from the reference
+    matrix, as an engine error, so what it returns is that matrix."""
+    _model_data(model)
+    return expected_cartan(model.spec)
 
 
 def symmetrizers(spec: CrystalSpec, cartan: list[list[int]]) -> list[int]:
     """Node lengths d_i making (d_i a_ij) symmetric: all 1 except the type
-    C long node, which carries d_n = 2.  Cross-checked against the
-    measured matrix."""
+    C long node, which carries d_n = 2.  Cross-checked against the given
+    matrix."""
     nodes = spec.nodes
-    d = [1] * nodes
-    if spec.algebra_type == TYPE_C:
-        d[nodes - 1] = 2
+    d = [_symmetrizer(spec, i) for i in range(1, nodes + 1)]
     for i in range(nodes):
         for j in range(nodes):
             if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
@@ -178,41 +181,37 @@ def _half(x2: int, what: str) -> int:
     return x2 // 2
 
 
-def _model_data(model: CrystalModel) -> tuple:
-    """The q-independent integers of the relation families on one model,
-    read off the doubled Cartan eigenvalues 2H_i (weight_h2) of its states:
-    the Cartan matrix, measured on the live raising moves (a live lowering
-    move s -> t is the raising move t -> s read backwards), the
-    symmetrizers, and per node i the [H_i] bracket arguments d_i*H_i by
-    ordinal.  Inconsistent weight shifts, a measured matrix other than the
-    reference one, and an odd doubled value where one is halved are engine
-    errors, so every live move shifts the weights by the reference matrix."""
+def _model_data(model: CrystalModel) -> list:
+    """Per node i the [H_i] bracket arguments d_i*H_i by ordinal, read off
+    the doubled Cartan eigenvalues 2H_i (weight_h2) of the model's states,
+    once each node's weight shift, measured on its live raising moves (a
+    live lowering move is one read backwards), is one column that equals
+    _cartan_entry entry by entry; where no state admits the move, the rule
+    stands.  Inconsistent shifts, an entry other than the rule's, and an
+    odd doubled value where one is halved are engine errors."""
     spec, nodes = model.spec, model.spec.nodes
     h2 = [weight_h2(model, s) for s in model.states]
-    expected = expected_cartan(spec)
-    cartan = [row[:] for row in expected]
     for j in range(1, nodes + 1):
         measured = {
-            tuple(_half(h2[t][i] - hs[i], "Cartan eigenvalue shift") for i in range(nodes))
+            tuple(map(sub, h2[t], hs))
             for hs, (t, _) in zip(h2, model.moves(j, 1))
             if t is not None
         }
-        # Where no state admits the move (trivial representations), the
-        # reference column stands.
         if len(measured) > 1:
             raise VerificationError(f"inconsistent weight shifts for node {j}")
-        for shift in measured:
-            for i in range(nodes):
-                cartan[i][j - 1] = shift[i]
-    if cartan != expected:
-        raise VerificationError(
-            f"measured Cartan matrix {cartan} differs from expected {expected}"
-        )
-    d = symmetrizers(spec, cartan)
-    brackets = [
-        [_half(hs[i] * d[i], "scaled Cartan eigenvalue") for hs in h2] for i in range(nodes)
+        # The rule is 0 beyond j's neighbours: compare them and nonzero entries.
+        near = range(max(1, j - 1), min(nodes, j + 1) + 1)
+        for shift2 in measured:
+            for i in sorted({*near, *(i for i, x in enumerate(shift2, 1) if x)}):
+                a = _half(shift2[i - 1], "Cartan eigenvalue shift")
+                if a != (want := _cartan_entry(spec, i, j)):
+                    raise VerificationError(
+                        f"measured Cartan entry a_{i},{j} = {a} differs from expected {want}"
+                    )
+    return [
+        [_half(hs[i] * _symmetrizer(spec, i + 1), "scaled Cartan eigenvalue") for hs in h2]
+        for i in range(nodes)
     ]
-    return cartan, d, brackets
 
 
 # -- compiled relation plans ---------------------------------------------------
@@ -328,7 +327,7 @@ class _Plan:
 
     def __init__(self, model: CrystalModel, families):
         self.model = model
-        self.cartan, self.d, self._brackets = _model_data(model)
+        self._brackets = _model_data(model)
         self.keys = []  # leaf id -> key
         self.ids = {}  # key -> leaf id
         self._steps, self._args = {}, {}
@@ -371,7 +370,7 @@ class _Plan:
         if table is None:
             table = self._steps[(kind, node, sign)] = {}
             args = self.factor_args(node) if kind else None
-            long_node = _is_long_node(self.model, node)
+            long_node = node == self.model.spec.long_node
             for k, (t, status) in zip(self.model.index.values(), self.model.moves(node, sign)):
                 if status == MOVE_CAPPED:
                     table[k] = (MOVE_CAPPED, None)
@@ -502,14 +501,12 @@ class _Plan:
 
 
 def _cartan_components(plan: _Plan) -> list:
-    # _model_data refuses a model with any live move whose weight shift is not
-    # the reference matrix's, so every coefficient H_i(t) - H_i(s) -+ a_ij is 0
-    # and the family is only the cap flags of the one move the cap stops, the
-    # type C long node's raising move: one component on type C, none on type A.
-    n = plan.model.spec.n
-    if plan.model.spec.algebra_type != TYPE_C:
+    # Every coefficient is 0 on a model _model_data accepts (check_cartan), so the
+    # family is only the cap flags of the long node's raising move, if any.
+    spec, n = plan.model.spec, plan.model.spec.long_node
+    if n is None:
         return []
-    label = f"[h{n},e+{n}]-({plan.cartan[n - 1][n - 1]})e+{n}"
+    label = f"[h{n},e+{n}]-({_cartan_entry(spec, n, n)})e+{n}"
     return [_Component(label, ((0, (), (plan.ladder("eq", n, 1),)),), (((n, 1),),))]
 
 
@@ -542,7 +539,7 @@ def _ladder_components(plan: _Plan) -> list:
             if i == j:
                 # [H_i] in base q^d is [d H_i]_q / [d]_q, exact and regular at q = 1,
                 # and 0 exactly where d H_i = 0.
-                d = plan.d[i - 1]
+                d = _symmetrizer(plan.model.spec, i)
                 hds = enumerate(plan._brackets[i - 1])
                 brackets = plan.diagonal((k, ("bracket", hd, d)) for k, hd in hds if hd)
                 terms += ((-1, (), (brackets,)),)
@@ -560,19 +557,19 @@ def check_ladder(
 
 
 def _serre_components(plan: _Plan, deformed: bool) -> list:
-    a, d = plan.cartan, plan.d
-    nodes = plan.model.spec.nodes
+    spec = plan.model.spec
     kind = "eq" if deformed else "e"
     components = []
-    for i in range(1, nodes + 1):
-        for j in [j for j in (i - 1, i + 1) if 1 <= j <= nodes]:
-            m = 1 - a[i - 1][j - 1]
+    for i in range(1, spec.nodes + 1):
+        d = _symmetrizer(spec, i)
+        for j in [j for j in (i - 1, i + 1) if 1 <= j <= spec.nodes]:
+            m = 1 - _cartan_entry(spec, i, j)
             # Term v carries (-1)^v C(m, v) as its coefficient (classical), or
             # (-1)^v and the q-binomial, 1 at the ends and a constant leaf
             # inside, which exceeds 1 at every q > 0 (deformed); [m; v] is
             # keyed as the equal [m; min(v, m - v)].
             scales = [
-                ((-1) ** v, (plan.leaf("binom", m, min(v, m - v), d[i - 1]),) if 0 < v < m else ())
+                ((-1) ** v, (plan.leaf("binom", m, min(v, m - v), d),) if 0 < v < m else ())
                 if deformed
                 else ((-1) ** v * math.comb(m, v), ())
                 for v in range(m + 1)
@@ -584,7 +581,7 @@ def _serre_components(plan: _Plan, deformed: bool) -> list:
                     (coef, leaves, tuple(plan.ladder(kind, *mv) for mv in word))
                     for (coef, leaves), word in zip(scales, words)
                 )
-                base = f"q^{d[i - 1]}" if deformed else "1"
+                base = f"q^{d}" if deformed else "1"
                 label = f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"
                 components.append(_Component(label, terms, words))
     return components
@@ -594,8 +591,9 @@ def check_serre(
     model: CrystalModel, q, deformed: bool = True, margin: int = DEFAULT_MARGIN, *, plan=None
 ) -> RelationReport:
     """Serre relations for every ordered pair of adjacent nodes (others
-    commute by locality, module docstring), built from the measured Cartan
-    matrix: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
+    commute by locality, module docstring), built from the reference Cartan
+    integers, which building the plan checks against the measured weight
+    shifts: sum_v (-1)^v B(1-a_ij, v) x^(1-a_ij-v) y x^v
     with x = e_i, y = e_j, and B the q^(d_i)-binomial (deformed) or the
     ordinary binomial (classical).  Each term is one word."""
     family = "serre" if deformed else "serre-classical"
@@ -606,7 +604,7 @@ def _map_components(plan: _Plan) -> list:
     model = plan.model
     rows = []  # (label, word added, word subtracted, ladder moves of the words)
     for node in range(1, model.spec.nodes + 1):
-        args, long_node = plan.factor_args(node).items(), _is_long_node(model, node)
+        args, long_node = plan.factor_args(node).items(), node == model.spec.long_node
         fac = plan.diagonal((k, ("f", long_node, *ab)) for k, ab in args)
         inv = plan.diagonal((k, ("finv", long_node, *ab)) for k, ab in args)
         ep, em = plan.ladder("e", node, 1), plan.ladder("e", node, -1)

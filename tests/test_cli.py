@@ -599,6 +599,42 @@ class TestPreflight:
             "qcrys takes at most 30 s"
         ]
 
+    # Deep residuals: C(2,0,280) has 19,881 states and roots of q-integers up to
+    # [282]_q only (the roots rule predicts 0.25 s at 13/17), but multiplying
+    # them out in every residual takes 42 s from launch at 13/17 and 19 s at 3/5.
+    def test_deep_q_residuals_refused_before_building(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_model", _refuse_build)
+        monkeypatch.setattr(qcrys.verify, "build_model", _refuse_build)
+        argv = ["verify", "--type", "C", "--n", "2", "--lambda", "0", "--cap", "280"]
+        assert main(argv + ["--q", "13/17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the residuals of 19881 states with q-integers up to 560 at q = 13/17 "
+            "would take about 40 s; qcrys takes at most 30 s"
+        ]
+
+    def test_deep_q_residual_rule_admits(self):
+        # verify's shapes that run within the bound stay admitted, and rep, which
+        # evaluates no residual, keeps the roots rule alone.
+        def qs(text):
+            return [Fraction(q) for q in text.split(",")]
+
+        c2 = CrystalSpec("C", 2, 0, 280)
+        admitted = [
+            (c2, "3/5"),
+            (CrystalSpec("C", 3, 3, 13), "5/3,3/2,2/3,3/5"),  # the sp2n_suite shape
+            (CrystalSpec("A", 2, 40), "3/4,4/3"),  # the sl2_deep_q suite
+            (CrystalSpec("A", 2, 1500), "3/5,5/3"),
+            (CrystalSpec("C", 3, 3, 59), "1,2,1/2,3/5"),
+            (CrystalSpec("A", 3, 198), "1,2,1/2,3/5"),
+        ]
+        for spec, text in admitted:
+            assert cli._preflight(spec, qs(text), residuals=True) == spec
+        assert cli._preflight(c2, qs("13/17")) == c2
+        with pytest.raises(ValueError, match="the residuals of 19881 states"):
+            cli._preflight(c2, qs("13/17"), residuals=True)
+
     def test_rank_five_and_above_allowed(self, capsys):
         # A(69,1) counts as ceil(69 * 68**2 / 16) = 19,941, just inside.
         assert main(["crystal", "--type", "A", "--n", "69", "--lambda", "1"]) == 0

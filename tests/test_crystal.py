@@ -19,6 +19,7 @@ from qcrys.crystal import (
     graph_dot,
     graph_json,
     graph_json_obj,
+    move_delta,
     resolve_cap,
     state_count,
     weight_h,
@@ -89,6 +90,15 @@ class TestSpecValidation:
     def test_node_counts(self):
         assert CrystalSpec("A", 4, 1).nodes == 3
         assert CrystalSpec("C", 3, 1, 5).nodes == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_long_node(self, n):
+        # The node whose move shifts the last label by two: n on type C,
+        # none on type A, as move_delta reads it.
+        spec_c, spec_a = CrystalSpec("C", n, 0, 4), CrystalSpec("A", n + 1, 1)
+        assert spec_c.long_node == n and spec_a.long_node is None
+        assert move_delta(spec_c, n, 1)[-1] == 2
+        assert all(move_delta(spec_a, node, 1)[-1] < 2 for node in range(1, n + 1))
 
 
 class TestBuildModel:
@@ -232,8 +242,6 @@ class TestMoves:
 
     @pytest.mark.parametrize("model", SMALL_MODELS, ids=repr)
     def test_weight_shift_matches_move_vector(self, model):
-        from qcrys.crystal import move_delta
-
         for s in model.states:
             for node in range(1, model.spec.nodes + 1):
                 for sign in (1, -1):

@@ -18,6 +18,7 @@ from qcrys.crystal import (
     apply_move,
     boundary_class,
     build_model,
+    move_delta,
     weight_h,
     weight_h2,
 )
@@ -26,7 +27,6 @@ from qcrys.rep import (
     CZ_WEIGHT,
     LinOp,
     _factor_args,
-    _is_long_node,
     commutator,
     cz_factor,
     deform_factor,
@@ -375,22 +375,22 @@ ORACLE_CONFIGS = [
 # pairs, to (the relation as one operator, the ladder moves of its words).
 
 
-def _oracle_cartan(model, q, data):
-    nodes = model.spec.nodes
+def _oracle_cartan(model, q):
+    nodes, cartan = model.spec.nodes, expected_cartan(model.spec)
     hs = {i: op_h(model, i) for i in range(1, nodes + 1)}
     ops = {}
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             for sign, tag in ((1, "+"), (-1, "-")):
-                shift = sign * data.cartan[i - 1][j - 1]
+                shift = sign * cartan[i - 1][j - 1]
                 e = op_e_deformed(model, j, sign, q)
                 label = f"[h{i},e{tag}{j}]-({shift})e{tag}{j}"
                 ops[label] = commutator(hs[i], e) - e * shift, (((j, sign),),)
     return ops
 
 
-def _oracle_ladder(model, q, data):
-    nodes = model.spec.nodes
+def _oracle_ladder(model, q):
+    nodes, d = model.spec.nodes, symmetrizers(model.spec, expected_cartan(model.spec))
     ops = {}
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
@@ -399,10 +399,9 @@ def _oracle_ladder(model, q, data):
             if i != j:
                 ops[f"[e+{i},e-{j}]"] = comm, words
                 continue
-            d = data.d[i - 1]
             bracket = LinOp.diagonal(
                 Radical.from_rational(
-                    qint_at(int(weight_h(model, s)[i - 1] * d), q) / qint_at(d, q)
+                    qint_at(int(weight_h(model, s)[i - 1] * d[i - 1]), q) / qint_at(d[i - 1], q)
                 )
                 for s in model.states
             )
@@ -410,15 +409,16 @@ def _oracle_ladder(model, q, data):
     return ops
 
 
-def _oracle_serre(model, q, data, deformed):
-    nodes = model.spec.nodes
+def _oracle_serre(model, q, deformed):
+    nodes, cartan = model.spec.nodes, expected_cartan(model.spec)
+    d = symmetrizers(model.spec, cartan)
     ops = {}
     for i in range(1, nodes + 1):
         for j in range(1, nodes + 1):
             if i == j:
                 continue
-            m = 1 - data.cartan[i - 1][j - 1]
-            qi = q ** data.d[i - 1]
+            m = 1 - cartan[i - 1][j - 1]
+            qi = q ** d[i - 1]
             for sign, tag in ((1, "+"), (-1, "-")):
                 if deformed:
                     x = op_e_deformed(model, i, sign, q)
@@ -433,7 +433,7 @@ def _oracle_serre(model, q, data, deformed):
                 for v in range(m + 1):
                     coeff = qbinom(m, v).eval((qi,)) if deformed else math.comb(m, v)
                     total = total + (powers[m - v] @ y @ powers[v]) * ((-1) ** v * coeff)
-                base = f"q^{data.d[i - 1]}" if deformed else "1"
+                base = f"q^{d[i - 1]}" if deformed else "1"
                 xs, ys = ((i, sign),), ((j, sign),)  # in application order, as powers[v] first
                 words = tuple(xs * v + ys + xs * (m - v) for v in range(m + 1))
                 ops[f"serre(e{tag}{i};e{tag}{j}) len={m} binom_base={base}"] = total, words
@@ -542,11 +542,11 @@ def _assert_matches_oracle(plan, family, q, oracle):
 
 
 _ORACLES = {
-    "cartan": lambda model, q, data: _oracle_cartan(model, q, data),
-    "ladder": lambda model, q, data: _oracle_ladder(model, q, data),
-    "serre": lambda model, q, data: _oracle_serre(model, q, data, True),
-    "serre-classical": lambda model, q, data: _oracle_serre(model, q, data, False),
-    "map": lambda model, q, data: _oracle_map(model, q),
+    "cartan": _oracle_cartan,
+    "ladder": _oracle_ladder,
+    "serre": lambda model, q: _oracle_serre(model, q, True),
+    "serre-classical": lambda model, q: _oracle_serre(model, q, False),
+    "map": _oracle_map,
 }
 
 
@@ -555,7 +555,7 @@ _ORACLES = {
 class TestEngineAgainstOperators:
     def _check(self, cfg, q, family):
         plan = _Plan(build_model(cfg.spec()), (family,))
-        oracle = _ORACLES[family](plan.model, q, plan)
+        oracle = _ORACLES[family](plan.model, q)
         _assert_matches_oracle(plan, family, q, oracle)
 
     def test_cartan(self, cfg, q):
@@ -572,13 +572,13 @@ class TestEngineAgainstOperators:
         self._check(cfg, q, "map")
 
     def test_cartan_wrong_shift_is_engine_error(self, cfg, q, monkeypatch):
-        # Against a reference matrix with every Cartan integer shifted, the
+        # Against a reference rule with every Cartan integer shifted, the
         # coefficient H_i(t) - H_i(s) - sign*a_ij of every live node-j move
         # is -sign, not 0.  The engine refuses such a model before it builds
         # a component, so no Cartan residual is ever nonzero.
-        reference = verify.expected_cartan
-        shifted = lambda spec: [[a + 1 for a in row] for row in reference(spec)]
-        monkeypatch.setattr(verify, "expected_cartan", shifted)
+        reference = verify._cartan_entry
+        shifted = lambda spec, i, j: reference(spec, i, j) + 1
+        monkeypatch.setattr(verify, "_cartan_entry", shifted)
         model = build_model(cfg.spec())
         with pytest.raises(VerificationError, match="differs from expected"):
             _Plan(model, ("cartan",))
@@ -595,6 +595,37 @@ def test_cartan_operators_commute(cfg):
     for i in range(1, nodes + 1):
         for j in range(i + 1, nodes + 1):
             assert commutator(op_h(model, i), op_h(model, j)).is_zero(), (i, j)
+
+
+@pytest.mark.parametrize("algebra_type", ["A", "C"])
+def test_reference_rule_is_symmetrizable(algebra_type):
+    # _model_data checks measured shifts against _cartan_entry and takes d
+    # from the same rule without re-checking (d_i a_ij) per model, so the
+    # rule itself must be symmetrizable by those d at every rank.
+    a_type = algebra_type == "A"
+    for rank in range(1, 41):
+        spec = CrystalSpec("A", rank + 1, 0) if a_type else CrystalSpec("C", rank, 0, 0)
+        want = [1] * rank if a_type else [1] * (rank - 1) + [2]
+        assert symmetrizers(spec, expected_cartan(spec)) == want, rank
+
+
+@pytest.mark.parametrize(
+    "cfg", [SuiteConfig("C", 5, 1, cap=7), SuiteConfig("A", 6, 2)], ids=_cfg_id
+)
+def test_plan_builds_no_nodes_squared_matrix(monkeypatch, cfg):
+    # The plan reads each Cartan entry from the rule where it is used:
+    # neither the reference matrix nor the symmetrizers' nodes**2 check is
+    # on its path, and the reports match the ones of an unpatched plan.
+    model = build_model(cfg.spec())
+    want = [_Plan(model, KNOWN_FAMILIES).report(f, F(3, 5), 0) for f in KNOWN_FAMILIES]
+
+    def refuse(*args):
+        raise AssertionError("a nodes**2 Cartan helper ran on the plan path")
+
+    monkeypatch.setattr(verify, "expected_cartan", refuse)
+    monkeypatch.setattr(verify, "symmetrizers", refuse)
+    plan = _Plan(model, KNOWN_FAMILIES)
+    assert [plan.report(f, F(3, 5), 0) for f in KNOWN_FAMILIES] == want
 
 
 @pytest.mark.parametrize(
@@ -747,11 +778,10 @@ def _oracle_outcome(model, margin, oracle):
 def test_suite_matches_operators_on_random_specs(cfg):
     suite = run_suite(cfg)
     model = build_model(cfg.spec())
-    data = _Plan(model, ())
     q = cfg.q_list[0]
     assert len(suite.reports) == len(cfg.families)
     for family, report in zip(cfg.families, suite.reports):
-        oracle = _ORACLES[family](model, q, data)
+        oracle = _ORACLES[family](model, q)
         per_state, failures = _oracle_outcome(model, cfg.margin, oracle)
         assert [(r.residual_zero, r.klass) for r in report.per_state] == per_state, family
         assert report.failures == tuple(failures), family
@@ -808,6 +838,48 @@ def test_lowering_components_transpose_raising_ones(cfg):
             assert _Plan(model, (family,)).programs[family].capped == prog.capped, family
 
 
+def _rise(spec, words) -> int:
+    """The largest rise of the label total along any prefix of ``words``."""
+    top = 0
+    for word in words:
+        total = 0
+        for move in word:
+            total += sum(move_delta(spec, *move))
+            top = max(top, total)
+    return top
+
+
+def _assert_capped_states_pass_on_raised_cap(cfg):
+    """Every state where a word stops at the cap (BOUNDARY, or PASS at
+    margin 0 with a dropped term) is re-decided on the same spec with the
+    cap raised by r, the largest rise of the label total along any word of
+    the plan: there no word from it reaches the cap, so its verdict is
+    about the untruncated module, and it must read PASS."""
+    model = build_model(cfg.spec())
+    plan = _Plan(model, cfg.families)
+    r = max(_rise(model.spec, words) for prog in plan.programs.values() for words in prog.words)
+    raised = _Plan(build_model(cfg._replace(cap=cfg.cap + r).spec()), cfg.families)
+    for family, prog in plan.programs.items():
+        capped = [raised.model.index[s] for s, cap in zip(model.states, prog.capped) if cap]
+        for q in cfg.q_list:
+            report = raised.report(family, q, cfg.margin)
+            for k in capped:
+                state = raised.model.states[k]
+                assert not raised.programs[family].capped[k], (family, state, r)
+                assert report.per_state[k] == (state, True, PASS), (family, state, q)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=audit_configs())
+def test_capped_states_pass_on_raised_cap_random_specs(cfg):
+    if cfg.algebra_type == "C":
+        _assert_capped_states_pass_on_raised_cap(cfg)
+
+
+@pytest.mark.parametrize("cfg", [c for c in ORACLE_CONFIGS if c.algebra_type == "C"], ids=_cfg_id)
+def test_capped_states_pass_on_raised_cap(cfg):
+    _assert_capped_states_pass_on_raised_cap(cfg._replace(q_list=DIFF_Q, families=KNOWN_FAMILIES))
+
 # Fault injection: one entry function scaled by 2 at one factor argument
 # pair that a live move reads, in verify's namespace (the leaves) and rep's
 # (the oracle's operators).  The map identity of that move then fails, and
@@ -849,8 +921,7 @@ def test_injected_entry_fault_fails_where_the_operators_do(case):
         patch.setattr(rep, name, scaled)
         suite = run_suite(cfg)
         model = build_model(cfg.spec())
-        data = _Plan(model, ())
-        oracles = [_ORACLES[family](model, cfg.q_list[0], data) for family in cfg.families]
+        oracles = [_ORACLES[family](model, cfg.q_list[0]) for family in cfg.families]
     for family, report, oracle in zip(cfg.families, suite.reports, oracles):
         per_state, failures = _oracle_outcome(model, cfg.margin, oracle)
         assert [(r.residual_zero, r.klass) for r in report.per_state] == per_state, family
@@ -881,7 +952,7 @@ def test_equal_entries_of_different_nodes_share_one_leaf(monkeypatch, cfg):
             if kind is None or leaf is None:  # the bare move's 1, or a capped move
                 continue
             args = _factor_args(model, node, model.states[k if sign > 0 else t])
-            key = (kind, _is_long_node(model, node)) + args
+            key = (kind, node == model.spec.long_node) + args
             leaves.setdefault(key, set()).add(leaf)
             nodes.setdefault(key, set()).add(node)
     assert all(len(ids) == 1 and plan.keys[min(ids)] == key for key, ids in leaves.items())
@@ -899,14 +970,14 @@ def test_plan_compiled_once_serves_every_q(cfg):
     programs, leaves = dict(plan.programs), len(plan.keys)
     for q in DIFF_Q:
         for family, oracle in _ORACLES.items():
-            _assert_matches_oracle(plan, family, q, oracle(model, q, plan))
+            _assert_matches_oracle(plan, family, q, oracle(model, q))
             assert plan.programs[family] is programs[family]
             assert len(plan.keys) == leaves
         # Residuals that all vanish would hide stale entries: the leaves
         # bound at this q must be this q's generator entries.
         for node in range(1, model.spec.nodes + 1):
             deformed, classical = op_e_deformed(model, node, -1, q), op_e_classical(model, node, -1)
-            long_node = _is_long_node(model, node)
+            long_node = node == model.spec.long_node
             for kind, op in (("eq", deformed), ("e", classical)):
                 for (s, t), v in op.entries.items():
                     key = (kind, long_node) + _factor_args(model, node, model.states[t])

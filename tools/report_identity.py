@@ -29,9 +29,10 @@ whose entries are roots of deep q-integers, crystal graphs (one of them
 megabytes long, on standard output) and bare/classical ladder matrices
 of type C models, and ``identity`` verdicts that hold for all q, hold
 only at q = 1, or are refused, up to the largest accepted ``--a``,
-A(2,19999) at 3/5, which the preflight refuses for its deep q, and
-A(2,2000) at 3/5 with only the Cartan family, which reads no q-integer
-root and is admitted.  The
+A(2,19999) at 3/5, which the preflight refuses for its deep q,
+C(2,0,280) at 13/17, which it refuses for the residual products over its
+19,881 states, and A(2,2000) at 3/5 with only the Cartan family, which
+reads no q-integer root and is admitted.  The
 whole list takes a few minutes; the boson cutoff-40 tower check alone
 takes about a minute.
 
@@ -170,6 +171,9 @@ CONFIGS = [
     ("refused-deep-q-A2-19999", "verify --type A --n 2 --lambda 19999 --q 3/5"),
     ("refused-deep-q-A2-19999-rep",
      "rep --type A --n 2 --lambda 19999 --which deformed --node 1 --q 3/5"),
+    # small roots but 19,881 states of deep residual products: refused by the
+    # second deep-q check (taken at that check; without it the run takes 42 s)
+    ("refused-deep-q-C2-0-280", "verify --type C --n 2 --lambda 0 --cap 280 --q 13/17"),
     # the Cartan family reads no q-integer root, so the deep-q rule admits
     # A(2,2000) at 3/5 there (taken at that change; the rule refused it before)
     ("deep-q-A2-2000-cartan",
