@@ -82,11 +82,10 @@ def _json_chunks(obj):
 # step: C(3,3,31), 3128 states, verifies in about 1 s, and C(3,3,59), 19,375
 # states, in about 6 s and 104 MB at the default four q.  A larger space is
 # refused before anything is built, and so is a larger Fock space for boson.
-# Above rank 4 a state counts (nodes / 4)**2, as the model's move columns
-# (CrystalModel.moves) and verify._model_data's h2 and brackets grow as
-# nodes * states.  A(69,1), the largest admitted rank-one type A, takes
-# 0.12 s from launch to exit and 17 MB; in-process A(140,1) takes 0.06 s
-# and 20 MB.
+# Above rank 4 a state counts (nodes / 4)**2, as verify._model_data's h2
+# and brackets grow as nodes * states.  A(69,1), the largest admitted
+# rank-one type A, takes 0.12 s from launch to exit and 17 MB; in-process
+# A(140,1) takes 0.06 s and 20 MB.
 _MAX_STATES = 20_000
 
 # Deep q: at q = a/b the q-integers [k]_q up to the largest label (lambda,

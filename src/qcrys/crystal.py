@@ -134,28 +134,30 @@ class CrystalModel:
             raise ValueError("duplicate states")
         self._moves = {}  # (node, sign) -> column of moves
 
-    def moves(self, node: int, sign: int) -> tuple:
-        """The ladder move (node, sign) on every state, by source ordinal:
-        (target ordinal, MOVE_OK), or (None, MOVE_DEAD / MOVE_CAPPED) as
-        apply_move decides.  Each column is built on first use from only
-        the labels move_delta changes (node - 1 and node, or the last on
-        the long node) and kept.  A move that succeeds always lands inside
-        the model, so word walks never leave the table."""
+    def moves(self, node: int, sign: int) -> dict:
+        """The ladder move (node, sign) as a partial map by source ordinal:
+        the target ordinal, or MOVE_CAPPED where only the type C cap blocks
+        the move; a dead move is absent.  Each column is built on first use
+        from only the labels move_delta changes (node - 1 and node, or the
+        last on the long node) and kept.  A move that succeeds always lands
+        inside the model, so word walks never leave the table, and a
+        lowering move never meets the cap, so a lowering column is the
+        inverse of its raising column's live moves."""
         column = self._moves.get((node, sign))
         if column is None:
-            spec, index, column = self.spec, self.index, []
+            spec, index, column = self.spec, self.index, {}
             long_node = node == spec.long_node
             lo, hi = (spec.n - 1, spec.n) if long_node else (node - 1, node + 1)
             shift = move_delta(spec, node, sign)[lo:hi]
-            for s in self.states:
+            for s, k in index.items():
                 new = tuple(map(add, s[lo:hi], shift))
                 if min(new) < 0:
-                    column.append((None, MOVE_DEAD))
-                elif long_node and sum(s) + shift[0] > spec.cap:  # a short move keeps the total
-                    column.append((None, MOVE_CAPPED))
+                    continue
+                if long_node and sum(s) + shift[0] > spec.cap:  # a short move keeps the total
+                    column[k] = MOVE_CAPPED
                 else:
-                    column.append((index[s[:lo] + new + s[hi:]], MOVE_OK))
-            column = self._moves[(node, sign)] = tuple(column)
+                    column[k] = index[s[:lo] + new + s[hi:]]
+            self._moves[(node, sign)] = column
         return column
 
     @property
@@ -260,8 +262,8 @@ def e_hat(model: CrystalModel, node: int, sign: int, state):
     k = model.index.get(tuple(state))
     if k is None:
         raise ValueError(f"state {tuple(state)} not in model")
-    t = model.moves(node, sign)[k][0]
-    return None if t is None else model.states[t]
+    t = model.moves(node, sign).get(k)
+    return None if t in (None, MOVE_CAPPED) else model.states[t]
 
 
 def weight_n(model: CrystalModel, state) -> tuple[int, ...]:
@@ -302,13 +304,12 @@ def boundary_class(model: CrystalModel, state, margin: int = DEFAULT_MARGIN) -> 
 
 def _edges(model: CrystalModel):
     """Directed lowering edges (source ordinal, target ordinal, node), in
-    (source, node) order."""
+    (source, node) order; a lowering column holds only live moves."""
     columns = [model.moves(node, -1) for node in range(1, model.spec.nodes + 1)]
     for k in range(model.dim):
         for node, column in enumerate(columns, 1):
-            t = column[k][0]
-            if t is not None:
-                yield k, t, node
+            if k in column:
+                yield k, column[k], node
 
 
 def graph_json_obj(model: CrystalModel) -> dict:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crystal import CrystalModel, weight_h, weight_n
+from .crystal import MOVE_CAPPED, CrystalModel, weight_h, weight_n
 from .scalar import (
     Radical,
     _lowest,
@@ -182,8 +182,8 @@ def commutator(a: LinOp, b: LinOp) -> LinOp:
 
 def op_hat(model: CrystalModel, node: int, sign: int) -> LinOp:
     """0/1 matrix of the bare crystal ladder operator."""
-    moves = enumerate(model.moves(node, sign))
-    return LinOp(model.dim, {(k, t): Radical.one() for k, (t, _) in moves if t is not None})
+    moves = model.moves(node, sign).items()
+    return LinOp(model.dim, {(k, t): Radical.one() for k, t in moves if t != MOVE_CAPPED})
 
 
 def op_num(model: CrystalModel, i: int) -> LinOp:
@@ -221,8 +221,8 @@ def _dressed_ladder(model: CrystalModel, node: int, sign: int, value) -> LinOp:
     operand / lowering image, i.e. on the state where both square-root
     factor arguments are read off: the entry is ``value(a, b, long_node)``."""
     states, entries, long_node = model.states, {}, node == model.spec.long_node
-    for k, (t, _) in enumerate(model.moves(node, sign)):
-        if t is not None:
+    for k, t in model.moves(node, sign).items():
+        if t != MOVE_CAPPED:
             args = _factor_args(model, node, states[k if sign > 0 else t])
             entries[(k, t)] = _radical(value(*args, long_node))
     return LinOp(model.dim, entries)

@@ -65,7 +65,6 @@ from .crystal import (
     CAP_MARGIN,
     DEFAULT_MARGIN,
     MOVE_CAPPED,
-    MOVE_DEAD,
     TYPE_A,
     CrystalModel,
     CrystalSpec,
@@ -184,19 +183,16 @@ def _half(x2: int, what: str) -> int:
 def _model_data(model: CrystalModel) -> list:
     """Per node i the [H_i] bracket arguments d_i*H_i by ordinal, read off
     the doubled Cartan eigenvalues 2H_i (weight_h2) of the model's states,
-    once each node's weight shift, measured on its live raising moves (a
-    live lowering move is one read backwards), is one column that equals
-    _cartan_entry entry by entry; where no state admits the move, the rule
-    stands.  Inconsistent shifts, an entry other than the rule's, and an
-    odd doubled value where one is halved are engine errors."""
+    once each node's weight shift, measured on its live raising moves (read
+    backwards off its lowering column, which holds exactly those), is one
+    column that equals _cartan_entry entry by entry; where no state admits
+    the move, the rule stands.  Inconsistent shifts, an entry other than
+    the rule's, and an odd doubled value where one is halved are engine
+    errors."""
     spec, nodes = model.spec, model.spec.nodes
     h2 = [weight_h2(model, s) for s in model.states]
     for j in range(1, nodes + 1):
-        measured = {
-            tuple(map(sub, h2[t], hs))
-            for hs, (t, _) in zip(h2, model.moves(j, 1))
-            if t is not None
-        }
+        measured = {tuple(map(sub, h2[k], h2[t])) for k, t in model.moves(j, -1).items()}
         if len(measured) > 1:
             raise VerificationError(f"inconsistent weight shifts for node {j}")
         # The rule is 0 beyond j's neighbours: compare them and nonzero entries.
@@ -301,9 +297,9 @@ def _evaluate(prog: _Program, values: list) -> list:
 def _word_trace(model: CrystalModel, k: int, word) -> str:
     bits = [str(model.states[k])]
     for move in word:
-        k, status = model.moves(*move)[k]
-        if k is None:
-            bits.append("0" if status == MOVE_DEAD else "cap")
+        k = model.moves(*move).get(k)
+        if k in (None, MOVE_CAPPED):
+            bits.append("0" if k is None else "cap")
             break
         bits.append(str(model.states[k]))
     return "->".join(bits)
@@ -353,9 +349,7 @@ class _Plan:
         if args is None:
             model = self.model
             args = self._args[node] = {
-                k: _factor_args(model, node, s)
-                for (s, k), (_, status) in zip(model.index.items(), model.moves(node, 1))
-                if status != MOVE_DEAD
+                k: _factor_args(model, node, model.states[k]) for k in model.moves(node, 1)
             }
         return args
 
@@ -364,17 +358,17 @@ class _Plan:
         long node flag and the factor arguments read on the raising source
         or the lowering target, so raising and lowering share keys; kind
         None is the bare move, whose entries are the integer 1.  Its keys
-        are the model's own ordinal ints (index values), so the tables of a
-        plan share them rather than each holding a copy."""
+        are the move column's, the model's own ordinal ints (index values),
+        so the tables of a plan share them rather than each holding a copy."""
         table = self._steps.get((kind, node, sign))
         if table is None:
             table = self._steps[(kind, node, sign)] = {}
             args = self.factor_args(node) if kind else None
             long_node = node == self.model.spec.long_node
-            for k, (t, status) in zip(self.model.index.values(), self.model.moves(node, sign)):
-                if status == MOVE_CAPPED:
+            for k, t in self.model.moves(node, sign).items():
+                if t == MOVE_CAPPED:
                     table[k] = (MOVE_CAPPED, None)
-                elif t is not None:
+                else:
                     key = (kind, long_node, *args[k if sign > 0 else t]) if kind else ("int", 1)
                     table[k] = (t, self.leaf(*key))
         return table

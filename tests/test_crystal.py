@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrys.crystal import (
     CAP_MARGIN,
@@ -279,10 +280,38 @@ class TestMoveTable:
         for node in range(1, spec.nodes + 1):
             for sign in (1, -1):
                 column = model.moves(node, sign)
-                assert len(column) == model.dim
+                assert set(column) <= set(range(model.dim))
                 for k, s in enumerate(model.states):
                     t, status = apply_move(spec, s, node, sign)
-                    assert column[k] == (None if t is None else model.index[t], status)
+                    if status == MOVE_DEAD:
+                        assert k not in column
+                    elif status == MOVE_CAPPED:
+                        assert column[k] == MOVE_CAPPED
+                    else:
+                        assert column[k] == model.index[t]
+
+    @staticmethod
+    def _assert_lowering_inverts_raising(model):
+        for node in range(1, model.spec.nodes + 1):
+            down = model.moves(node, -1)
+            assert MOVE_CAPPED not in down.values()
+            live = {t: k for k, t in model.moves(node, 1).items() if t != MOVE_CAPPED}
+            assert down == live
+
+    @pytest.mark.parametrize("model", TABLE_MODELS, ids=repr)
+    def test_lowering_column_inverts_live_raising_moves(self, model):
+        self._assert_lowering_inverts_raising(model)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_lowering_column_inverts_live_raising_moves_on_drawn_specs(self, data):
+        if data.draw(st.booleans()):
+            spec = CrystalSpec("A", data.draw(st.integers(2, 5)), data.draw(st.integers(0, 5)))
+        else:
+            lam = data.draw(st.integers(0, 4))
+            cap = data.draw(st.integers(lam, lam + 8))
+            spec = CrystalSpec("C", data.draw(st.integers(1, 4)), lam, cap)
+        self._assert_lowering_inverts_raising(build_model(spec))
 
     def test_column_built_once(self):
         m = model_c(2, 2, 12)

@@ -898,10 +898,10 @@ def faulted_configs(draw):
     cfg = SuiteConfig(*spec, margin=margin, q_list=(q,), families=KNOWN_FAMILIES)
     model = build_model(cfg.spec())
     read = {
-        _factor_args(model, node, s)
+        _factor_args(model, node, model.states[k])
         for node in range(1, model.spec.nodes + 1)
-        for s, (t, _) in zip(model.states, model.moves(node, 1))
-        if t is not None
+        for k, t in model.moves(node, 1).items()
+        if t != MOVE_CAPPED
     }
     return cfg, draw(st.sampled_from(FAULTY_ENTRIES)), draw(st.sampled_from(sorted(read)))
 

@@ -150,6 +150,11 @@ CONFIGS = [
      "rep --type C --n 3 --lambda 1 --cap 9 --which classical --node 1 --output out"),
     ("rep-C3-1-9-classical-node3",
      "rep --type C --n 3 --lambda 1 --cap 9 --which classical --node 3 --output out"),
+    # move columns that are mostly dead: the lowering edges of A(69,1), where
+    # 98.6% of the moves are dead, and a dressed ladder of an 11-node model
+    ("crystal-A69-1-json", "crystal --type A --n 69 --lambda 1 --format json --output out"),
+    ("rep-A12-4-deformed-node6-q3/5",
+     "rep --type A --n 12 --lambda 4 --which deformed --node 6 --q 3/5 --format csv"),
     # the alternating bracket identity: symbolic, q = 1 only, JSON, refused a
     ("identity-2-m2", "identity --a 2 --z -2"),
     ("identity-4-2", "identity --a 4 --z 2"),
